@@ -16,7 +16,7 @@ from .gen import gen_random
 from .search import HEURISTICS, MODELS, Model, solve
 from .tsplib import circuit_to_path, parse_tsplib
 
-CSV_HEADER = "instance,heuristic,model,status,nodes,time_s"
+CSV_HEADER = "instance,heuristic,model,status,cost,lb,nodes,time_s"
 
 
 def run_one(name, C, s, e, heuristic, model, relax="tree",
@@ -37,10 +37,15 @@ def run_one(name, C, s, e, heuristic, model, relax="tree",
     }
 
 
+def _opt_int(x):
+    return "" if x is None else "%d" % x
+
+
 def format_row(row):
-    return "%s,%s,%s,%s,%d,%.6f" % (
-        row["instance"], row["heuristic"], row["model"],
-        row["status"], row["nodes"], row["time_s"])
+    return "%s,%s,%s,%s,%s,%s,%d,%.6f" % (
+        row["instance"], row["heuristic"], row["model"], row["status"],
+        _opt_int(row["cost"]), _opt_int(row["lb"]),
+        row["nodes"], row["time_s"])
 
 
 def write_csv(rows, fh):

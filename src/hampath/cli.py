@@ -87,6 +87,7 @@ def _render(fmt, name, args, res):
     if fmt == "csv":
         row = {"instance": name, "heuristic": args.heuristic,
                "model": args.model, "status": res.status,
+               "cost": res.best_cost, "lb": res.lb,
                "nodes": res.nodes, "time_s": res.time_s}
         return CSV_HEADER + "\n" + format_row(row) + "\n"
     lines = [
@@ -94,7 +95,7 @@ def _render(fmt, name, args, res):
         f"config     model={args.model} relax={args.relax} heuristic={args.heuristic}",
         f"status     {res.status}",
         f"cost       {res.best_cost if res.best_cost is not None else '-'}",
-        f"bound      {res.lb}",
+        f"bound      {res.lb if res.lb is not None else '-'}",
         f"nodes      {res.nodes}",
         f"time       {res.time_s:.3f}s",
     ]

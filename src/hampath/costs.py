@@ -578,8 +578,10 @@ class HeldKarpPropagator(Propagator):
                 self.pi_out, self.pi_in = best_pi
                 self.best_lb = max(self.best_lb, best)
                 self.fail("bound exceeds the cap")
-            g_out = 1.0 - np.bincount(xs, minlength=n)
-            g_in = 1.0 - np.bincount(ys, minlength=n)
+            # ascent direction of L(pi) = min_T sum(c + pi) - sum(pi):
+            # raise the price of nodes the tree over-uses
+            g_out = np.bincount(xs, minlength=n) - 1.0
+            g_in = np.bincount(ys, minlength=n) - 1.0
             g_out[gv.e] = 0.0
             g_in[gv.s] = 0.0
             denom = float(g_out @ g_out + g_in @ g_in)

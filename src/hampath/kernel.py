@@ -206,7 +206,7 @@ class Propagator:
         self.gv = gv
         self.events = deque()
         self.scheduled = False
-        self.stats = {"invocations": 0, "events": 0, "removed": 0, "enforced": 0}
+        self.stats = {"invocations": 0, "removed": 0, "enforced": 0}
 
     def propagate(self):
         raise NotImplementedError

@@ -40,6 +40,11 @@ class Model:
         self.model_name = model
         self.relax = relax
         self.C = np.asarray(C, dtype=float)
+        # bounds are rounded up and the optimizing cap is cost - 1, both of
+        # which are only sound on integer costs
+        finite = self.C[np.isfinite(self.C)]
+        if not np.array_equal(finite, np.round(finite)):
+            raise ValueError("finite arc costs must be integers")
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and np.isfinite(self.C[u, v])]
         self.gv = GraphVar(n, s, e, arcs)
@@ -240,6 +245,12 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     most prove_ub ("proven"), or exhaust the tree ("infeasible").  Without
     it the search optimizes: each path caps the objective at cost - 1 and
     the last path found is optimal.
+
+    The result's lb is a proven bound on the optimum over the whole search
+    space: the best cost when optimal, prove_ub + 1 when a decision run is
+    infeasible, None when an optimizing run finds no path at all, and
+    otherwise the least floor over the subtrees still open, capped at the
+    best cost found (or at prove_ub + 1 before any path is found).
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -252,19 +263,34 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     status = None
     if prove_ub is not None:
         m.obj.ub = int(prove_ub)
+    # pending alternative per open level with the floor of the node that
+    # branched, or None once the alternative is spent
+    stack = []
+    advance = True
+
+    def global_lb(st):
+        cap = best_cost
+        if cap is None and prove_ub is not None:
+            cap = int(prove_ub) + 1
+        if st in ("optimal", "infeasible"):
+            return cap          # nothing is left open
+        # the current node is open unless it failed or is a spent leaf
+        floors = [m.obj.lb] if advance else []
+        floors.extend(entry[1] for entry in stack if entry is not None)
+        if cap is not None:
+            floors.append(cap)
+        return min(floors) if floors else None
 
     def finish(st):
         per_prop = {p.name: dict(p.stats) for p in m.scheduler.props}
         return SearchResult(st, best_cost, best_path, nodes,
-                            clock() - t0, lb=m.obj.lb, stats=per_prop)
+                            clock() - t0, lb=global_lb(st), stats=per_prop)
 
     try:
         m.root_propagate()
     except Contradiction:
         return finish("infeasible")
 
-    stack = []          # pending alternative per open level, None if spent
-    advance = True
     while True:
         if deadline is not None and nodes % 64 == 0 and clock() > deadline:
             return finish("limit")
@@ -284,7 +310,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
             if dec is None:
                 advance = False
                 continue
-            stack.append(_negate(dec))
+            stack.append((_negate(dec), m.obj.lb))
             gv.push_world()
             nodes += 1
             try:
@@ -300,7 +326,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 if best_cost is not None:
                     return finish("optimal")
                 return finish("infeasible")
-            alt = stack.pop()
+            alt, _ = stack.pop()
             gv.pop_world()
             stack.append(None)
             gv.push_world()

@@ -23,7 +23,9 @@ from hampath.costs import (
 )
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
+from hampath.search import Model, solve
 from hampath.structural import DegreePropagator, ReducedPathPropagator
+from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import figures as fig
 import oracles
@@ -318,6 +320,34 @@ def test_subgradient_survives_backtracking():
         sched.schedule_all()
         sched.run_fixpoint()       # multipliers persist, bound stays sound
         assert obj.lb <= opt
+        # the persisted multipliers keep climbing, so the rerun may raise
+        # the root floor; the next pop must restore that one
+        lb_root = obj.lb
+
+
+def _tsplib_path(name):
+    inst = parse_tsplib(f"instances/{name}")
+    return circuit_to_path(inst.matrix, 0)
+
+
+def test_subgradient_climbs_close_to_the_optimum():
+    # bays29 has optimum 2020; the plain spanning tree gives only 1602
+    C, s, e = _tsplib_path("bays29.tsp")
+    m = Model(len(C), s, e, C, model="BASIC", relax="tree")
+    m.obj.ub = 2020
+    m.root_propagate()
+    assert 0.99 * 2020 <= m.obj.lb <= 2020
+
+
+@pytest.mark.parametrize("model,relax", [("ALL", "both"), ("BASIC", "tree")])
+def test_br17_refutes_one_below_its_optimum(model, relax):
+    C, s, e = _tsplib_path("br17.atsp")
+    m = Model(len(C), s, e, C, model=model, relax=relax)
+    # the climbing bound needs a handful of nodes; 200 backtracks leave
+    # ample room, yet a bound stuck at the plain tree exhausts them
+    r = solve(m, prove_ub=38, time_limit=200, clock=lambda: m.gv.pop_epoch)
+    assert r.status == "infeasible"
+    assert r.lb == 39
 
 
 # -- assignment propagator ------------------------------------------------------------

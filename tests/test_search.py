@@ -9,6 +9,7 @@ import pytest
 from hampath.gen import gen_random
 from hampath.oracle import dp_oracle
 from hampath.search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
+from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import figures as fig
 
@@ -111,3 +112,36 @@ def test_unreachable_bound_fails_fast():
     r = solve(fresh(C, fig.S, fig.E), prove_ub=5)
     assert r.status == "infeasible"
     assert r.nodes <= 3
+
+
+def test_reported_bound_is_global():
+    C, s, e = gen_random(8, seed=71, density=0.8)
+    want, _ = dp_oracle(C, s, e)
+    assert solve(fresh(C, s, e)).lb == want
+    assert solve(fresh(C, s, e), prove_ub=int(want) - 1).lb == want
+    yes = solve(fresh(C, s, e), prove_ub=int(want) + 5)
+    assert yes.status == "proven" and yes.lb <= want
+
+
+def test_limit_bound_covers_every_open_subtree():
+    # gr17 in path form, optimum 2085: stopped after 20 backtracks, the
+    # floor of the world the search halts in reads 2409
+    inst = parse_tsplib("instances/gr17.tsp")
+    C, s, e = circuit_to_path(inst.matrix, 0)
+    root = fresh(C, s, e, model="BASIC", relax="map")
+    root.root_propagate()
+    m = fresh(C, s, e, model="BASIC", relax="map")
+    r = solve(m, time_limit=20, clock=lambda: m.gv.pop_epoch)
+    assert r.status == "limit" and r.best_cost is not None
+    assert root.obj.lb <= r.lb <= 2085
+    assert r.lb <= r.best_cost
+
+
+def test_model_rejects_fractional_costs():
+    # optimizing would round the 1.2 path to cost 1, while deciding
+    # cost <= 1 rounds the floor up to 2 and says infeasible
+    C = np.full((4, 4), np.inf)
+    C[0, 1] = C[1, 2] = C[2, 3] = 0.4
+    C[0, 2] = C[2, 1] = C[1, 3] = 0.6
+    with pytest.raises(ValueError):
+        Model(4, 0, 3, C)
