@@ -1,23 +1,16 @@
-"""Walk through the two tree relaxations on a small seven-node graph.
+"""Walk through the tree relaxation on a small seven-node graph.
 
-The block-structured bound prices every strongly connected block of the
-reduced graph separately and adds the cheapest connectors between
+Without a block order the tree oracle spans all nodes at once.  Once the
+reduced graph is a known path of strongly connected blocks, it prices
+every block separately and adds the cheapest connectors between
 consecutive blocks.  That makes it strictly sharper here than the plain
 spanning tree: sharp enough to prune two arcs at the optimum that the
-plain bound cannot touch.
+plain bound cannot touch.  One swap filter serves both trees.
 """
 
 import numpy as np
 
-from hampath.costs import (
-    TreeAnalysis,
-    bst_build,
-    bst_filter,
-    effective_costs,
-    mst_kruskal,
-    mst_prim,
-    wst_filter,
-)
+from hampath.costs import block_tree, effective_costs, tree_oracle, wst_filter
 from hampath.kernel import GraphVar, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.structural import ReducedPathPropagator
@@ -57,24 +50,21 @@ def main():
     print("block order:", [sorted(rp.state.members(x)) for x in rp.path_order])
 
     Ecost, Scost = effective_costs(gv, C)
-    mst, _ = mst_prim(gv, Ecost, Scost)
-    bst = bst_build(gv, Ecost, rp.state, rp.path_order)
+    mst = block_tree(Ecost, Scost, *tree_oracle(gv)).total
+    bst = block_tree(Ecost, Scost, *tree_oracle(gv, rp))
     print("plain spanning tree bound: %d" % mst)
     print("block spanning tree bound: %d  (per block %s, connectors %s)"
-          % (bst.total,
-             [bst.block_trees[b].total if bst.block_trees[b] else 0
-              for b in bst.order],
+          % (bst.total, [int(t.total) for t in bst.trees],
              sorted(c for c, _, _, _ in bst.connectors)))
 
-    removed, enforced = bst_filter(gv, bst, Ecost, ub=opt)
+    removed, enforced, _, _ = wst_filter(gv, bst, Ecost, ub=opt)
     print("block filter at ub=%d removes %s, enforces %s"
           % (opt, sorted(removed), sorted(enforced)))
 
     gv2, _ = build()
     E2, S2 = effective_costs(gv2, C)
-    _, edges = mst_kruskal(gv2, S2)
-    tree = TreeAnalysis(list(range(N)), edges, E2)
-    wrem, wenf, _ = wst_filter(gv2, tree, E2, ub=opt)
+    tree = block_tree(E2, S2, *tree_oracle(gv2))
+    wrem, wenf, _, _ = wst_filter(gv2, tree, E2, ub=opt)
     print("plain filter at ub=%d removes %s, enforces %s"
           % (opt, sorted(wrem), sorted(wenf)))
 

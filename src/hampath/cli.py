@@ -82,6 +82,7 @@ def _render(fmt, name, args, res):
             "nodes": res.nodes,
             "time_s": res.time_s,
             "path": res.best_path,
+            "stats": res.stats,
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     if fmt == "csv":

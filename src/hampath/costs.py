@@ -1,10 +1,14 @@
 """Cost reasoning: relaxation bounds and the filters they power.
 
-All bounds speak about the fixed-endpoints Hamiltonian path.  The spanning
-tree relaxations symmetrize arc costs by keeping the cheaper present
-direction of each node pair; mandatory arcs are seeded into every tree.
-The Lagrangian propagator sharpens those trees with node multipliers and
-the assignment propagator bounds through the successor matching instead.
+All bounds speak about the fixed-endpoints Hamiltonian path.  The
+Lagrangian propagator prices node degrees with multipliers and bounds
+through one spanning tree oracle: arc costs are symmetrized by keeping the
+cheaper present direction of each node pair, and mandatory arcs are seeded
+into the tree.  Once the reduced graph is a known path of blocks, the
+oracle spans every block on its own and joins consecutive blocks with
+their cheapest cut arc; until then it spans all nodes at once.  One swap
+filter prunes against whichever tree it built.  The assignment propagator
+bounds through the successor matching instead.
 """
 
 from __future__ import annotations
@@ -70,11 +74,10 @@ class TrivialObjectivePropagator(Propagator):
         self.obj = obj
 
     def propagate(self):
-        self.events.clear()
         self.obj.tighten_lb(int(math.ceil(lb_trivial(self.gv, self.C) - CEIL_EPS)))
 
 
-# -- symmetrized tree machinery ------------------------------------------------
+# -- the tree oracle -------------------------------------------------------------
 
 
 def effective_costs(gv, C, pi_out=None, pi_in=None):
@@ -135,71 +138,82 @@ def _prim_pairs(S_sel, S_true):
     return total, pairs
 
 
+def tree_oracle(gv, reduced=None):
+    """(blocks, cuts) the tree relaxation spans on the current domain.
+
+    A block is (members, index array, mandatory pairs), the members
+    ascending and the pairs in member positions; a cut is (arcs, tails,
+    heads, mandatory arc or None) between two consecutive blocks.  Once the
+    reduced-path propagator `reduced` holds a block order in sync with the
+    domain, every block of that order is spanned on its own and each cut
+    adds one connector arc.  Otherwise one block holds all n nodes, with
+    no index array, and there are no cuts: the plain spanning tree.
+    """
+    mand = mandatory_pairs(gv)
+    if reduced is None or reduced.path_order is None \
+            or reduced.state.pop_epoch != gv.pop_epoch:
+        return [(range(gv.n), None, mand)], []
+    st = reduced.state
+    order = reduced.path_order
+    blocks = []
+    for x in order:
+        members = st.nodes_of(x)
+        pos = {u: i for i, u in enumerate(members)}
+        blocks.append((members, np.array(members),
+                       [(pos[a], pos[b]) for (a, b) in mand
+                        if a in pos and b in pos]))
+    cuts = []
+    for x, y in zip(order, order[1:]):
+        cut = sorted((u, v) for (u, v) in st.out_arcs[x]
+                     if st.scc_of[v] == y and gv.has_arc(u, v))
+        if not cut:
+            raise Contradiction("block tree: empty cut between blocks")
+        forced = next((a for a in cut if gv.has_mandatory(*a)), None)
+        us = np.fromiter((u for u, _ in cut), np.int64, len(cut))
+        vs = np.fromiter((v for _, v in cut), np.int64, len(cut))
+        cuts.append((cut, us, vs, forced))
+    return blocks, cuts
+
+
+def span_blocks(E, S, blocks, cuts):
+    """One evaluation of the tree oracle at directed costs E.
+
+    Returns (total, trees, connectors): per block its tree pairs (a, b),
+    a < b, in node ids; per cut the selected connector arc, its mandatory
+    arc if it has one and its cheapest arc otherwise.
+    """
+    total = 0.0
+    trees = []
+    for members, idx, mand in blocks:
+        if len(members) < 2:
+            trees.append([])
+            continue
+        true = S if idx is None else S[np.ix_(idx, idx)]
+        sel = true
+        if mand:
+            sel = true.copy()
+            for a, b in mand:
+                sel[a, b] = sel[b, a] = -1e17
+        t, pairs = _prim_pairs(sel, true)
+        total += t
+        # members ascend, so position order is node order
+        trees.append([(members[p], members[q]) if p < q
+                      else (members[q], members[p]) for p, q in pairs])
+    connectors = []
+    for cut, us, vs, forced in cuts:
+        # the cut is sorted, so argmin breaks ties towards the smallest arc
+        arc = forced if forced is not None \
+            else cut[int(np.argmin(E[us, vs]))]
+        total += float(E[arc])
+        connectors.append(arc)
+    return total, trees, connectors
+
+
 def realized_arc(E, a, b):
     """Direction a tree edge {a, b} takes under directed costs E."""
     if a > b:
         a, b = b, a
     return (a, b) if E[a, b] <= E[b, a] else (b, a)
-
-
-def mst_prim(gv, E, S, mand=None):
-    """(total, pairs) of the symmetrized MST with mandatory seeding."""
-    if mand is None:
-        mand = mandatory_pairs(gv)
-    S_sel = S
-    if mand:
-        S_sel = S.copy()
-        for a, b in mand:
-            S_sel[a, b] = S_sel[b, a] = -1e17
-    return _prim_pairs(S_sel, S)
-
-
-def mst_kruskal(gv, S, mand=None):
-    """(total, edges) with edges as (a, b, w, mandatory), a < b.
-
-    Lexicographic (w, a, b) scan makes the tree canonical; mandatory pairs
-    are unioned first.
-    """
-    n = gv.n
-    if mand is None:
-        mand = mandatory_pairs(gv)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-        return True
-
-    edges = []
-    total = 0.0
-    for a, b in mand:
-        if not union(a, b):
-            raise Contradiction("spanning tree: mandatory arcs close a cycle")
-        w = S[a, b]
-        total += w
-        edges.append((a, b, float(w), True))
-    iu, iv = np.triu_indices(n, 1)
-    ws = S[iu, iv]
-    fin = np.isfinite(ws)
-    iu, iv, ws = iu[fin], iv[fin], ws[fin]
-    for k in np.lexsort((iv, iu, ws)):
-        a, b, w = int(iu[k]), int(iv[k]), float(ws[k])
-        if union(a, b):
-            total += w
-            edges.append((a, b, w, False))
-            if len(edges) == n - 1:
-                break
-    if len(edges) != n - 1:
-        raise Contradiction("spanning tree: potential graph disconnected")
-    return total, edges
 
 
 class TreeAnalysis:
@@ -250,24 +264,46 @@ class TreeAnalysis:
         return out
 
 
-def _tree_swap_tables(tree, S, node_set=None):
+class BlockTree:
+    """Per-block trees plus one connector arc per consecutive cut."""
+
+    def __init__(self, total, trees, connectors):
+        self.total = total
+        self.trees = trees                  # TreeAnalysis per block, in order
+        self.connectors = connectors        # (cost, u, v, cut arcs) per cut
+
+
+def block_tree(E, S, blocks, cuts):
+    """The tree oracle's spanning tree at directed costs E, analysed for
+    the swap filter."""
+    total, trees, arcs = span_blocks(E, S, blocks, cuts)
+    analyses = []
+    for (members, _, mand), pairs in zip(blocks, trees):
+        pinned = {(members[a], members[b]) for a, b in mand}
+        edges = [(a, b, float(S[a, b]), (a, b) in pinned) for a, b in pairs]
+        analyses.append(TreeAnalysis(members, edges, E))
+    connectors = [(float(E[u, v]), u, v, cut)
+                  for (u, v), (cut, _, _, _) in zip(arcs, cuts)]
+    return BlockTree(total, analyses, connectors)
+
+
+def _tree_swap_tables(tree, S):
     """Per pair: the heaviest replaceable edge on its tree path; per tree
     edge: the cheapest outside pair that could stand in for it.
 
-    Returns (maxpath, repl) where maxpath maps a non-tree pair (a, b) to
-    the max non-mandatory edge weight on its path (-inf when everything on
-    the path is mandatory) and repl[i] is edge i's replacement cost.
+    S is the symmetrized cost matrix as nested lists.  Returns (maxpath,
+    repl) where maxpath maps a non-tree pair (a, b) to the max
+    non-mandatory edge weight on its path (-inf when everything on the
+    path is mandatory) and repl[i] is edge i's replacement cost.
     """
     maxpath = {}
     repl = [INF] * len(tree.edges)
     nodes = tree.nodes
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            a, b = nodes[ai], nodes[bi]
-            w = S[a, b]
-            if not np.isfinite(w):
-                continue
-            if (a, b) in tree.pair_index:
+    for ai, a in enumerate(nodes):
+        row = S[a]
+        for b in nodes[ai + 1:]:
+            w = row[b]
+            if w == INF or (a, b) in tree.pair_index:
                 continue
             mx = -INF
             for i in tree.path_edges(a, b):
@@ -281,170 +317,85 @@ def _tree_swap_tables(tree, S, node_set=None):
     return maxpath, repl
 
 
-def wst_filter(gv, tree, E, ub, offset=0.0, sink=None):
-    """Swap-based filtering against the spanning tree bound.
+def wst_filter(gv, bt, E, ub, offset=0.0, sink=None):
+    """Swap-based filtering against the block spanning tree bound.
 
-    A non-tree arc whose best insertion still lands above ub dies; a tree
-    edge whose removal cannot be repaired within ub is enforced when only
-    one direction is present.  Returns (removed, enforced, marginals).
+    A cut arc can only stand in for its cut's connector; an arc inside a
+    block runs the spanning-tree swap argument within its block's tree.
+    An arc whose best insertion still lands above ub dies.  A tree edge
+    whose removal cannot be repaired within ub is enforced when only one
+    direction is present, and so is the last arc left in a cut.
+
+    Returns (removed, enforced, marginals, swaps): marginals maps each
+    present arc off the tree to the bound with that arc swapped in, swaps
+    maps each non-mandatory realized tree arc to the extra cost of its
+    cheapest replacement.  Pass ub = inf to analyse without pruning.
     """
-    S = np.minimum(E, E.T)
-    maxpath, repl = _tree_swap_tables(tree, S)
     rm = sink.remove if sink is not None else gv.remove_arc
     enf = sink.enforce if sink is not None else gv.enforce_arc
     removed = []
     enforced = []
     marginals = {}
-    for (u, v) in gv.arcs():
-        a, b = (u, v) if u < v else (v, u)
-        i = tree.pair_index.get((a, b))
-        if i is not None:
-            if tree.edges[i][3]:
-                # pair pinned by a directed arc; the reverse direction can
-                # never ride along it, the pinned one must never be touched
-                if gv.has_mandatory(v, u) and rm(u, v):
-                    removed.append((u, v))
-                continue
-            if tree.realized[i] == (u, v):
-                continue
-            # opposite direction of a tree edge: swap the edge for itself
-            mx = tree.edges[i][2]
-        else:
-            mx = maxpath[(a, b)]
-        marginal = tree.total - mx + E[u, v] - offset
-        marginals[(u, v)] = marginal
-        if marginal > ub + PRUNE_EPS:
-            if rm(u, v):
-                removed.append((u, v))
-    for i, (a, b, w, emand) in enumerate(tree.edges):
-        if emand:
-            continue
-        if tree.total - w + repl[i] - offset > ub + PRUNE_EPS:
-            ra, rb = tree.realized[i]
-            if not gv.has_arc(rb, ra):
-                if enf(ra, rb):
-                    enforced.append((ra, rb))
-    return removed, enforced, marginals
-
-
-# -- block spanning tree (per-SCC trees plus connectors) -----------------------
-
-
-class BstAnalysis:
-    """Per-block trees plus one connector arc per consecutive cut."""
-
-    def __init__(self, total, block_trees, connectors, order):
-        self.total = total
-        self.block_trees = block_trees      # block id -> TreeAnalysis or None
-        self.connectors = connectors        # list of (cost, u, v, cut_arcs)
-        self.order = order
-
-
-def bst_build(gv, E, state, order, mand=None):
-    """Block spanning tree at directed costs E for an established order."""
-    if mand is None:
-        mand = mandatory_pairs(gv)
-    S = np.minimum(E, E.T)
-    total = 0.0
-    block_trees = {}
-    for x in order:
-        members = state.nodes_of(x)
-        if len(members) < 2:
-            block_trees[x] = None
-            continue
-        mand_in = [(a, b) for (a, b) in mand
-                   if state.scc_of[a] == x and state.scc_of[b] == x]
-        idx = np.array(members)
-        sub = S[np.ix_(idx, idx)].copy()
-        pos = {u: i for i, u in enumerate(members)}
-        for a, b in mand_in:
-            sub[pos[a], pos[b]] = sub[pos[b], pos[a]] = -1e17
-        try:
-            _, pairs = _prim_pairs(sub, S[np.ix_(idx, idx)])
-        except Contradiction:
-            raise Contradiction("block tree: block cannot be spanned")
-        edges = []
-        for (pi, qi) in pairs:
-            p, q = members[pi], members[qi]
-            a, b = (p, q) if p < q else (q, p)
-            edges.append((a, b, float(S[a, b]), (a, b) in mand_in))
-        tree = TreeAnalysis(members, edges, E)
-        block_trees[x] = tree
-        total += tree.total
-    connectors = []
-    for x, y in zip(order, order[1:]):
-        cut = [(u, v) for (u, v) in sorted(state.out_arcs[x])
-               if state.scc_of[v] == y and gv.has_arc(u, v)]
-        if not cut:
-            raise Contradiction("block tree: empty cut between blocks")
-        forced = [(u, v) for (u, v) in cut if gv.has_mandatory(u, v)]
-        if forced:
-            u, v = forced[0]
-        else:
-            _, u, v = min((float(E[u, v]), u, v) for (u, v) in cut)
-        total += float(E[u, v])
-        connectors.append((float(E[u, v]), u, v, cut))
-    return BstAnalysis(total, block_trees, connectors, list(order))
-
-
-def bst_filter(gv, bst, E, ub, offset=0.0, sink=None):
-    """Filtering against the block tree bound.
-
-    Cut arcs pay the swap against the selected connector; arcs inside a
-    block run the spanning-tree swap argument within their block's tree.
-    Returns (removed, enforced).
-    """
-    rm = sink.remove if sink is not None else gv.remove_arc
-    enf = sink.enforce if sink is not None else gv.enforce_arc
-    removed = []
-    enforced = []
-    B = bst.total
-    for (csel, su, sv, cut) in bst.connectors:
+    swaps = {}
+    B = bt.total
+    Ew = E.tolist()
+    for (csel, su, sv, cut) in bt.connectors:
         alive = []
+        best = INF
         for (u, v) in cut:
             if not gv.has_arc(u, v):
                 continue
-            if B - csel + float(E[u, v]) - offset > ub + PRUNE_EPS:
-                if rm(u, v):
-                    removed.append((u, v))
-            else:
-                alive.append((u, v))
-        if len(alive) == 1:
-            u, v = alive[0]
-            if enf(u, v):
-                enforced.append((u, v))
-    S = np.minimum(E, E.T)
-    for x, tree in bst.block_trees.items():
-        if tree is None:
+            if (u, v) != (su, sv):
+                marginal = B - csel + Ew[u][v] - offset
+                marginals[(u, v)] = marginal
+                if marginal > ub + PRUNE_EPS:
+                    if rm(u, v):
+                        removed.append((u, v))
+                    continue
+                best = min(best, Ew[u][v])
+            alive.append((u, v))
+        if not gv.has_mandatory(su, sv):
+            swaps[(su, sv)] = best - csel
+        if len(alive) == 1 and enf(*alive[0]):
+            enforced.append(alive[0])
+    Sw = np.minimum(E, E.T).tolist()
+    for tree in bt.trees:
+        if len(tree.nodes) < 2:
             continue
-        members = set(tree.nodes)
-        maxpath, repl = _tree_swap_tables(tree, S)
-        for u in sorted(members):
-            for v in sorted(gv.succ[u] & members):
+        inside = set(tree.nodes)
+        maxpath, repl = _tree_swap_tables(tree, Sw)
+        for u in tree.nodes:
+            for v in sorted(gv.succ[u] & inside):
                 a, b = (u, v) if u < v else (v, u)
                 i = tree.pair_index.get((a, b))
                 if i is not None:
                     if tree.edges[i][3]:
+                        # pair pinned by a directed arc; the reverse
+                        # direction can never ride along it, the pinned
+                        # one must never be touched
                         if gv.has_mandatory(v, u) and rm(u, v):
                             removed.append((u, v))
                         continue
                     if tree.realized[i] == (u, v):
                         continue
+                    # opposite direction of a tree edge: swap the edge
+                    # for itself
                     mx = tree.edges[i][2]
                 else:
                     mx = maxpath[(a, b)]
-                if B - mx + float(E[u, v]) - offset > ub + PRUNE_EPS:
-                    if rm(u, v):
-                        removed.append((u, v))
+                marginal = B - mx + Ew[u][v] - offset
+                marginals[(u, v)] = marginal
+                if marginal > ub + PRUNE_EPS and rm(u, v):
+                    removed.append((u, v))
         for i, (a, b, w, emand) in enumerate(tree.edges):
             if emand:
                 continue
-            if B - w + repl[i] - offset > ub + PRUNE_EPS:
-                ra, rb = tree.realized[i]
-                if not gv.has_arc(rb, ra):
-                    if enf(ra, rb):
-                        enforced.append((ra, rb))
-    return removed, enforced
+            ra, rb = tree.realized[i]
+            swaps[(ra, rb)] = repl[i] - w
+            if B - w + repl[i] - offset > ub + PRUNE_EPS \
+                    and not gv.has_arc(rb, ra) and enf(ra, rb):
+                enforced.append((ra, rb))
+    return removed, enforced, marginals, swaps
 
 
 # -- Lagrangian propagator ------------------------------------------------------
@@ -453,109 +404,47 @@ def bst_filter(gv, bst, E, ub, offset=0.0, sink=None):
 class HeldKarpPropagator(Propagator):
     """Subgradient-sharpened spanning tree bound with filtering.
 
-    Node multipliers price the out-degree of every node but e and the
-    in-degree of every node but s.  They persist across calls and across
-    backtracking; each run restarts the step control, not the multipliers.
+    The tree comes from `tree_oracle`: the block tree while the
+    reduced-path propagator `reduced` knows the block order, the plain
+    spanning tree otherwise.  Node multipliers price the out-degree of
+    every node but e and the in-degree of every node but s.  They persist
+    across calls and across backtracking; each run restarts the step
+    control, not the multipliers.
     """
 
     ITERS = 30
 
-    def __init__(self, gv, C, obj, mode="mst", reduced=None):
+    def __init__(self, gv, C, obj, reduced=None):
         super().__init__(gv)
-        self.name = "hk-" + mode
-        self.priority = 6 if mode == "bst" else 5
+        self.name = "hk"
+        self.priority = 5
         self.C = np.asarray(C, dtype=float)
         self.obj = obj
-        self.mode = mode
         self.reduced = reduced
         self.pi_out = np.zeros(gv.n)
         self.pi_in = np.zeros(gv.n)
         self.last_analysis = None
         self.last_marginals = None
+        self.last_swaps = None
         self.best_lb = -INF
         self._done_stamp = None
         self._full_key = None
 
-    # the graph is frozen while multipliers move, so block membership and
-    # the cut arc lists can be collected once per propagation
-    def _bst_context(self, mand):
-        gv = self.gv
-        st = self.reduced.state
-        order = self.reduced.path_order
-        blocks = []
-        for x in order:
-            members = st.nodes_of(x)
-            if len(members) < 2:
-                continue
-            idx = np.array(members)
-            pos = {u: i for i, u in enumerate(members)}
-            mand_in = [(pos[a], pos[b]) for (a, b) in mand
-                       if st.scc_of[a] == x and st.scc_of[b] == x]
-            blocks.append((members, idx, mand_in))
-        cuts = []
-        for x, y in zip(order, order[1:]):
-            cut = sorted((u, v) for (u, v) in st.out_arcs[x]
-                         if st.scc_of[v] == y and gv.has_arc(u, v))
-            if not cut:
-                self.fail("empty cut between blocks")
-            forced = [(u, v) for (u, v) in cut if gv.has_mandatory(u, v)]
-            if forced:
-                cuts.append((None, None, forced[0]))
-            else:
-                us = np.fromiter((u for u, _ in cut), np.int64, len(cut))
-                vs = np.fromiter((v for _, v in cut), np.int64, len(cut))
-                cuts.append((us, vs, None))
-        return blocks, cuts
-
     # one relaxation evaluation at the current multipliers; returns the
     # tree total plus the realized arc endpoints as two index arrays
-    def _tree_at(self, mand, ctx):
-        gv = self.gv
-        E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
-        cross = []
-        if self.mode == "mst":
-            total, pairs = mst_prim(gv, E, S, mand)
-        else:
-            blocks, cuts = ctx
-            total = 0.0
-            pairs = []
-            for members, idx, mand_in in blocks:
-                sub_true = S[np.ix_(idx, idx)]
-                sub = sub_true
-                if mand_in:
-                    sub = sub_true.copy()
-                    for pa, pb in mand_in:
-                        sub[pa, pb] = sub[pb, pa] = -1e17
-                t, sub_pairs = _prim_pairs(sub, sub_true)
-                total += t
-                pairs.extend((members[pi], members[qi])
-                             for (pi, qi) in sub_pairs)
-            for us, vs, forced in cuts:
-                if forced is not None:
-                    u, v = forced
-                else:
-                    w = E[us, vs]
-                    k = int(np.lexsort((vs, us, w))[0])
-                    u, v = int(us[k]), int(vs[k])
-                total += float(E[u, v])
-                cross.append((u, v))
-        if pairs:
-            A = np.asarray(pairs, dtype=np.int64)
-            lo = np.minimum(A[:, 0], A[:, 1])
-            hi = np.maximum(A[:, 0], A[:, 1])
-            fwd = E[lo, hi] <= E[hi, lo]
-            xs = np.where(fwd, lo, hi)
-            ys = np.where(fwd, hi, lo)
-        else:
-            xs = np.empty(0, dtype=np.int64)
-            ys = np.empty(0, dtype=np.int64)
-        if cross:
-            B = np.asarray(cross, dtype=np.int64)
-            xs = np.concatenate([xs, B[:, 0]])
-            ys = np.concatenate([ys, B[:, 1]])
+    def _tree_at(self, blocks, cuts):
+        E, S = effective_costs(self.gv, self.C, self.pi_out, self.pi_in)
+        total, trees, connectors = span_blocks(E, S, blocks, cuts)
+        A = np.asarray([p for tree in trees for p in tree],
+                       dtype=np.int64).reshape(-1, 2)
+        lo, hi = A[:, 0], A[:, 1]
+        fwd = E[lo, hi] <= E[hi, lo]
+        K = np.asarray(connectors, dtype=np.int64).reshape(-1, 2)
+        xs = np.concatenate([np.where(fwd, lo, hi), K[:, 0]])
+        ys = np.concatenate([np.where(fwd, hi, lo), K[:, 1]])
         return total, xs, ys
 
-    def _run(self, ub_target, mand, ctx):
+    def _run(self, ub_target, blocks, cuts):
         gv = self.gv
         n = gv.n
         lam = 2.0
@@ -563,7 +452,7 @@ class HeldKarpPropagator(Propagator):
         best = -INF
         best_pi = (self.pi_out.copy(), self.pi_in.copy())
         for _ in range(self.ITERS):
-            total, xs, ys = self._tree_at(mand, ctx)
+            total, xs, ys = self._tree_at(blocks, cuts)
             lb = total - (self.pi_out.sum() + self.pi_in.sum())
             if lb > best + 1e-12:
                 best = lb
@@ -602,16 +491,9 @@ class HeldKarpPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        had_events = bool(self.events)
-        self.events.clear()
-        if not had_events and self._done_stamp == gv.stamp():
+        if self._done_stamp == gv.stamp():
             return      # woken only by its own filtering, nothing changed
-        if self.mode == "bst":
-            if self.reduced is None or self.reduced.path_order is None:
-                return
-            if self.reduced.state.pop_epoch != gv.pop_epoch:
-                return
-        mand = mandatory_pairs(gv)
+        blocks, cuts = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
         # the same node only redo the filtering below at the stored
@@ -620,35 +502,25 @@ class HeldKarpPropagator(Propagator):
         if key != self._full_key:
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)
-            ctx = self._bst_context(mand) if self.mode == "bst" else None
             runs = 2 if gv.depth == 0 else 1
             best = -INF
             for _ in range(runs):
-                best = max(best, self._run(ub_target, mand, ctx))
+                best = max(best, self._run(ub_target, blocks, cuts))
             self.best_lb = best
             self._full_key = key
-        # filter at the best multipliers seen
+        # filter at the best multipliers seen; without a cap the pass only
+        # records the marginals and swap costs the branching reads
         E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
-        if self.mode == "mst":
-            total, edges = mst_kruskal(gv, S, mand)
-            tree = TreeAnalysis(list(range(gv.n)), edges, E)
-            self.last_analysis = tree
-            self.obj.tighten_lb(int(math.ceil(total - offset - CEIL_EPS)))
-            if ub is not None:
-                removed, enforced, marg = wst_filter(
-                    gv, tree, E, float(ub), offset, sink=self)
-                self.last_marginals = marg
-        else:
-            bst = bst_build(gv, E, self.reduced.state,
-                            self.reduced.path_order, mand)
-            self.last_analysis = bst
-            self.obj.tighten_lb(int(math.ceil(bst.total - offset - CEIL_EPS)))
-            if ub is not None:
-                bst_filter(gv, bst, E, float(ub), offset, sink=self)
-        # arcs dropped by the filters above echo back as events to this
-        # propagator; they are already accounted for, so swallow them
-        self.events.clear()
+        bt = block_tree(E, S, blocks, cuts)
+        self.last_analysis = bt
+        self.obj.tighten_lb(int(math.ceil(bt.total - offset - CEIL_EPS)))
+        _, _, marginals, self.last_swaps = wst_filter(
+            gv, bt, E, INF if ub is None else float(ub), offset, sink=self)
+        # the sparse heuristics read marginals only under a cap; the dive to
+        # the first path goes by arc costs (ftv33 under ALL/both needs 183
+        # nodes that way, 1,088 when steered by the marginals)
+        self.last_marginals = marginals if ub is not None else None
         self._done_stamp = gv.stamp()
 
 
@@ -725,9 +597,7 @@ class HungarianPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        had_events = bool(self.events)
-        self.events.clear()
-        if not had_events and self._done_stamp == gv.stamp():
+        if self._done_stamp == gv.stamp():
             return
         A = gv.pmask[np.ix_(self.rows, self.cols)]
         Cm = np.where(A, self.Cbase, self.BIGC)
@@ -756,5 +626,4 @@ class HungarianPropagator(Propagator):
             for i, j in zip(*np.nonzero(bad)):
                 if self.row_match[i] != j:
                     self.remove(self.rows[int(i)], self.cols[int(j)])
-        self.events.clear()
         self._done_stamp = gv.stamp()

@@ -4,8 +4,9 @@ The decision variable of the whole solver is a single graph variable over a
 fixed node set 0..n-1 with two nested arc sets: the potential graph (arcs that
 may still be part of the path) and the mandatory graph (arcs that must be).
 The variable is instantiated when both coincide.  Backtracking restores state
-through a trail of undo closures, and every domain mutation emits exactly one
-event to each subscribed propagator.
+through a trail of undo closures.  Every domain mutation schedules each
+subscribed propagator and appends exactly one event to the queue of each
+subscriber that keeps one.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class GraphVar:
         self.trail = Trail()
         self.pop_epoch = 0
         self._subs = []
+        self._listeners = []        # subscribers with an event queue
         self.scheduler = None
         for (u, v) in arcs:
             if u == v or v == s or u == e:
@@ -118,12 +120,15 @@ class GraphVar:
 
     def subscribe(self, propagator):
         self._subs.append(propagator)
+        if propagator.events is not None:
+            self._listeners.append(propagator)
 
     def _emit(self, kind, u, v):
-        sched = self.scheduler
-        for p in self._subs:
+        for p in self._listeners:
             p.events.append((kind, u, v))
-            if sched is not None:
+        sched = self.scheduler
+        if sched is not None:
+            for p in self._subs:
                 sched.schedule(p)
 
     def remove_arc(self, u, v):
@@ -188,8 +193,9 @@ class GraphVar:
         """
         d = self.trail.pop()
         self.pop_epoch += 1
-        for p in self._subs:
+        for p in self._listeners:
             p.events.clear()
+        for p in self._subs:
             p.scheduled = False
         if self.scheduler is not None:
             self.scheduler.clear()
@@ -197,14 +203,19 @@ class GraphVar:
 
 
 class Propagator:
-    """Base class: a filtering routine fed by a FIFO queue of arc events."""
+    """Base class: a filtering routine woken by domain changes.
+
+    A propagator that reads the changes themselves sets `events` to a
+    deque in its constructor; the graph variable then queues every arc
+    event there, FIFO.  The others are only woken.
+    """
 
     name = "propagator"
     priority = 0
+    events = None
 
     def __init__(self, gv):
         self.gv = gv
-        self.events = deque()
         self.scheduled = False
         self.stats = {"invocations": 0, "removed": 0, "enforced": 0}
 

@@ -271,45 +271,3 @@ class ReducedState:
         self.last_work = work
         return splits
 
-
-def transitive_closure(state):
-    """Per-node reachable sets when the reduced graph is a simple path.
-
-    Returns a dict node -> set of nodes it can still reach (itself excluded).
-    Raises PreconditionViolation when the condensation is not a path.
-    """
-    order = reduced_path_order(state)
-    result = {}
-    later = set()
-    for x in reversed(order):
-        block = set(state.nodes_of(x))
-        reach = block | later
-        for v in block:
-            result[v] = reach - {v}
-        later = reach
-    return result
-
-
-def reduced_path_order(state):
-    """The SCC sequence of the reduced path, or raise if it is not a path."""
-    sccs = state.sccs
-    starts = [x for x in sccs if not state.rpred[x]]
-    if len(starts) != 1:
-        raise PreconditionViolation("reduced graph is not a path")
-    order = []
-    cur = starts[0]
-    seen = set()
-    while True:
-        order.append(cur)
-        seen.add(cur)
-        nxt = state.radj[cur]
-        if len(nxt) == 0:
-            break
-        if len(nxt) != 1:
-            raise PreconditionViolation("reduced graph is not a path")
-        (cur,) = nxt
-        if cur in seen:
-            raise PreconditionViolation("reduced graph is not a path")
-    if len(order) != len(sccs):
-        raise PreconditionViolation("reduced graph is not a path")
-    return order

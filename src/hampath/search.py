@@ -69,11 +69,8 @@ class Model:
             reg(PositionPropagator(gv, reduced=self.rp))
         self.hk = None
         if relax in ("tree", "both"):
-            self.hk = HeldKarpPropagator(gv, self.C, self.obj, mode="mst")
+            self.hk = HeldKarpPropagator(gv, self.C, self.obj, reduced=self.rp)
             reg(self.hk)
-            if model in ("BST", "ALL"):
-                reg(HeldKarpPropagator(gv, self.C, self.obj, mode="bst",
-                                       reduced=self.rp))
         if relax in ("map", "both"):
             reg(HungarianPropagator(gv, self.C, self.obj))
 
@@ -129,28 +126,16 @@ def _negate(dec):
 
 
 def _tree_arc_scores(m):
-    """(tree_arcs, marginals): replacement costs on realized tree arcs and
-    insertion marginals on the rest, from the last Lagrangian analysis."""
+    """(tree_arcs, marginals) from the last Lagrangian filtering pass:
+    replacement costs on undecided realized tree arcs and insertion
+    marginals on the rest."""
     hk = m.hk
-    if hk is None or hk.last_analysis is None:
+    if hk is None or hk.last_swaps is None:
         return None, None
-    tree = hk.last_analysis
     gv = m.gv
-    arcs = {}
-    S = None
-    maxpath = None
-    repl = None
-    from .costs import _tree_swap_tables, effective_costs
-    E, S = effective_costs(gv, m.C, hk.pi_out, hk.pi_in)
-    maxpath, repl = _tree_swap_tables(tree, S)
-    for i, (a, b, w, mand) in enumerate(tree.edges):
-        if mand:
-            continue
-        ra, rb = tree.realized[i]
-        if gv.has_arc(ra, rb) and not gv.has_mandatory(ra, rb):
-            arcs[(ra, rb)] = repl[i] - w
-    marg = hk.last_marginals or {}
-    return arcs, marg
+    arcs = {a: c for a, c in hk.last_swaps.items()
+            if gv.has_arc(*a) and not gv.has_mandatory(*a)}
+    return arcs, hk.last_marginals
 
 
 def _sparse_pick(m, always_enforce):

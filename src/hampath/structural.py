@@ -9,6 +9,8 @@ established cuts the wrong way.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .kernel import ARC_ENFORCED, ARC_REMOVED, Propagator
 from .scc import ReducedState, tarjan_scc
 
@@ -27,7 +29,6 @@ class DegreePropagator(Propagator):
         self.priority = 0
 
     def propagate(self):
-        self.events.clear()
         gv = self.gv
         for u in range(gv.n):
             if u != gv.e:
@@ -71,6 +72,7 @@ class NoCyclePropagator(Propagator):
         super().__init__(gv)
         self.name = "nocycle"
         self.priority = 0
+        self.events = deque()
         self.chain_start = list(range(gv.n))
         self.chain_end = list(range(gv.n))
 
@@ -177,7 +179,6 @@ class ArborescencePropagator(Propagator):
         return dom, vertex
 
     def propagate(self):
-        self.events.clear()
         gv = self.gv
         if self.reverse:
             root = gv.e
@@ -237,7 +238,6 @@ class AllDifferentPropagator(Propagator):
         self.priority = 3
 
     def propagate(self):
-        self.events.clear()
         gv = self.gv
         n = gv.n
         left = [u for u in range(n) if u != gv.e]
@@ -359,7 +359,6 @@ class PositionPropagator(Propagator):
         return changed
 
     def propagate(self):
-        self.events.clear()
         gv = self.gv
         n = gv.n
         dist_s = self._bfs([gv.s], gv.succ)
@@ -420,6 +419,7 @@ class ReducedPathPropagator(Propagator):
         super().__init__(gv)
         self.name = "reduced-path"
         self.priority = 2
+        self.events = deque()
         self.door_rules = door_rules
         self.state = ReducedState(gv)
         self.path_order = None

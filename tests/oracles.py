@@ -3,12 +3,15 @@
 Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
 instead of DP, combination scans instead of greedy tree builders.  Sizes are
-kept tiny by the tests.
+kept tiny by the tests.  The last two helpers read a library ReducedState:
+they walk its condensation as a path, which only the tests need.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from hampath.kernel import PreconditionViolation
 
 
 def kosaraju_sccs(n, arcs):
@@ -161,6 +164,39 @@ def min_spanning_tree_brute(n, edges, forced=()):
     return best
 
 
+def min_spanning_tree_kruskal(n, edges, forced=()):
+    """Kruskal's minimum spanning tree cost over weighted edges (u, v, w)
+    with the `forced` pairs unioned first.  None when no tree exists: the
+    graph is disconnected, a forced pair is missing, or forced pairs close
+    a cycle."""
+    parent = list(range(n))
+
+    def union(a, b):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            return False
+        parent[b] = a
+        return True
+
+    weight = {frozenset(e[:2]): e[2] for e in edges}
+    total = 0
+    used = 0
+    for pair in forced:
+        w = weight.get(frozenset(pair))
+        if w is None or not union(*pair):
+            return None
+        total += w
+        used += 1
+    for u, v, w in sorted(edges, key=lambda e: e[2]):
+        if union(u, v):
+            total += w
+            used += 1
+    return total if used == n - 1 else None
+
+
 def arborescence_arc_support(n, root, arcs, reverse=False):
     """The set of arcs lying on at least one spanning arborescence.
 
@@ -244,3 +280,46 @@ def bc_alldiff_brute(lbs, ubs):
                 if new_ub[i] is None or v > new_ub[i]:
                     new_ub[i] = v
     return feasible, new_lb, new_ub
+
+
+def transitive_closure(state):
+    """Per-node reachable sets when the reduced graph is a simple path.
+
+    Returns a dict node -> set of nodes it can still reach (itself excluded).
+    Raises PreconditionViolation when the condensation is not a path.
+    """
+    order = reduced_path_order(state)
+    result = {}
+    later = set()
+    for x in reversed(order):
+        block = set(state.nodes_of(x))
+        reach = block | later
+        for v in block:
+            result[v] = reach - {v}
+        later = reach
+    return result
+
+
+def reduced_path_order(state):
+    """The SCC sequence of the reduced path, or raise if it is not a path."""
+    sccs = state.sccs
+    starts = [x for x in sccs if not state.rpred[x]]
+    if len(starts) != 1:
+        raise PreconditionViolation("reduced graph is not a path")
+    order = []
+    cur = starts[0]
+    seen = set()
+    while True:
+        order.append(cur)
+        seen.add(cur)
+        nxt = state.radj[cur]
+        if len(nxt) == 0:
+            break
+        if len(nxt) != 1:
+            raise PreconditionViolation("reduced graph is not a path")
+        (cur,) = nxt
+        if cur in seen:
+            raise PreconditionViolation("reduced graph is not a path")
+    if len(order) != len(sccs):
+        raise PreconditionViolation("reduced graph is not a path")
+    return order

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from hampath import bench, cli
-from hampath.costs import bst_build, bst_filter, effective_costs, lb_trivial, mst_prim, wst_filter
+from hampath.costs import block_tree, effective_costs, lb_trivial, tree_oracle, wst_filter
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
@@ -53,13 +53,12 @@ def test_criterion_1_block_tree_bounds_regression():
     gv, rp = _ordered(fig.arc_set(fig.BASE7))
     E, S = effective_costs(gv, C)
 
-    total, _ = mst_prim(gv, E, S)
+    total = block_tree(E, S, *tree_oracle(gv)).total
     assert total == fig.BASE7_MST == 19
 
-    bst = bst_build(gv, E, rp.state, rp.path_order)
+    bst = block_tree(E, S, *tree_oracle(gv, rp))
     assert bst.total == fig.BASE7_BST == 27
-    per_block = [bst.block_trees[b].total if bst.block_trees[b] else 0.0
-                 for b in bst.order]
+    per_block = [tree.total for tree in bst.trees]
     assert per_block == [0, 10, 10, 0]
     assert sorted(c for c, u, v, cut in bst.connectors) == [2, 2, 3]
 
@@ -69,14 +68,12 @@ def test_criterion_1_block_tree_bounds_regression():
 
     # the sharper bound prunes the two costly arcs at ub = optimum while
     # the plain tree bound prunes neither of them
-    removed, enforced = bst_filter(gv, bst, E, ub=28)
+    removed, enforced, _, _ = wst_filter(gv, bst, E, ub=28)
     assert set(removed) == {(1, 4), (4, 6)}
     gv2, _ = _ordered(fig.arc_set(fig.BASE7))
     E2, S2 = effective_costs(gv2, C)
-    from hampath.costs import mst_kruskal, TreeAnalysis
-    kt, kedges = mst_kruskal(gv2, S2)
-    tree2 = TreeAnalysis(list(range(fig.N)), kedges, E2)
-    wrem, wenf, _ = wst_filter(gv2, tree2, E2, ub=28)
+    tree2 = block_tree(E2, S2, *tree_oracle(gv2))
+    wrem, wenf, _, _ = wst_filter(gv2, tree2, E2, ub=28)
     assert (1, 4) not in wrem and (4, 6) not in wrem
     assert wrem == []
 
@@ -86,11 +83,10 @@ def test_criterion_1_block_tree_bounds_regression():
         g2, r2 = _ordered(fig.arc_set(fig.BASE7))
         t0 = time.perf_counter()
         Ea, Sa = effective_costs(g, C)
-        mt, _ = mst_prim(g, Ea, Sa)
-        ba = bst_build(g, Ea, r.state, r.path_order)
-        bst_filter(g, ba, Ea, ub=28)
-        ktb, keb = mst_kruskal(g2, Sa)
-        wst_filter(g2, TreeAnalysis(list(range(fig.N)), keb, Ea), Ea, ub=28)
+        mt = block_tree(Ea, Sa, *tree_oracle(g)).total
+        ba = block_tree(Ea, Sa, *tree_oracle(g, r))
+        wst_filter(g, ba, Ea, ub=28)
+        wst_filter(g2, block_tree(Ea, Sa, *tree_oracle(g2)), Ea, ub=28)
         best = min(best, time.perf_counter() - t0)
         assert mt == 19 and ba.total == 27
     assert best < 1e-3, best
@@ -232,9 +228,9 @@ def test_criterion_5_lower_bounds_never_cross_the_optimum():
         sched.run_fixpoint()
         assert rp.path_order is not None
         E, S = effective_costs(gv, C)
-        mt, _ = mst_prim(gv, E, S)
+        mt = block_tree(E, S, *tree_oracle(gv)).total
         assert mt <= opt + 1e-9, (i, mt, opt)
-        bst = bst_build(gv, E, rp.state, rp.path_order)
+        bst = block_tree(E, S, *tree_oracle(gv, rp))
         assert bst.total >= mt - 1e-9, (i, bst.total, mt)
     assert feasible == 1000
     dt = time.perf_counter() - t0

@@ -42,6 +42,19 @@ def test_json_output_matches_oracle(capsys):
     assert doc["instance"] == "random7s11"
 
 
+def test_json_output_reports_per_propagator_stats(capsys):
+    code = run_cli(["--instance", "random:7", "--seed", "11",
+                    "--model", "ALL", "--relax", "both", "--format", "json"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["stats"]) == {
+        "degree", "nocycle", "trivial-lb", "reduced-path", "arbo",
+        "arbo-rev", "alldiff", "positions", "hk", "assignment"}
+    for st in doc["stats"].values():
+        assert set(st) == {"invocations", "removed", "enforced"}
+        assert st["invocations"] >= 1
+
+
 def test_prove_mode_exit_codes(capsys):
     C, s, e = gen_random(6, seed=2)
     want, _ = dp_oracle(C, s, e)

@@ -13,17 +13,15 @@ from hampath.costs import (
     HeldKarpPropagator,
     HungarianPropagator,
     Objective,
-    bst_build,
-    bst_filter,
+    block_tree,
     effective_costs,
     lb_trivial,
-    mst_kruskal,
-    mst_prim,
+    tree_oracle,
     wst_filter,
 )
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
-from hampath.search import Model, solve
+from hampath.search import Model, choose_decision, solve
 from hampath.structural import DegreePropagator, ReducedPathPropagator
 from hampath.tsplib import circuit_to_path, parse_tsplib
 
@@ -45,6 +43,16 @@ def with_order(arcs):
     sched.run_fixpoint()
     assert rp.path_order is not None
     return gv, rp
+
+
+def plain_tree(gv, E, S):
+    """The tree oracle without a block order: one block of all nodes."""
+    return block_tree(E, S, *tree_oracle(gv))
+
+
+def ordered_tree(gv, rp, E, S):
+    """The tree oracle over the block order `rp` established."""
+    return block_tree(E, S, *tree_oracle(gv, rp))
 
 
 def random_instance(rng, n, density=0.75):
@@ -72,22 +80,21 @@ def test_mst_totals_match_on_base_graph():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)
     E, S = effective_costs(gv, C)
-    tp, _ = mst_prim(gv, E, S)
-    tk, _ = mst_kruskal(gv, S)
-    assert tp == tk == fig.BASE7_MST
+    tp = plain_tree(gv, E, S).total
     edges = [(a, b, S[a, b]) for a in range(fig.N) for b in range(a + 1, fig.N)
              if np.isfinite(S[a, b])]
+    tk = oracles.min_spanning_tree_kruskal(fig.N, edges)
+    assert tp == tk == fig.BASE7_MST
     assert oracles.min_spanning_tree_brute(fig.N, edges) == fig.BASE7_MST
 
 
 def test_block_tree_reproduces_stated_numbers():
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, _ = effective_costs(gv, C)
-    bst = bst_build(gv, E, rp.state, rp.path_order)
+    E, S = effective_costs(gv, C)
+    bst = ordered_tree(gv, rp, E, S)
     assert bst.total == fig.BASE7_BST
-    per_block = [0.0 if bst.block_trees[x] is None else bst.block_trees[x].total
-                 for x in rp.path_order]
+    per_block = [tree.total for tree in bst.trees]
     assert per_block == [0.0, 10.0, 10.0, 0.0]
     assert [(c, u, v) for (c, u, v, _) in bst.connectors] == \
         [(2.0, 0, 1), (3.0, 2, 3), (2.0, 5, 6)]
@@ -98,13 +105,16 @@ def test_block_tree_reproduces_stated_numbers():
 def test_block_tree_filter_prunes_the_two_costly_arcs():
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, _ = effective_costs(gv, C)
-    bst = bst_build(gv, E, rp.state, rp.path_order)
-    removed, enforced = bst_filter(gv, bst, E, ub=fig.BASE7_OPT)
+    E, S = effective_costs(gv, C)
+    bst = ordered_tree(gv, rp, E, S)
+    removed, enforced, marg, swaps = wst_filter(gv, bst, E, ub=fig.BASE7_OPT)
     assert set(removed) == {(1, 4), (4, 6)}
     assert gv.has_arc(2, 4) and gv.has_arc(4, 3)
     # (5, 6) is the sole survivor of its cut once (4, 6) dies
     assert (5, 6) in enforced
+    # a cut arc swaps in for its connector only
+    assert marg[(1, 4)] == marg[(4, 6)] == 29.0 and marg[(2, 4)] == 27.0
+    assert swaps[(2, 3)] == 0.0 and swaps[(5, 6)] == float("inf")
 
 
 def test_block_tree_filter_boundary_at_one_below():
@@ -112,9 +122,9 @@ def test_block_tree_filter_boundary_at_one_below():
     # gone at ub 27
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, _ = effective_costs(gv, C)
-    bst = bst_build(gv, E, rp.state, rp.path_order)
-    removed, _ = bst_filter(gv, bst, E, ub=fig.BASE7_OPT - 1)
+    E, S = effective_costs(gv, C)
+    bst = ordered_tree(gv, rp, E, S)
+    removed, _, _, _ = wst_filter(gv, bst, E, ub=fig.BASE7_OPT - 1)
     assert (4, 3) in removed
 
 
@@ -122,11 +132,9 @@ def test_plain_tree_filter_prunes_nothing_here():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)
     E, S = effective_costs(gv, C)
-    total, edges = mst_kruskal(gv, S)
-    from hampath.costs import TreeAnalysis
-    tree = TreeAnalysis(list(range(fig.N)), edges, E)
+    tree = plain_tree(gv, E, S)
     assert tree.total == fig.BASE7_MST
-    removed, enforced, _ = wst_filter(gv, tree, E, ub=fig.BASE7_OPT)
+    removed, enforced, _, _ = wst_filter(gv, tree, E, ub=fig.BASE7_OPT)
     # the weaker bound removes nothing; it does notice that the cut around
     # the start node has a single crossing and pins it
     assert removed == []
@@ -149,6 +157,7 @@ def test_optimum_of_base_graph():
 
 
 def test_prim_equals_kruskal_equals_brute():
+    # the plain tree oracle is Prim; Kruskal and the brute force are oracles
     rng = random.Random(5)
     for _ in range(80):
         n = rng.randint(4, 7)
@@ -165,16 +174,13 @@ def test_prim_equals_kruskal_equals_brute():
                 picked.append((u, v))
         E, S = effective_costs(gv, M)
         try:
-            tp, _ = mst_prim(gv, E, S)
+            tp = plain_tree(gv, E, S).total
         except Contradiction:
             tp = None
-        try:
-            tk, _ = mst_kruskal(gv, S)
-        except Contradiction:
-            tk = None
         forced = [(min(u, v), max(u, v)) for (u, v) in gv.mandatory_arcs()]
         edges = [(a, b, S[a, b]) for a in range(n) for b in range(a + 1, n)
                  if np.isfinite(S[a, b])]
+        tk = oracles.min_spanning_tree_kruskal(n, edges, forced=forced)
         tb = oracles.min_spanning_tree_brute(n, edges, forced=forced)
         assert (tp is None) == (tb is None) == (tk is None)
         if tb is not None:
@@ -202,11 +208,9 @@ def test_tree_filter_soundness_randomized():
         tried += 1
         gv = GraphVar(n, s, e, sorted(C))
         E, S = effective_costs(gv, M)
-        total, edges = mst_kruskal(gv, S)
-        from hampath.costs import TreeAnalysis
-        tree = TreeAnalysis(list(range(n)), edges, E)
+        tree = plain_tree(gv, E, S)
         before = set(gv.arcs())
-        removed, enforced, _ = wst_filter(gv, tree, E, ub=float(opt))
+        removed, enforced, _, _ = wst_filter(gv, tree, E, ub=float(opt))
         ok_sets = _paths_within(C, n, s, e, opt)
         assert ok_sets, "optimum path must survive its own bound"
         union = set.union(*ok_sets)
@@ -239,10 +243,10 @@ def test_block_tree_filter_soundness_randomized():
             continue
         tried += 1
         live = {(u, v): C[(u, v)] for (u, v) in gv.arcs()}
-        E, _ = effective_costs(gv, M)
-        bst = bst_build(gv, E, rp.state, rp.path_order)
+        E, S = effective_costs(gv, M)
+        bst = ordered_tree(gv, rp, E, S)
         assert bst.total <= opt + 1e-9
-        removed, enforced = bst_filter(gv, bst, E, ub=float(opt))
+        removed, enforced, _, _ = wst_filter(gv, bst, E, ub=float(opt))
         ok_sets = _paths_within(live, n, s, e, opt)
         assert ok_sets
         union = set.union(*ok_sets)
@@ -264,8 +268,7 @@ def test_subgradient_bound_below_optimum():
         if opt is None:
             continue
         gv = GraphVar(n, s, e, sorted(C))
-        _, S0 = effective_costs(gv, M)
-        mst0, _ = mst_kruskal(gv, S0)
+        mst0 = plain_tree(gv, *effective_costs(gv, M)).total
         sched = Scheduler(gv)
         obj = Objective(gv)
         obj.set_ub(int(opt))
@@ -348,6 +351,50 @@ def test_br17_refutes_one_below_its_optimum(model, relax):
     r = solve(m, prove_ub=38, time_limit=200, clock=lambda: m.gv.pop_epoch)
     assert r.status == "infeasible"
     assert r.lb == 39
+
+
+# -- one Lagrangian ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("relax", ["tree", "both"])
+def test_model_registers_one_tree_relaxation(relax):
+    m = Model(fig.N, fig.S, fig.E, fig.cost_matrix(fig.BASE7), model="ALL",
+              relax=relax)
+    hks = [p for p in m.scheduler.props if isinstance(p, HeldKarpPropagator)]
+    assert hks == [m.hk]
+    assert [p.name for p in m.scheduler.props].count("hk") == 1
+
+
+@pytest.mark.parametrize("model,want", [("ALL", fig.BASE7_BST),
+                                        ("BASIC", fig.BASE7_MST)])
+def test_propagator_tree_follows_the_block_order(model, want):
+    m = Model(fig.N, fig.S, fig.E, fig.cost_matrix(fig.BASE7), model=model,
+              relax="tree", door_rules=False)
+    if m.rp is not None:
+        m.rp.propagate()            # establish the block order only
+        assert len(m.rp.path_order) == len(fig.BASE7_BLOCKS)
+    hk = m.hk
+    assert not hk.pi_out.any() and not hk.pi_in.any()
+    total, xs, ys = hk._tree_at(*tree_oracle(m.gv, hk.reduced))
+    assert total == want
+    assert len(xs) == len(ys) == fig.N - 1
+
+
+def test_tree_branching_scores_the_block_analysis():
+    C, s, e = _tsplib_path("br17.atsp")
+    m = Model(len(C), s, e, C, model="ALL", relax="tree")
+    m.root_propagate()
+    bt = m.hk.last_analysis
+    assert len(bt.trees) > 1 and bt.connectors     # a block tree, not the MST
+    realized = {arc for tree in bt.trees for arc in tree.realized}
+    realized |= {(u, v) for (_, u, v, _) in bt.connectors}
+    fallback = next(a for a in m.gv.arcs() if not m.gv.has_mandatory(*a))
+    kind, u, v = choose_decision(m, "removeMaxRC")
+    assert kind == "remove" and (u, v) != fallback
+    assert (u, v) in realized
+    assert m.hk.last_swaps[(u, v)] == max(
+        c for a, c in m.hk.last_swaps.items()
+        if m.gv.has_arc(*a) and not m.gv.has_mandatory(*a))
 
 
 # -- assignment propagator ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Kernel tests: domains, trailing, events, scheduler ordering."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -34,6 +35,7 @@ class Recorder(Propagator):
     def __init__(self, gv, priority=0, log=None):
         super().__init__(gv)
         self.priority = priority
+        self.events = deque()
         self.log = log if log is not None else []
         self.seen = []
 
@@ -92,6 +94,25 @@ def test_events_exactly_once_fifo():
     expected = [(ARC_REMOVED, 1, 2), (ARC_ENFORCED, 1, 3)]
     assert list(a.events) == expected
     assert list(b.events) == expected
+
+
+def test_events_reach_only_queue_keepers():
+    gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    sched = Scheduler(gv)
+
+    class Quiet(Propagator):
+        def propagate(self):
+            pass
+
+    rec = Recorder(gv)
+    quiet = Quiet(gv)
+    sched.register(rec)
+    sched.register(quiet)
+    gv.remove_arc(1, 2)
+    assert list(rec.events) == [(ARC_REMOVED, 1, 2)]
+    assert quiet.events is None and quiet.scheduled
+    sched.run_fixpoint()
+    assert quiet.stats["invocations"] == 1
 
 
 def test_push_pop_restores_bit_identical_state():
@@ -186,7 +207,6 @@ def test_contradiction_escapes_fixpoint():
         name = "moody"
 
         def propagate(self):
-            self.events.clear()
             self.fail("nope")
 
     sched.register(Moody(gv))

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from hampath.kernel import GraphVar, PreconditionViolation
-from hampath.scc import ReducedState, reduced_path_order, tarjan_scc, transitive_closure
+from hampath.scc import ReducedState, tarjan_scc
 
-from oracles import kosaraju_sccs, reachable_pairs
+from oracles import (kosaraju_sccs, reachable_pairs, reduced_path_order,
+                     transitive_closure)
 
 
 def random_digraph(rng, n, p):

@@ -145,3 +145,11 @@ def test_model_rejects_fractional_costs():
     C[0, 2] = C[2, 1] = C[1, 3] = 0.6
     with pytest.raises(ValueError):
         Model(4, 0, 3, C)
+
+
+def test_only_event_readers_keep_event_queues():
+    m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
+              relax="both")
+    assert len(m.scheduler.props) == 10
+    assert [p.name for p in m.scheduler.props if p.events is not None] == \
+        ["nocycle", "reduced-path"]
