@@ -289,13 +289,33 @@ class AllDifferentPropagator(Propagator):
                     self.remove(u, v)
 
 
+def _pathmax(t, i):
+    while t[i] > i:
+        i = t[i]
+    return i
+
+
+def _pathmin(t, i):
+    while t[i] < i:
+        i = t[i]
+    return i
+
+
+def _pathset(t, start, end, to):
+    """Point every link on the path start .. end at `to`."""
+    k = start
+    while k != end:
+        t[k], k = to, t[k]
+
+
 class PositionPropagator(Propagator):
     """Bounds on each node's position along the path, with channeling.
 
     lb comes from bfs depth below s, ub from bfs depth above e; when the
     block order is established the per-block offsets tighten both sides.
-    A bounds-consistent alldifferent over the positions then shaves
-    Hall intervals, and arcs incompatible with pos[v] = pos[u] + 1 go away.
+    Mandatory arcs couple neighbouring windows, and the O(n log n)
+    bounds-consistency pass of alldifferent narrows them, both until
+    nothing changes; then arcs incompatible with pos[v] = pos[u] + 1 go away.
     """
 
     def __init__(self, gv, reduced=None):
@@ -307,7 +327,6 @@ class PositionPropagator(Propagator):
         self.ub = None
 
     def _bfs(self, roots, rows):
-        from collections import deque
         n = self.gv.n
         dist = [-1] * n
         q = deque(roots)
@@ -322,40 +341,80 @@ class PositionPropagator(Propagator):
         return dist
 
     def _hall_sweep(self, lb, ub):
-        """One pass of Hall interval tightening. Returns True on change."""
+        """Bounds-consistent alldifferent over the windows [lb[x], ub[x]].
+
+        López-Ortiz, Quimper, Tromp & van Beek (IJCAI 2003): sort the ends,
+        then sweep the windows by increasing ub, counting free slots with
+        a union-find over the distinct bounds, and lift every lb out of the
+        Hall intervals found so far; the mirror sweep lowers every ub.
+        Mutates lb and ub in place and returns True on change.
+        """
         n = len(lb)
-        cnt = [[0] * (n + 1) for _ in range(n + 1)]
         for x in range(n):
             if lb[x] > ub[x]:
                 self.fail("empty position domain")
-            cnt[lb[x]][ub[x]] += 1
-        # suffix over lows, prefix over highs: inside[a][b] counts domains
-        # contained in [a, b]
-        inside = [[0] * (n + 1) for _ in range(n + 2)]
-        for a in range(n - 1, -1, -1):
-            run = 0
-            for b in range(n):
-                run += cnt[a][b]
-                inside[a][b] = inside[a + 1][b] + run
+        # distinct window ends lb[x] and ub[x] + 1, padded by a sentinel on
+        # each side; lo[x] and hi[x] are ranks into it
+        vals = sorted(set(lb).union([u + 1 for u in ub]))
+        bounds = [vals[0] - 2] + vals + [vals[-1] + 2]
+        rank = {v: i for i, v in enumerate(bounds)}
+        lo = [rank[v] for v in lb]
+        hi = [rank[u + 1] for u in ub]
+        nb = len(vals)
         changed = False
-        for a in range(n):
-            for b in range(a, n):
-                k = inside[a][b]
-                width = b - a + 1
-                if k > width:
-                    self.fail("too many nodes squeezed into an interval")
-                if k == width:
-                    for x in range(n):
-                        if lb[x] >= a and ub[x] <= b:
-                            continue
-                        if a <= lb[x] <= b:
-                            lb[x] = b + 1
-                            changed = True
-                        if a <= ub[x] <= b:
-                            ub[x] = a - 1
-                            changed = True
-                        if lb[x] > ub[x]:
-                            self.fail("empty position domain")
+
+        # lower pass: t links each bound to the next one with free slots
+        # (d counts them), h links the bounds inside a Hall interval to it
+        t = list(range(-1, nb + 1))
+        h = t[:]
+        d = [0] + [bounds[i] - bounds[i - 1] for i in range(1, nb + 2)]
+        for x in sorted(range(n), key=ub.__getitem__):
+            a, b = lo[x], hi[x]
+            z = _pathmax(t, a + 1)
+            j = t[z]
+            d[z] -= 1
+            if d[z] == 0:
+                t[z] = z + 1
+                z = _pathmax(t, t[z])
+                t[z] = j
+            _pathset(t, a + 1, z, z)
+            if d[z] < bounds[z] - bounds[b]:
+                self.fail("too many nodes squeezed into an interval")
+            if h[a] > a:
+                w = _pathmax(h, h[a])
+                lb[x] = bounds[w]
+                changed = True
+                _pathset(h, a, w, w)
+            if d[z] == bounds[z] - bounds[b]:
+                _pathset(h, h[b], j - 1, b)
+                h[b] = j - 1
+
+        # upper pass, the mirror image, over windows by decreasing lb.  It
+        # reads the ranks of the lbs as they were before the lower pass,
+        # which can only weaken it, and the caller iterates to the fixpoint.
+        # The lower pass fails on every overfull interval, so this one
+        # cannot fail and leaves every window holding a value.
+        t = list(range(1, nb + 3))
+        h = t[:]
+        d = [bounds[i + 1] - bounds[i] for i in range(nb + 1)] + [0]
+        for x in sorted(range(n), key=lo.__getitem__, reverse=True):
+            a, b = hi[x], lo[x]
+            z = _pathmin(t, a - 1)
+            j = t[z]
+            d[z] -= 1
+            if d[z] == 0:
+                t[z] = z - 1
+                z = _pathmin(t, t[z])
+                t[z] = j
+            _pathset(t, a - 1, z, z)
+            if h[a] < a:
+                w = _pathmin(h, h[a])
+                ub[x] = bounds[w] - 1
+                changed = True
+                _pathset(h, a, w, w)
+            if d[z] == bounds[b] - bounds[z]:
+                _pathset(h, h[b], j + 1, b)
+                h[b] = j + 1
         return changed
 
     def propagate(self):

@@ -1,0 +1,42 @@
+"""Microbenchmarks of the solver's inner kernels (pytest-benchmark).
+
+    PYTHONPATH=src pytest tests/bench_kernels.py --benchmark-only --benchmark-autosave
+
+The file name keeps it out of the default test collection; saved runs go
+to .benchmarks/ and `pytest-benchmark compare` lists them side by side.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from hampath import Model, circuit_to_path, parse_tsplib
+from hampath.costs import _prim_pairs, effective_costs
+from hampath.kernel import GraphVar
+from hampath.structural import PositionPropagator
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def test_position_bounds_n45(benchmark):
+    """One bounds-consistency pass over 45 windows that hold a permutation
+    and contain Hall intervals, as the positions propagator sees them."""
+    rng = random.Random(45)
+    n = 45
+    perm = list(range(n))
+    rng.shuffle(perm)
+    lb = [max(0, p - rng.randint(0, 6)) for p in perm]
+    ub = [min(n - 1, p + rng.randint(0, 6)) for p in perm]
+    pp = PositionPropagator(GraphVar(2, 0, 1, [(0, 1)]))
+    assert pp._hall_sweep(lb[:], ub[:])
+    benchmark(lambda: pp._hall_sweep(lb[:], ub[:]))
+
+
+@pytest.mark.parametrize("name", ["br17.atsp", "att48.tsp"])
+def test_prim_pairs(benchmark, name):
+    """The spanning tree on the symmetrized root costs (n = 18 and 49)."""
+    C, s, e = circuit_to_path(parse_tsplib(str(INSTANCES / name)).matrix, 0)
+    m = Model(len(C), s, e, C, model="BASIC", relax="tree")
+    _, S = effective_costs(m.gv, C)
+    benchmark(_prim_pairs, S, S)

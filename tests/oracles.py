@@ -2,9 +2,10 @@
 
 Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
-instead of DP, combination scans instead of greedy tree builders.  Sizes are
-kept tiny by the tests.  The last two helpers read a library ReducedState:
-they walk its condensation as a path, which only the tests need.
+instead of DP, combination scans instead of greedy tree builders, a scan of
+every interval instead of union-find Hall detection.  The tests keep the
+enumerations tiny.  The last two helpers read a library ReducedState: they
+walk its condensation as a path, which only the tests need.
 """
 
 from __future__ import annotations
@@ -261,25 +262,83 @@ def min_assignment_brute(left, right, cost):
     return best
 
 
-def bc_alldiff_brute(lbs, ubs):
-    """Bounds of each variable over all consistent permutations of 0..n-1.
+def alldiff_bounds_hull(lb, ub):
+    """Per-variable least and greatest value over every all-different
+    assignment with lb[i] <= x[i] <= ub[i], by enumeration.
 
-    Returns (feasible, new_lbs, new_ubs).
+    This hull is the bounds-consistency closure of the boxes.  Returns the
+    pair (lows, highs) of lists, or None when no assignment exists.
     """
-    n = len(lbs)
-    new_lb = [None] * n
-    new_ub = [None] * n
-    feasible = False
-    for perm in itertools.permutations(range(n)):
-        if all(lbs[i] <= perm[i] <= ubs[i] for i in range(n)):
-            feasible = True
-            for i in range(n):
-                v = perm[i]
-                if new_lb[i] is None or v < new_lb[i]:
-                    new_lb[i] = v
-                if new_ub[i] is None or v > new_ub[i]:
-                    new_ub[i] = v
-    return feasible, new_lb, new_ub
+    n = len(lb)
+    lows = [None] * n
+    highs = [None] * n
+    x = [None] * n
+    used = set()
+
+    def extend(i):
+        if i == n:
+            for k, v in enumerate(x):
+                if lows[k] is None or v < lows[k]:
+                    lows[k] = v
+                if highs[k] is None or v > highs[k]:
+                    highs[k] = v
+            return
+        for v in range(lb[i], ub[i] + 1):
+            if v not in used:
+                used.add(v)
+                x[i] = v
+                extend(i + 1)
+                used.discard(v)
+
+    extend(0)
+    if n and lows[0] is None:
+        return None
+    return lows, highs
+
+
+def hall_interval_fixpoint(lb, ub):
+    """Shave Hall intervals until nothing changes, the O(n^3) textbook way.
+
+    The windows must lie in 0..n-1.  Every interval [a, b] that holds as many
+    whole windows as it has values is a Hall interval: no other window may
+    keep an end inside it.  Returns (lows, highs), or None on a contradiction
+    (an empty window or an interval holding more windows than values).
+    """
+    n = len(lb)
+    lb, ub = list(lb), list(ub)
+    changed = True
+    while changed:
+        changed = False
+        if any(lb[x] > ub[x] for x in range(n)):
+            return None
+        # inside[a][b] counts the windows contained in [a, b]
+        cnt = [[0] * n for _ in range(n)]
+        for x in range(n):
+            cnt[lb[x]][ub[x]] += 1
+        inside = [[0] * n for _ in range(n + 1)]
+        for a in range(n - 1, -1, -1):
+            run = 0
+            for b in range(n):
+                run += cnt[a][b]
+                inside[a][b] = inside[a + 1][b] + run
+        for a in range(n):
+            for b in range(a, n):
+                if inside[a][b] > b - a + 1:
+                    return None
+                if inside[a][b] < b - a + 1:
+                    continue
+                for x in range(n):
+                    if a <= lb[x] and ub[x] <= b:
+                        continue
+                    if a <= lb[x] <= b:
+                        lb[x] = b + 1
+                        changed = True
+                    if a <= ub[x] <= b:
+                        ub[x] = a - 1
+                        changed = True
+                    if lb[x] > ub[x]:
+                        return None
+    return lb, ub
 
 
 def transitive_closure(state):

@@ -116,6 +116,14 @@ def test_error_exits(capsys):
     capsys.readouterr()
 
 
+def test_fractional_weights_exit_one_without_traceback(tmp_path, capsys):
+    path = tmp_path / "frac.atsp"
+    path.write_text(STDIN_ATSP.replace("0 1 9", "0 1.5 9"))
+    assert run_cli(["--instance", str(path)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "hampath: error: finite arc costs must be integers\n"
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--instance", "random:6", "--heuristic", "coinflip"])

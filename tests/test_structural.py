@@ -264,6 +264,60 @@ def test_positions_channeling_removes_impossible_arcs():
     assert gv.has_arc(3, 4)
 
 
+def _position_bounds_fixpoint(lb, ub):
+    """Iterate the positions propagator's bounds routine until it settles;
+    (lb, ub), or None when it fails."""
+    pp = PositionPropagator(GraphVar(2, 0, 1, [(0, 1)]))
+    lb, ub = list(lb), list(ub)
+    # a call that reports a change narrows some window, so the total width
+    # bounds the number of calls
+    for _ in range(len(lb) ** 2 + 1):
+        try:
+            if not pp._hall_sweep(lb, ub):
+                return lb, ub
+        except Contradiction:
+            return None
+    pytest.fail("the bounds routine keeps reporting changes")
+
+
+def _windows_around_a_permutation(rng, n, spread, pins):
+    """Position windows in 0..n-1 that hold a random permutation, then a few
+    variables pinned to random values, which may collide."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    lb = [max(0, p - rng.randint(0, spread)) for p in perm]
+    ub = [min(n - 1, p + rng.randint(0, spread)) for p in perm]
+    for _ in range(pins):
+        x = rng.randrange(n)
+        lb[x] = ub[x] = rng.randrange(n)
+    return lb, ub
+
+
+def test_position_bounds_reach_the_alldiff_hull():
+    rng = random.Random(2003)
+    failed = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        lb, ub = _windows_around_a_permutation(
+            rng, n, rng.randint(0, n), rng.randint(0, 2))
+        want = oracles.alldiff_bounds_hull(lb, ub)
+        assert _position_bounds_fixpoint(lb, ub) == want, (lb, ub)
+        failed += want is None
+    assert 0 < failed < 1500
+
+
+def test_position_bounds_match_the_hall_sweep_at_n45():
+    rng = random.Random(45)
+    failed = 0
+    for _ in range(150):
+        lb, ub = _windows_around_a_permutation(
+            rng, 45, rng.randint(0, 12), rng.randint(0, 3))
+        want = oracles.hall_interval_fixpoint(lb, ub)
+        assert _position_bounds_fixpoint(lb, ub) == want, (lb, ub)
+        failed += want is None
+    assert 0 < failed < 150
+
+
 # -- incremental equals from-scratch ----------------------------------------------
 
 
