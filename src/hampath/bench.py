@@ -14,7 +14,7 @@ import time
 
 from .gen import gen_random
 from .search import HEURISTICS, MODELS, Model, solve
-from .tsplib import circuit_to_path, parse_tsplib
+from .tsplib import ParseError, circuit_to_path, parse_tsplib
 
 CSV_HEADER = "instance,heuristic,model,status,cost,lb,nodes,time_s"
 
@@ -96,11 +96,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     insts = []
-    for p in args.instance:
-        insts.append(load_instance(p, args.home))
-    for k, n in enumerate(args.random):
-        C, s, e = gen_random(n, seed=args.seed + k, density=args.density)
-        insts.append((f"random{n}s{args.seed + k}", C, s, e))
+    try:
+        for p in args.instance:
+            insts.append(load_instance(p, args.home))
+        for k, n in enumerate(args.random):
+            C, s, e = gen_random(n, seed=args.seed + k, density=args.density)
+            insts.append((f"random{n}s{args.seed + k}", C, s, e))
+    except (OSError, ParseError, ValueError) as exc:
+        ap.error(str(exc))
     if not insts:
         ap.error("no instances given")
 

@@ -107,17 +107,6 @@ class ReducedState:
             yield v
             v = self.next_in[v]
 
-    def partition(self):
-        """Id-agnostic snapshot: frozenset of frozensets of nodes."""
-        return frozenset(frozenset(self.nodes_of(x)) for x in self.sccs)
-
-    def reduced_arcs(self):
-        """Canonical condensation arcs keyed by smallest member node."""
-        return frozenset(
-            (self.canonical[x], self.canonical[y])
-            for x in self.sccs for y in self.radj[x]
-        )
-
     # -- construction ------------------------------------------------------
 
     def _install_comp(self, comp, scc_id):

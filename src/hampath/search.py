@@ -30,8 +30,7 @@ HEURISTICS = ("removeMaxRC", "enforceMaxRC", "removeMaxMC",
 class Model:
     """A graph variable plus the propagators of one configuration."""
 
-    def __init__(self, n, s, e, C, model="ALL", relax="tree",
-                 door_rules=True):
+    def __init__(self, n, s, e, C, model="ALL", relax="tree"):
         model = model.upper()
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
@@ -58,7 +57,7 @@ class Model:
         reg(TrivialObjectivePropagator(gv, self.C, self.obj))
         self.rp = None
         if model in ("BST", "ALL"):
-            self.rp = ReducedPathPropagator(gv, door_rules=door_rules)
+            self.rp = ReducedPathPropagator(gv)
             reg(self.rp)
         if model in ("ARB", "ALL"):
             reg(ArborescencePropagator(gv, reverse=False))

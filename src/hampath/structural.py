@@ -102,10 +102,12 @@ class NoCyclePropagator(Propagator):
 class ArborescencePropagator(Propagator):
     """Dominator-based filtering on the potential graph.
 
-    Forward mode: every path from s to u runs through idom ancestors of u,
-    so an arc (u, v) with v a proper dominator of u would revisit v.
-    Reverse mode does the mirror argument with paths into e.  Nodes the
-    root cannot reach are a dead end.
+    Forward mode: every path from s to u runs through the proper dominators
+    of u, so an arc (u, d) with d one of them would revisit d.  Reverse mode
+    does the mirror argument with paths into e.  Nodes the root cannot
+    reach are a dead end.  The dominator tree comes from the iterative
+    algorithm of Cooper, Harvey & Kennedy ("A Simple, Fast Dominance
+    Algorithm", 2001).
     """
 
     def __init__(self, gv, reverse=False):
@@ -114,112 +116,66 @@ class ArborescencePropagator(Propagator):
         self.priority = 3
         self.reverse = reverse
 
-    def _dominators(self, root, adj, radj):
-        """Lengauer-Tarjan with simple eval/link.  Returns (idom, order)."""
-        n = self.gv.n
-        parent = [-1] * n
-        semi = [-1] * n          # starts out as the dfs number
-        vertex = []
-        work = [(root, iter(sorted(adj(root))))]
-        semi[root] = 0
-        vertex.append(root)
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for w in it:
-                if semi[w] == -1:
-                    parent[w] = u
-                    semi[w] = len(vertex)
-                    vertex.append(w)
-                    work.append((w, iter(sorted(adj(w)))))
-                    advanced = True
-                    break
-            if not advanced:
-                work.pop()
-        if len(vertex) != n:
-            self.fail("unreachable node")
-        bucket = [[] for _ in range(n)]
-        dom = [-1] * n
-        ancestor = [-1] * n
-        label = list(range(n))
-
-        def evaluate(v):
-            if ancestor[v] == -1:
-                return label[v]
-            # compress the link forest path above v, top first
-            path = []
-            u = v
-            while ancestor[ancestor[u]] != -1:
-                path.append(u)
-                u = ancestor[u]
-            while path:
-                w = path.pop()
-                if semi[label[ancestor[w]]] < semi[label[w]]:
-                    label[w] = label[ancestor[w]]
-                ancestor[w] = ancestor[ancestor[w]]
-            return label[v]
-
-        for i in range(len(vertex) - 1, 0, -1):
-            w = vertex[i]
-            for v in sorted(radj(w)):
-                u = evaluate(v)
-                if semi[u] < semi[w]:
-                    semi[w] = semi[u]
-            bucket[vertex[semi[w]]].append(w)
-            ancestor[w] = parent[w]
-            for v in bucket[parent[w]]:
-                u = evaluate(v)
-                dom[v] = u if semi[u] < semi[v] else parent[w]
-            bucket[parent[w]] = []
-        for i in range(1, len(vertex)):
-            w = vertex[i]
-            if dom[w] != vertex[semi[w]]:
-                dom[w] = dom[dom[w]]
-        dom[root] = -1
-        return dom, vertex
-
     def propagate(self):
         gv = self.gv
-        if self.reverse:
-            root = gv.e
-            adj = lambda u: gv.pred[u]
-            radj = lambda u: gv.succ[u]
-        else:
-            root = gv.s
-            adj = lambda u: gv.succ[u]
-            radj = lambda u: gv.pred[u]
-        idom, vertex = self._dominators(root, adj, radj)
         n = gv.n
-        children = [[] for _ in range(n)]
-        for v in vertex:
-            if idom[v] != -1:
-                children[idom[v]].append(v)
-        tin = [0] * n
-        tout = [0] * n
-        clock = 0
-        stack = [(root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                tout[v] = clock
-                continue
-            tin[v] = clock
-            clock += 1
-            stack.append((v, True))
-            for w in reversed(children[v]):
-                stack.append((w, False))
-
-        def properly_dominates(a, b):
-            return a != b and tin[a] <= tin[b] and tout[b] <= tout[a]
-
-        for u, v in gv.arcs():
-            if self.reverse:
-                # u post-dominates v: u must come after v on any path
-                if properly_dominates(u, v):
-                    self.remove(u, v)
+        if self.reverse:
+            root, adj, radj = gv.e, gv.pred, gv.succ
+        else:
+            root, adj, radj = gv.s, gv.succ, gv.pred
+        # postorder of one dfs from the root; the dominator tree does not
+        # depend on the visit order
+        post = [-1] * n
+        order = []
+        seen = [False] * n
+        seen[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            u, it = work[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
             else:
-                if properly_dominates(v, u):
-                    self.remove(u, v)
+                work.pop()
+                post[u] = len(order)
+                order.append(u)
+        if len(order) != n:
+            self.fail("unreachable node")
+        rpo = order[-2::-1]      # reverse postorder without the root
+        idom = [-1] * n
+        idom[root] = root
+        changed = True
+        while changed:
+            changed = False
+            for u in rpo:
+                new = -1
+                for p in radj[u]:
+                    if idom[p] == -1:
+                        continue
+                    if new == -1:
+                        new = p
+                        continue
+                    # meet of the two dominator chains
+                    while p != new:
+                        while post[p] < post[new]:
+                            p = idom[p]
+                        while post[new] < post[p]:
+                            new = idom[new]
+                if idom[u] != new:
+                    idom[u] = new
+                    changed = True
+        dead = []
+        for u in rpo:
+            row = adj[u]
+            d = u
+            while d != root:
+                d = idom[d]
+                if d in row:
+                    dead.append((d, u) if self.reverse else (u, d))
+        for u, v in sorted(dead):
+            self.remove(u, v)
 
 
 class AllDifferentPropagator(Propagator):

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from hampath import Model, circuit_to_path, parse_tsplib
-from hampath.costs import _prim_pairs, effective_costs
+from hampath.costs import HungarianPropagator, _prim_pairs, effective_costs
+from hampath.gen import gen_random
 from hampath.kernel import GraphVar
-from hampath.structural import PositionPropagator
+from hampath.structural import ArborescencePropagator, PositionPropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -40,3 +41,30 @@ def test_prim_pairs(benchmark, name):
     m = Model(len(C), s, e, C, model="BASIC", relax="tree")
     _, S = effective_costs(m.gv, C)
     benchmark(_prim_pairs, S, S)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["arbo", "arbo-rev"])
+def test_arborescence_n45(benchmark, reverse):
+    """One dominator pass over the whole potential graph of a clustered
+    45-node, density-0.5 instance; each round gets a fresh graph."""
+    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
+
+    def setup():
+        m = Model(len(C), s, e, C, model="BASIC", relax="map")
+        return (ArborescencePropagator(m.gv, reverse=reverse),), {}
+
+    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
+
+
+def test_assignment_cold_ftv33(benchmark):
+    """One assignment bound from zero duals and an empty matching (n = 34)."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
+
+    def setup():
+        m = Model(len(C), s, e, C, model="BASIC", relax="map")
+        p = next(q for q in m.scheduler.props
+                 if isinstance(q, HungarianPropagator))
+        return (p,), {}
+
+    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=20)

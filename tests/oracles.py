@@ -4,8 +4,9 @@ Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
 instead of DP, combination scans instead of greedy tree builders, a scan of
 every interval instead of union-find Hall detection.  The tests keep the
-enumerations tiny.  The last two helpers read a library ReducedState: they
-walk its condensation as a path, which only the tests need.
+enumerations tiny.  The last four helpers read a library ReducedState:
+snapshots of its partition and condensation, and a walk of the condensation
+as a path, which only the tests need.
 """
 
 from __future__ import annotations
@@ -198,6 +199,28 @@ def min_spanning_tree_kruskal(n, edges, forced=()):
     return total if used == n - 1 else None
 
 
+def dominators_brute(n, root, adj):
+    """Proper dominators of every node, by deletion: d properly dominates u
+    iff u is unreachable from `root` once d is deleted.  `adj[v]` lists the
+    successors of v.  Returns a list of sets; the root's set is empty."""
+    dom = [set() for _ in range(n)]
+    for d in range(n):
+        if d == root:
+            continue
+        seen = {root, d}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        for u in range(n):
+            if u not in seen:
+                dom[u].add(d)
+    return dom
+
+
 def arborescence_arc_support(n, root, arcs, reverse=False):
     """The set of arcs lying on at least one spanning arborescence.
 
@@ -382,3 +405,16 @@ def reduced_path_order(state):
     if len(order) != len(sccs):
         raise PreconditionViolation("reduced graph is not a path")
     return order
+
+
+def partition(state):
+    """Id-agnostic snapshot: frozenset of frozensets of nodes."""
+    return frozenset(frozenset(state.nodes_of(x)) for x in state.sccs)
+
+
+def reduced_arcs(state):
+    """Canonical condensation arcs keyed by smallest member node."""
+    return frozenset(
+        (state.canonical[x], state.canonical[y])
+        for x in state.sccs for y in state.radj[x]
+    )

@@ -206,3 +206,7 @@ def test_bench_main_validates_names(tmp_path):
         bench.main(["--random", "5", "--models", "SHINY"])
     with pytest.raises(SystemExit):
         bench.main([])     # no instances
+    for argv in (["--random", "1"], ["--instance", str(tmp_path / "missing")]):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(argv)
+        assert exc.value.code == 2

@@ -369,8 +369,9 @@ def test_model_registers_one_tree_relaxation(relax):
                                         ("BASIC", fig.BASE7_MST)])
 def test_propagator_tree_follows_the_block_order(model, want):
     m = Model(fig.N, fig.S, fig.E, fig.cost_matrix(fig.BASE7), model=model,
-              relax="tree", door_rules=False)
+              relax="tree")
     if m.rp is not None:
+        m.rp.door_rules = False
         m.rp.propagate()            # establish the block order only
         assert len(m.rp.path_order) == len(fig.BASE7_BLOCKS)
     hk = m.hk

@@ -7,8 +7,8 @@ import pytest
 from hampath.kernel import GraphVar, PreconditionViolation
 from hampath.scc import ReducedState, tarjan_scc
 
-from oracles import (kosaraju_sccs, reachable_pairs, reduced_path_order,
-                     transitive_closure)
+from oracles import (kosaraju_sccs, partition, reachable_pairs,
+                     reduced_path_order, transitive_closure)
 
 
 def random_digraph(rng, n, p):
@@ -36,7 +36,7 @@ def norm(state):
     """Id-agnostic view of the whole reduced state."""
     key = {x: min(state.nodes_of(x)) for x in state.sccs}
     return {
-        "partition": state.partition(),
+        "partition": partition(state),
         "radj": frozenset((key[x], key[y]) for x in state.sccs for y in state.radj[x]),
         "out": frozenset(
             (key[x], frozenset(state.out_arcs[x])) for x in state.sccs

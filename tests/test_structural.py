@@ -189,6 +189,43 @@ def test_arborescence_matches_brute_force(reverse):
         assert kept == support
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_arborescence_removes_exactly_the_arcs_into_dominators(reverse):
+    rng = random.Random(40 + reverse)
+    total = 0
+    for _ in range(100):
+        n = rng.randint(10, 60)
+        density = rng.choice([0.01, 0.03, 0.08, 0.2, 0.5])
+        s, e = 0, n - 1
+        arcs = {(u, v) for u in range(n) for v in range(n)
+                if u != v and v != s and u != e and rng.random() < density}
+        mid = list(range(1, n - 1))
+        rng.shuffle(mid)
+        spine = [s] + mid + [e]
+        arcs.update(zip(spine, spine[1:]))
+        gv = GraphVar(n, s, e, sorted(arcs))
+        adj = gv.pred if reverse else gv.succ
+        dom = oracles.dominators_brute(n, e if reverse else s, adj)
+        want = {(d, u) if reverse else (u, d)
+                for u in range(n) for d in dom[u] if d in adj[u]}
+        ArborescencePropagator(gv, reverse=reverse).propagate()
+        assert arcs - set(gv.arcs()) == want
+        total += len(want)
+    assert total > 50       # the sample does exercise the filter
+
+
+@pytest.mark.parametrize("reverse,arcs", [
+    (False, [(0, 1), (1, 3), (2, 3)]),      # 2 is cut off from s
+    (True, [(0, 1), (1, 3), (0, 2)]),       # 2 is cut off from e
+])
+def test_arborescence_fails_on_a_cut_off_node(reverse, arcs):
+    ArborescencePropagator(GraphVar(4, 0, 3, arcs),
+                           reverse=not reverse).propagate()
+    with pytest.raises(Contradiction, match="unreachable node"):
+        ArborescencePropagator(GraphVar(4, 0, 3, arcs),
+                               reverse=reverse).propagate()
+
+
 # -- alldifferent GAC vs matching support ----------------------------------------
 
 
