@@ -36,11 +36,6 @@ class Objective:
         self.lb = 0
         self.ub = None
 
-    def set_ub(self, value):
-        self.ub = value
-        if self.ub is not None and self.lb > self.ub:
-            raise Contradiction("objective: bound below proven floor")
-
     def tighten_lb(self, value):
         if value > self.lb:
             old = self.lb

@@ -54,18 +54,21 @@ class Model:
         reg = self.scheduler.register
         reg(DegreePropagator(gv))
         reg(NoCyclePropagator(gv))
-        reg(TrivialObjectivePropagator(gv, self.C, self.obj))
+        # under map and both the assignment bound, never below the sum of
+        # the row minima, dominates the trivial floor
+        if relax == "tree":
+            reg(TrivialObjectivePropagator(gv, self.C, self.obj))
         self.rp = None
         if model in ("BST", "ALL"):
             self.rp = ReducedPathPropagator(gv)
             reg(self.rp)
-        if model in ("ARB", "ALL"):
+        if model == "ARB":
             reg(ArborescencePropagator(gv, reverse=False))
             reg(ArborescencePropagator(gv, reverse=True))
         if model in ("AD", "ALL"):
             reg(AllDifferentPropagator(gv))
-        if model in ("POS", "ALL"):
-            reg(PositionPropagator(gv, reduced=self.rp))
+        if model == "POS":
+            reg(PositionPropagator(gv))
         self.hk = None
         if relax in ("tree", "both"):
             self.hk = HeldKarpPropagator(gv, self.C, self.obj, reduced=self.rp)
@@ -276,7 +279,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         return finish("infeasible")
 
     while True:
-        if deadline is not None and nodes % 64 == 0 and clock() > deadline:
+        if deadline is not None and clock() > deadline:
             return finish("limit")
         if advance:
             if gv.is_instantiated():

@@ -4,7 +4,8 @@ Everything in here prunes the graph variable through combinatorial
 arguments only; cost reasoning lives in costs.py.  The reduced-path
 propagator is the workhorse: it keeps an incremental SCC condensation and
 walks it to pin down the block order, pruning arcs that cross the
-established cuts the wrong way.
+established cuts the wrong way.  The dominator and position propagators
+reason from the two endpoints alone and never read the block order.
 """
 
 from __future__ import annotations
@@ -267,18 +268,16 @@ def _pathset(t, start, end, to):
 class PositionPropagator(Propagator):
     """Bounds on each node's position along the path, with channeling.
 
-    lb comes from bfs depth below s, ub from bfs depth above e; when the
-    block order is established the per-block offsets tighten both sides.
+    lb comes from bfs depth below s, ub from bfs depth above e.
     Mandatory arcs couple neighbouring windows, and the O(n log n)
     bounds-consistency pass of alldifferent narrows them, both until
     nothing changes; then arcs incompatible with pos[v] = pos[u] + 1 go away.
     """
 
-    def __init__(self, gv, reduced=None):
+    def __init__(self, gv):
         super().__init__(gv)
         self.name = "positions"
         self.priority = 3
-        self.reduced = reduced
         self.lb = None
         self.ub = None
 
@@ -384,16 +383,6 @@ class PositionPropagator(Propagator):
         ub = [n - 1 - d for d in dist_e]
         ub[gv.s] = 0
         lb[gv.e] = n - 1
-        rp = self.reduced
-        if rp is not None and rp.path_order is not None:
-            off = 0
-            st = rp.state
-            for x in rp.path_order:
-                k = st.size[x]
-                for u in st.members(x):
-                    lb[u] = max(lb[u], off)
-                    ub[u] = min(ub[u], off + k - 1)
-                off += k
         # fixpoint over mandatory-arc coupling and hall intervals
         while True:
             changed = False

@@ -156,7 +156,7 @@ def test_criterion_4_root_pruning_is_sound():
         if want == math.inf:
             continue
         m = Model(n, s, e, C, model="ALL", relax="both")
-        m.obj.set_ub(int(want))
+        m.obj.ub = int(want)
         m.scheduler.schedule_all()
         m.scheduler.run_fixpoint()   # must not fail: ub equals the optimum
 

@@ -271,7 +271,7 @@ def test_subgradient_bound_below_optimum():
         mst0 = plain_tree(gv, *effective_costs(gv, M)).total
         sched = Scheduler(gv)
         obj = Objective(gv)
-        obj.set_ub(int(opt))
+        obj.ub = int(opt)
         hk = HeldKarpPropagator(gv, M, obj)
         dg = DegreePropagator(gv)
         for p in (dg, hk):
@@ -486,7 +486,7 @@ def test_assignment_filter_soundness():
         tried += 1
         gv = GraphVar(n, s, e, sorted(C))
         obj = Objective(gv)
-        obj.set_ub(int(opt))
+        obj.ub = int(opt)
         hp = HungarianPropagator(gv, M, obj)
         before = set(gv.arcs())
         hp.propagate()
@@ -512,6 +512,6 @@ def test_assignment_filter_soundness():
 def test_objective_floor_meets_cap():
     gv = gv_of(fig.arc_set(fig.BASE7))
     obj = Objective(gv)
-    obj.set_ub(10)
+    obj.ub = 10
     with pytest.raises(Contradiction):
         obj.tighten_lb(11)

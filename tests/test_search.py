@@ -95,6 +95,7 @@ def test_time_limit_reports_limit_status():
               time_limit=0.5,
               clock=lambda: float(next(ticker)))
     assert r.status == "limit"
+    assert r.nodes <= 2         # the deadline is read on every pass
 
 
 def test_configuration_validation():
@@ -124,8 +125,8 @@ def test_reported_bound_is_global():
 
 
 def test_limit_bound_covers_every_open_subtree():
-    # gr17 in path form, optimum 2085: stopped after 20 backtracks, the
-    # floor of the world the search halts in reads 2409
+    # gr17 in path form, optimum 2085: stopped after 21 backtracks at node
+    # 34, the floor of the world the search halts in reads 2194
     inst = parse_tsplib("instances/gr17.tsp")
     C, s, e = circuit_to_path(inst.matrix, 0)
     root = fresh(C, s, e, model="BASIC", relax="map")
@@ -150,6 +151,23 @@ def test_model_rejects_fractional_costs():
 def test_only_event_readers_keep_event_queues():
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
               relax="both")
-    assert len(m.scheduler.props) == 10
+    assert len(m.scheduler.props) == 6
     assert [p.name for p in m.scheduler.props if p.events is not None] == \
         ["nocycle", "reduced-path"]
+
+
+MODEL_PROPS = {"BASIC": [], "ARB": ["arbo", "arbo-rev"], "POS": ["positions"],
+               "AD": ["alldiff"], "BST": ["reduced-path"],
+               "ALL": ["reduced-path", "alldiff"]}
+RELAX_PROPS = {"tree": ["trivial-lb", "hk"], "map": ["assignment"],
+               "both": ["hk", "assignment"]}
+
+
+@pytest.mark.parametrize("relax", RELAXATIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_each_configuration_registers_its_propagators(model, relax):
+    m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model=model,
+              relax=relax)
+    names = [p.name for p in m.scheduler.props]
+    want = ["degree", "nocycle"] + MODEL_PROPS[model] + RELAX_PROPS[relax]
+    assert sorted(names) == sorted(want)
