@@ -539,10 +539,13 @@ class HungarianPropagator(Propagator):
         self.obj = obj
         self.rows = [u for u in range(gv.n) if u != gv.e]
         self.cols = [v for v in range(gv.n) if v != gv.s]
-        base = np.asarray(C, dtype=float)[np.ix_(self.rows, self.cols)]
+        # flat positions of the rows x cols block, for ndarray.take
+        self._flat = np.add.outer(np.array(self.rows) * gv.n, self.cols)
+        base = np.asarray(C, dtype=float).take(self._flat)
         self.Cbase = np.where(np.isfinite(base), base, self.BIGC)
-        self.du = np.zeros(len(self.rows))
-        self.dv = np.zeros(len(self.cols))
+        # plain lists: the augmenting loops read them one entry at a time
+        self.du = [0.0] * len(self.rows)
+        self.dv = [0.0] * len(self.cols)
         self.row_match = [-1] * len(self.rows)
         self.col_match = [-1] * len(self.cols)
         self._done_stamp = None
@@ -567,10 +570,11 @@ class HungarianPropagator(Propagator):
             i = self.col_match[j]
             if i == -1:
                 break
-            base = dist[j] - (Cm[i][j] - du[i] - dv[j])
+            Ci, dui = Cm[i], du[i]
+            base = dist[j] - (Ci[j] - dui - dv[j])
             for k in range(m):
                 if not done[k]:
-                    nd = base + Cm[i][k] - du[i] - dv[k]
+                    nd = base + Ci[k] - dui - dv[k]
                     if nd < dist[k]:
                         dist[k] = nd
                         par[k] = i
@@ -594,31 +598,35 @@ class HungarianPropagator(Propagator):
         gv = self.gv
         if self._done_stamp == gv.stamp():
             return
-        A = gv.pmask[np.ix_(self.rows, self.cols)]
+        A = gv.pmask.take(self._flat)
         Cm = np.where(A, self.Cbase, self.BIGC)
         # revived arcs may undercut the duals: clamp columns down
-        colmin = (Cm - self.du[:, None]).min(axis=0)
-        self.dv = np.minimum(self.dv, colmin)
-        for i, j in enumerate(self.row_match):
-            if j != -1:
-                if not A[i, j] or Cm[i, j] - self.du[i] - self.dv[j] > 1e-9:
-                    self.row_match[i] = -1
-                    self.col_match[j] = -1
+        colmin = (Cm - np.array(self.du)[:, None]).min(axis=0)
+        self.dv = np.minimum(self.dv, colmin).tolist()
+        du, dv = self.du, self.dv
         Cl = Cm.tolist()
+        rows, cols = self.rows, self.cols
+        succ = gv.succ
+        row_match = self.row_match
+        for i, j in enumerate(row_match):
+            if j != -1:
+                if cols[j] not in succ[rows[i]] or \
+                        Cl[i][j] - du[i] - dv[j] > 1e-9:
+                    row_match[i] = -1
+                    self.col_match[j] = -1
         for i in range(len(self.rows)):
-            if self.row_match[i] == -1:
+            if row_match[i] == -1:
                 self._augment(i, Cl)
-        cost = float(sum(Cm[i, self.row_match[i]]
-                         for i in range(len(self.rows))))
+        cost = float(sum(Cl[i][j] for i, j in enumerate(row_match)))
         if cost >= self.BIGC / 2:
             self.fail("no successor assignment within the domain")
         self.obj.tighten_lb(int(math.ceil(cost - CEIL_EPS)))
         ub = self.obj.ub
         if ub is not None:
-            rc = Cm - self.du[:, None] - self.dv[None, :]
+            rc = Cm - np.array(du)[:, None] - np.array(dv)[None, :]
             slack = float(ub) - cost
             bad = A & (rc > slack + PRUNE_EPS)
-            for i, j in zip(*np.nonzero(bad)):
-                if self.row_match[i] != j:
-                    self.remove(self.rows[int(i)], self.cols[int(j)])
+            for i, j in zip(*(ix.tolist() for ix in np.nonzero(bad))):
+                if row_match[i] != j:
+                    self.remove(rows[i], cols[j])
         self._done_stamp = gv.stamp()

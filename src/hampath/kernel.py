@@ -6,7 +6,8 @@ may still be part of the path) and the mandatory graph (arcs that must be).
 The variable is instantiated when both coincide.  Backtracking restores state
 through a trail of undo closures.  Every domain mutation schedules each
 subscribed propagator and appends exactly one event to the queue of each
-subscriber that keeps one.
+subscriber that keeps one.  Only the degree, no-cycle and reduced-path
+propagators keep a queue; the others re-read the domain when woken.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class GraphVar:
             self._listeners.append(propagator)
 
     def _emit(self, kind, u, v):
+        ev = (kind, u, v)
         for p in self._listeners:
-            p.events.append((kind, u, v))
+            p.events.append(ev)
         sched = self.scheduler
         if sched is not None:
             for p in self._subs:

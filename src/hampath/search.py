@@ -144,14 +144,17 @@ def _sparse_pick(m, always_enforce):
     gv = m.gv
     hk = m.hk
     marg = hk.last_marginals if hk is not None else None
+    lb = m.obj.lb
 
-    def score(u, v):
-        # smaller is better: estimated extra cost of the arc; realized
-        # tree arcs carry no marginal and count as free
-        if marg is not None:
-            return float(marg.get((u, v), m.obj.lb)) - float(m.obj.lb)
+    def scores(u):
+        # smaller is better: estimated extra cost of each arc out of u;
+        # realized tree arcs carry no marginal and count as free
         row = gv.succ[u]
-        return float(m.C[u, v] - min(m.C[u, w] for w in row))
+        if marg is not None:
+            return {v: float(marg.get((u, v), lb)) - float(lb) for v in row}
+        cost = m.C[u].tolist()
+        cheapest = min(cost[w] for w in row)
+        return {v: cost[v] - cheapest for v in row}
 
     cands = [u for u in range(gv.n)
              if u != gv.e and not gv.msucc[u]]
@@ -160,15 +163,18 @@ def _sparse_pick(m, always_enforce):
     k_min = min(len(gv.succ[u]) for u in cands)
     best_u = None
     best_sum = None
+    best_sc = None
     for u in cands:
         if len(gv.succ[u]) != k_min:
             continue
-        s = sum(score(u, v) for v in gv.succ[u])
+        sc = scores(u)
+        s = sum(sc.values())
         if best_sum is None or s > best_sum:
             best_sum = s
             best_u = u
+            best_sc = sc
     u = best_u
-    succs = sorted(gv.succ[u], key=lambda v: (score(u, v), v))
+    succs = sorted(gv.succ[u], key=lambda v: (best_sc[v], v))
     if always_enforce or len(succs) <= 2:
         return ("enforce", u, succs[0])
     half = math.ceil(len(succs) / 2)

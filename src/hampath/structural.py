@@ -19,45 +19,70 @@ from .scc import ReducedState, tarjan_scc
 class DegreePropagator(Propagator):
     """Each node except e has one successor, each except s one predecessor.
 
-    Stateless: every call re-checks all degrees.  Zero potential out or in
-    arcs on an interior node is a dead end, a single one is forced, and a
-    mandatory arc evicts its siblings.
+    Zero potential out or in arcs on an interior node is a dead end, a
+    single one is forced, and a mandatory arc evicts its siblings.  The
+    first call checks every node; after that an arc event (u, v) can only
+    change the out-row of u and the in-column of v, so each call rechecks
+    just those.  The first scan is trailed, so backtracking past it asks
+    for a full scan again.
     """
 
     def __init__(self, gv):
         super().__init__(gv)
         self.name = "degree"
         self.priority = 0
+        self.events = deque()
+        self.scanned = False
+
+    def _row(self, u):
+        row = self.gv.succ[u]
+        ms = self.gv.msucc[u]
+        if ms:
+            if len(ms) > 1:
+                self.fail("two mandatory successors")
+            if len(row) > 1:
+                for w in sorted(row - ms):
+                    self.remove(u, w)
+        elif len(row) == 1:
+            (w,) = row
+            self.enforce(u, w)
+        elif not row:
+            self.fail("node lost all successors")
+
+    def _col(self, v):
+        col = self.gv.pred[v]
+        mp = self.gv.mpred[v]
+        if mp:
+            if len(mp) > 1:
+                self.fail("two mandatory predecessors")
+            if len(col) > 1:
+                for w in sorted(col - mp):
+                    self.remove(w, v)
+        elif len(col) == 1:
+            (w,) = col
+            self.enforce(w, v)
+        elif not col:
+            self.fail("node lost all predecessors")
 
     def propagate(self):
         gv = self.gv
-        for u in range(gv.n):
-            if u != gv.e:
-                row = gv.succ[u]
-                if not row:
-                    self.fail("node lost all successors")
-                if len(gv.msucc[u]) > 1:
-                    self.fail("two mandatory successors")
-                if gv.msucc[u]:
-                    (w,) = gv.msucc[u]
-                    for w2 in sorted(row - {w}):
-                        self.remove(u, w2)
-                elif len(row) == 1:
-                    (w,) = row
-                    self.enforce(u, w)
-            if u != gv.s:
-                col = gv.pred[u]
-                if not col:
-                    self.fail("node lost all predecessors")
-                if len(gv.mpred[u]) > 1:
-                    self.fail("two mandatory predecessors")
-                if gv.mpred[u]:
-                    (w,) = gv.mpred[u]
-                    for w2 in sorted(col - {w}):
-                        self.remove(w2, u)
-                elif len(col) == 1:
-                    (w,) = col
-                    self.enforce(w, u)
+        events = self.events
+        if not self.scanned:
+            # the scan covers every event queued so far; its own
+            # mutations queue new ones, read below
+            events.clear()
+            self.scanned = True
+            gv.trail.record(lambda: setattr(self, "scanned", False))
+            for u in range(gv.n):
+                if u != gv.e:
+                    self._row(u)
+                if u != gv.s:
+                    self._col(u)
+        # arcs never leave e nor enter s, so no event names them there
+        while events:
+            _, u, v = events.popleft()
+            self._row(u)
+            self._col(v)
 
 
 class NoCyclePropagator(Propagator):

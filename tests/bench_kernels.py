@@ -68,3 +68,25 @@ def test_assignment_cold_ftv33(benchmark):
         return (p,), {}
 
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=20)
+
+
+def test_assignment_warm_bays29(benchmark):
+    """One assignment bound after a single arc removal from a warm state
+    (n = 29): the root fixpoint under the cap 2020 has set the duals and
+    the matching, then the matched successor arc of the first row that has
+    a choice left goes, so the call re-augments one row and filters."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
+
+    def setup():
+        m = Model(len(C), s, e, C, model="BASIC", relax="map")
+        m.obj.ub = 2020
+        m.root_propagate()
+        p = next(q for q in m.scheduler.props
+                 if isinstance(q, HungarianPropagator))
+        i = next(i for i, u in enumerate(p.rows) if len(m.gv.succ[u]) > 1)
+        m.gv.push_world()
+        m.gv.remove_arc(p.rows[i], p.cols[p.row_match[i]])
+        return (p,), {}
+
+    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)

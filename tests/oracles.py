@@ -364,6 +364,56 @@ def hall_interval_fixpoint(lb, ub):
     return lb, ub
 
 
+def degree_closure(n, s, e, arcs, mandatory):
+    """Fixpoint of the degree and no-cycle rules by repeated full scans.
+
+    Every node but e keeps exactly one successor and every node but s one
+    predecessor: an empty side is a contradiction, a single arc is forced,
+    and a mandatory arc evicts its siblings.  Mandatory arcs must not close
+    a cycle, and the arc from the end of a mandatory chain back to its
+    start goes.  Returns (potential, mandatory) as sets of arcs, or None on
+    a contradiction.
+    """
+    pot = set(arcs)
+    man = set(mandatory)
+    if not man <= pot:
+        return None
+    while True:
+        changed = False
+        for u in range(n):
+            for end in (0, 1):              # 0: u's successors, 1: u's predecessors
+                if u == (e, s)[end]:
+                    continue
+                side = {a for a in pot if a[end] == u}
+                forced = side & man
+                if not side or len(forced) > 1:
+                    return None
+                if forced and side != forced:
+                    pot -= side - forced
+                    changed = True
+                elif not forced and len(side) == 1:
+                    man |= side
+                    changed = True
+        if changed:
+            continue
+        # every node has at most one mandatory successor and predecessor now
+        nxt = dict(man)
+        heads = set(nxt) - set(nxt.values())
+        on_chains = set()
+        for a in heads:
+            b = a
+            while b in nxt:
+                on_chains.add(b)
+                b = nxt[b]
+            if (b, a) in pot:
+                pot.discard((b, a))
+                changed = True
+        if set(nxt) - on_chains:
+            return None                 # a mandatory cycle has no head
+        if not changed:
+            return pot, man
+
+
 def transitive_closure(state):
     """Per-node reachable sets when the reduced graph is a simple path.
 

@@ -138,6 +138,24 @@ def test_limit_bound_covers_every_open_subtree():
     assert r.lb <= r.best_cost
 
 
+@pytest.mark.parametrize("name, prove_ub, status, nodes", [
+    ("gr17.tsp", 2084, "infeasible", 361),
+    ("gr17.tsp", 2085, "proven", 120),
+    ("bays29.tsp", 2020, "proven", 45),
+])
+def test_prove_map_search_shape(name, prove_ub, status, nodes):
+    # BASIC/map decision runs as the prove-map benchmark makes them; a
+    # faster degree or assignment layer must keep the same search tree
+    inst = parse_tsplib(f"instances/{name}")
+    C, s, e = circuit_to_path(inst.matrix, 0)
+    r = solve(fresh(C, s, e, model="BASIC", relax="map"),
+              heuristic="enforceSparse", prove_ub=prove_ub)
+    assert (r.status, r.nodes) == (status, nodes)
+    if status == "proven":
+        check_path(C, s, e, r.best_path, r.best_cost)
+        assert r.best_cost <= prove_ub
+
+
 def test_model_rejects_fractional_costs():
     # optimizing would round the 1.2 path to cost 1, while deciding
     # cost <= 1 rounds the floor up to 2 and says infeasible
@@ -153,7 +171,7 @@ def test_only_event_readers_keep_event_queues():
               relax="both")
     assert len(m.scheduler.props) == 6
     assert [p.name for p in m.scheduler.props if p.events is not None] == \
-        ["nocycle", "reduced-path"]
+        ["degree", "nocycle", "reduced-path"]
 
 
 MODEL_PROPS = {"BASIC": [], "ARB": ["arbo", "arbo-rev"], "POS": ["positions"],

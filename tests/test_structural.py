@@ -156,6 +156,71 @@ def test_nocycle_rejects_mandatory_cycle():
         sched.run_fixpoint()
 
 
+def _degree_state(gv):
+    return set(gv.arcs()), set(gv.mandatory_arcs())
+
+
+def test_degree_events_reach_the_full_scan_closure():
+    """Random remove/enforce steps under push/pop: the event-driven degree
+    propagator with no-cycle lands on the closure that full scans reach,
+    or fails exactly when that closure is a contradiction.  Half the trials
+    skip the root fixpoint, so the first full scan happens inside a world
+    that may be backed out again."""
+    rng = random.Random(7)
+    checked = failed = 0
+    for trial in range(400):
+        n = rng.randint(3, 12)
+        s, e = 0, n - 1
+        density = rng.choice((0.15, 0.3, 0.5, 0.8))
+        arcs = sorted((u, v) for u in range(n) for v in range(n)
+                      if u != v and v != s and u != e
+                      and rng.random() < density)
+        gv = GraphVar(n, s, e, arcs)
+        sched = Scheduler(gv)
+        for p in (DegreePropagator(gv), NoCyclePropagator(gv)):
+            sched.register(p)
+        if trial % 2 == 0:
+            want = oracles.degree_closure(n, s, e, arcs, ())
+            sched.schedule_all()
+            try:
+                sched.run_fixpoint()
+            except Contradiction:
+                assert want is None, trial
+                continue
+            assert _degree_state(gv) == want, trial
+        for _ in range(rng.randint(1, 10)):
+            live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
+            if not live:
+                break
+            arc = rng.choice(live)
+            before = _degree_state(gv)
+            pot, man = set(before[0]), set(before[1])
+            enforce = rng.random() < 0.5
+            if enforce:
+                man.add(arc)
+            else:
+                pot.discard(arc)
+            want = oracles.degree_closure(n, s, e, pot, man)
+            gv.push_world()
+            if enforce:
+                gv.enforce_arc(*arc)
+            else:
+                gv.remove_arc(*arc)
+            sched.schedule_all()
+            try:
+                sched.run_fixpoint()
+                got = _degree_state(gv)
+            except Contradiction:
+                got = None
+            assert got == want, (trial, enforce, arc)
+            checked += 1
+            if got is None or rng.random() < 0.3:
+                failed += got is None
+                gv.pop_world()
+                assert _degree_state(gv) == before
+    assert checked > 1000 and 200 < failed < checked - 200
+
+
 # -- arborescence filtering vs brute force ---------------------------------------
 
 
