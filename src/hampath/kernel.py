@@ -131,7 +131,8 @@ class GraphVar:
         sched = self.scheduler
         if sched is not None:
             for p in self._subs:
-                sched.schedule(p)
+                if not p.scheduled:
+                    sched.schedule(p)
 
     def remove_arc(self, u, v):
         """Drop (u,v) from the potential graph.  False if already absent."""

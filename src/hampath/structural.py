@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from .kernel import ARC_ENFORCED, ARC_REMOVED, Propagator
-from .scc import ReducedState, tarjan_scc
+from .scc import ReducedState
 
 
 class DegreePropagator(Propagator):
@@ -211,63 +211,119 @@ class AllDifferentPropagator(Propagator):
     with a predecessor (all but s).  A potential arc survives iff it lies
     in some perfect matching: matched, or inside one SCC of the residual
     digraph with unmatched arcs oriented var to value and matched ones
-    value to var.
+    value to var (Régin, AAAI 1994).
+
+    The matching is kept across calls in `mate_var`/`mate_val`.  Each call
+    drops the pairs whose arc is gone and re-augments only the variables
+    left free.  It needs no trail: backtracking only puts arcs back, so a
+    stored pair stays valid until its arc dies.  A perfect matching covers
+    every value, so the residual digraph folds onto the variables, with
+    u -> mate_val[v] for each unmatched v in succ[u]; an unmatched arc
+    (u, v) survives iff u and mate_val[v] share an SCC there.
     """
 
     def __init__(self, gv):
         super().__init__(gv)
         self.name = "alldiff"
         self.priority = 3
+        self.mate_var = [-1] * gv.n     # value matched to each variable
+        self.mate_val = [-1] * gv.n     # variable matched to each value
+
+    def _augment(self, root):
+        """Match the free variable root along an alternating path to a
+        free value, iteratively; False when no such path exists."""
+        succ = self.gv.succ
+        mate_var = self.mate_var
+        mate_val = self.mate_val
+        seen = set()
+        path = [root]
+        its = [iter(succ[root])]
+        while its:
+            for v in its[-1]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                w = mate_val[v]
+                if w < 0:
+                    for u in reversed(path):
+                        mate_val[v] = u
+                        mate_var[u], v = v, mate_var[u]
+                    return True
+                path.append(w)
+                its.append(iter(succ[w]))
+                break
+            else:
+                its.pop()
+                path.pop()
+        return False
 
     def propagate(self):
         gv = self.gv
         n = gv.n
+        succ = gv.succ
+        mate_var = self.mate_var
+        mate_val = self.mate_val
         left = [u for u in range(n) if u != gv.e]
-        match_of_val = {}
-        match_of_var = {}
-
-        def augment(u, seen):
-            for v in sorted(gv.succ[u]):
-                if v in seen:
-                    continue
-                seen.add(v)
-                w = match_of_val.get(v)
-                if w is None or augment(w, seen):
-                    match_of_val[v] = u
-                    match_of_var[u] = v
-                    return True
-            return False
-
         for u in left:
-            # seed with a mandatory successor when there is one
-            if gv.msucc[u]:
-                (v,) = gv.msucc[u]
-                if v in match_of_val:
-                    continue
-                match_of_val[v] = u
-                match_of_var[u] = v
+            v = mate_var[u]
+            if v >= 0 and v not in succ[u]:
+                mate_var[u] = mate_val[v] = -1
         for u in left:
-            if u not in match_of_var:
-                if not augment(u, set()):
-                    self.fail("no successor assignment")
-        # residual digraph on ids: var u -> u, value v -> n + v
-        nodes = []
-        adj = {}
+            if mate_var[u] < 0 and not self._augment(u):
+                self.fail("no successor assignment")
+        # iterative Tarjan on the folded residual digraph
+        adj = [None] * n
         for u in left:
-            nodes.append(u)
-            adj[u] = [n + v for v in gv.succ[u] if match_of_var[u] != v]
-        for v in range(n):
-            if v == gv.s:
+            mu = mate_var[u]
+            adj[u] = [mate_val[v] for v in succ[u] if v != mu]
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n         # the root of each variable's SCC
+        stack = []
+        count = 0
+        cross = False           # an arc between two SCCs, so one to remove
+        for r in left:
+            if index[r] >= 0:
                 continue
-            nodes.append(n + v)
-            adj[n + v] = [match_of_val[v]] if v in match_of_val else []
-        comp_of = {}
-        for i, comp in enumerate(tarjan_scc(nodes, lambda x: adj[x])):
-            for x in comp:
-                comp_of[x] = i
+            index[r] = low[r] = count
+            count += 1
+            stack.append(r)
+            work = [(r, iter(adj[r]))]
+            while work:
+                u, it = work[-1]
+                for w in it:
+                    if index[w] < 0:
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        work.append((w, iter(adj[w])))
+                        break
+                    if comp[w] >= 0:        # into a finished SCC
+                        cross = True
+                    elif index[w] < low[u]:     # on the stack: same SCC
+                        low[u] = index[w]
+                else:
+                    work.pop()
+                    if low[u] == index[u]:
+                        while True:
+                            w = stack.pop()
+                            comp[w] = u
+                            if w == u:
+                                break
+                        cross = cross or bool(work)     # the tree arc in
+                    else:
+                        p = work[-1][0]
+                        if low[u] < low[p]:
+                            low[p] = low[u]
+        if not cross:
+            return
         for u in left:
-            for v in sorted(gv.succ[u]):
-                if match_of_var[u] != v and comp_of[u] != comp_of[n + v]:
+            cu = comp[u]
+            mu = mate_var[u]
+            dead = [v for v in succ[u] if v != mu and comp[mate_val[v]] != cu]
+            if dead:
+                dead.sort()
+                for v in dead:
                     self.remove(u, v)
 
 
