@@ -47,7 +47,7 @@ def main():
     print("instance: 7 nodes, optimum %d via %s" % (opt, path))
 
     gv, rp = build()
-    print("block order:", [sorted(rp.state.members(x)) for x in rp.path_order])
+    print("block order:", [rp.state.members[x] for x in rp.path_order])
 
     Ecost, Scost = effective_costs(gv, C)
     mst = block_tree(Ecost, Scost, *tree_oracle(gv)).total

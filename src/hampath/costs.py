@@ -152,7 +152,7 @@ def tree_oracle(gv, reduced=None):
     order = reduced.path_order
     blocks = []
     for x in order:
-        members = st.nodes_of(x)
+        members = st.members[x]
         pos = {u: i for i, u in enumerate(members)}
         blocks.append((members, np.array(members),
                        [(pos[a], pos[b]) for (a, b) in mand

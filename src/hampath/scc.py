@@ -1,12 +1,14 @@
 """Strongly connected components and the reduced (condensed) graph.
 
 The reduced state mirrors the potential graph of a GraphVar: an SCC partition
-(sccOf plus linked member chains), the condensation adjacency with witness
-counts, and per component the list of outgoing cross arcs (outArcs).  Arc
-deletions are repaired incrementally: cross deletions only touch witness
-counts, intra deletions mark their component dirty and Tarjan is re-run once
-per dirty component, restricted to its members.  After a backtrack the state
-is stale and callers rebuild from scratch (detected through gv.pop_epoch).
+(scc_of, plus per component the sorted member list Tarjan built), the
+condensation adjacency with witness counts, and per component the set of
+outgoing cross arcs (out_arcs).  Arc deletions are repaired incrementally:
+cross deletions only touch witness counts, intra deletions mark their
+component dirty and Tarjan is re-run once per dirty component, restricted to
+its members; a split replaces the member list with one list per fragment.
+After a backtrack the state is stale and callers rebuild from scratch
+(detected through gv.pop_epoch).
 """
 
 from __future__ import annotations
@@ -77,10 +79,7 @@ class ReducedState:
         self.gv = gv
         n = gv.n
         self.scc_of = [0] * n
-        self.next_in = [-1] * n        # member chains, ascending node id
-        self.canonical = {}            # scc id -> first (smallest) member
-        self.size = {}
-        self.sccs = set()
+        self.members = {}              # scc id -> sorted list of its nodes
         self.radj = {}                 # scc id -> set of successor scc ids
         self.rpred = {}
         self.wit = {}                  # (x, y) -> number of witness arcs
@@ -91,31 +90,10 @@ class ReducedState:
         self.last_work = 0
         self.tarjan_runs = 0
 
-    # -- accessors ---------------------------------------------------------
-
-    def nodes_of(self, x):
-        out = []
-        v = self.canonical[x]
-        while v != -1:
-            out.append(v)
-            v = self.next_in[v]
-        return out
-
-    def members(self, x):
-        v = self.canonical[x]
-        while v != -1:
-            yield v
-            v = self.next_in[v]
-
     # -- construction ------------------------------------------------------
 
     def _install_comp(self, comp, scc_id):
-        self.sccs.add(scc_id)
-        self.canonical[scc_id] = comp[0]
-        self.size[scc_id] = len(comp)
-        for a, b in zip(comp, comp[1:]):
-            self.next_in[a] = b
-        self.next_in[comp[-1]] = -1
+        self.members[scc_id] = comp
         for v in comp:
             self.scc_of[v] = scc_id
         self.radj[scc_id] = set()
@@ -133,7 +111,7 @@ class ReducedState:
         scc_of = self.scc_of
         gv = self.gv
         work = 0
-        for u in self.members(x):
+        for u in self.members[x]:
             work += 1
             for v in gv.succ[u]:
                 work += 1
@@ -164,9 +142,7 @@ class ReducedState:
     def rebuild(self):
         """Full Tarjan pass over the current potential graph."""
         gv = self.gv
-        self.sccs.clear()
-        self.canonical.clear()
-        self.size.clear()
+        self.members.clear()
         self.radj.clear()
         self.rpred.clear()
         self.wit.clear()
@@ -178,7 +154,7 @@ class ReducedState:
             self._install_comp(comp, self._next_id)
             self._next_id += 1
         work = 0
-        for x in sorted(self.sccs):
+        for x in range(self._next_id):
             work += self._scan_out_row(x)
         self.pop_epoch = gv.pop_epoch
         self.last_work = gv.n + work
@@ -222,7 +198,7 @@ class ReducedState:
         affected_preds = set()
         fragments = set()
         for x in sorted(dirty):
-            nodes = self.nodes_of(x)
+            nodes = self.members[x]
             member = set(nodes)
             comps = tarjan_scc(nodes, lambda u: (w for w in gv.succ[u] if w in member))
             self.tarjan_runs += 1

@@ -39,6 +39,11 @@ class Model:
         self.model_name = model
         self.relax = relax
         self.C = np.asarray(C, dtype=float)
+        if self.C.shape != (n, n):
+            raise ValueError(f"cost matrix must be {n}x{n}, not {self.C.shape}")
+        # NaN is not infinite, so it would silently become an absent arc
+        if np.isnan(self.C).any():
+            raise ValueError("arc costs must not be NaN")
         # bounds are rounded up and the optimizing cap is cost - 1, both of
         # which are only sound on integer costs
         finite = self.C[np.isfinite(self.C)]

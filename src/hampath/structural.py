@@ -492,12 +492,14 @@ class PositionPropagator(Propagator):
 class ReducedPathPropagator(Propagator):
     """Maintain the SCC condensation and walk it into a block path.
 
-    The state is repaired incrementally from the deletion events; blocks
-    that split are re-walked locally when the global order is already
-    known, otherwise the walk restarts from the s block.  Once a block's
-    successor is pinned, each of its other outgoing arcs dies, a cut with
-    one witness arc enforces it, and the door rules prune inside blocks
-    with a single entry or exit node.
+    The state is repaired incrementally from the deletion events.  One walk
+    orders the blocks: it starts from the s block and runs whenever a block
+    splits, or whenever an arc goes while no order is known.  Once a
+    block's successor is pinned, each of its other outgoing arcs dies, a
+    cut with one witness arc enforces it, and the door rules prune inside
+    blocks with a single entry or exit node.  While the order holds and no
+    block splits, only the cuts and blocks next to the changed arcs are
+    checked again.
     """
 
     def __init__(self, gv, door_rules=True):
@@ -512,37 +514,34 @@ class ReducedPathPropagator(Propagator):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _set_order(self, order):
-        self.path_order = order
-        self.path_pos = {x: i for i, x in enumerate(order)}
-
-    def _prune_other_out(self, x, keep):
+    def _pin(self, x, y):
+        """Block y follows block x: every other arc out of x dies, and the
+        cut from x to y fails when empty and is enforced when one arc wide."""
         st = self.state
+        gv = self.gv
+        witnesses = []
         for (a, b) in sorted(st.out_arcs[x]):
-            if st.scc_of[b] != keep:
+            if st.scc_of[b] != y:
                 self.remove(a, b)
-
-    def _cut_witnesses(self, x, y):
-        gv = self.gv
-        st = self.state
-        return [(a, b) for (a, b) in sorted(st.out_arcs[x])
-                if st.scc_of[b] == y and gv.has_arc(a, b)]
-
-    def _check_cut(self, x, y):
-        ws = self._cut_witnesses(x, y)
-        if not ws:
+            elif gv.has_arc(a, b):
+                witnesses.append((a, b))
+        if not witnesses:
             self.fail("cut between consecutive blocks is empty")
-        if len(ws) == 1:
-            self.enforce(*ws[0])
+        if len(witnesses) == 1:
+            self.enforce(*witnesses[0])
 
-    # -- walks ---------------------------------------------------------------
+    # -- the walk ------------------------------------------------------------
 
-    def _full_walk(self):
+    def _walk(self):
+        """Walk the condensation from the s block, then apply the door rules
+        to every block once the order covers them all."""
         st = self.state
         gv = self.gv
+        self.path_order = None
+        self.path_pos = None
         s_block = st.scc_of[gv.s]
         e_block = st.scc_of[gv.e]
-        for x in sorted(st.sccs):
+        for x in sorted(st.members):
             if x != s_block and not st.rpred[x]:
                 self.fail("block with no way in")
         visited = {s_block}
@@ -558,55 +557,18 @@ class ReducedPathPropagator(Propagator):
             if len(cands) > 1:
                 self.fail("two blocks forced into the same slot")
             (y,) = cands
-            self._prune_other_out(x, keep=y)
-            self._check_cut(x, y)
+            self._pin(x, y)
             visited.add(y)
             order.append(y)
             x = y
-        if x == e_block and len(order) != len(st.sccs):
-            self.fail("endpoint block reached with blocks left over")
-        if len(order) == len(st.sccs):
-            self._set_order(order)
-        else:
-            self.path_order = None
-            self.path_pos = None
-
-    def _local_walk(self, frags, prev_block, next_block):
-        """Order the fragments of one split between its old neighbours.
-
-        Returns the fragment visit order, or None when it cannot be pinned
-        down (the global order is then demoted).
-        """
-        st = self.state
-        allowed = set(frags)
-        placed = []
-        V = {prev_block}
-        x = prev_block
-        while True:
-            cands = []
-            for y in sorted(st.radj[x]):
-                if y in V:
-                    continue
-                if y not in allowed and y != next_block:
-                    continue
-                if not (st.rpred[y] - V):
-                    cands.append(y)
-            if not cands:
-                return None
-            if len(cands) > 1:
-                self.fail("two blocks forced into the same slot")
-            (y,) = cands
-            if y == next_block:
-                if len(placed) != len(frags):
-                    self.fail("split fragments left unreachable")
-                self._prune_other_out(x, keep=y)
-                self._check_cut(x, y)
-                return placed
-            self._prune_other_out(x, keep=y)
-            self._check_cut(x, y)
-            V.add(y)
-            placed.append(y)
-            x = y
+        if len(order) != len(st.members):
+            if x == e_block:
+                self.fail("endpoint block reached with blocks left over")
+            return
+        self.path_order = order
+        self.path_pos = {x: i for i, x in enumerate(order)}
+        if self.door_rules:
+            self._apply_doors(order)
 
     # -- door rules ----------------------------------------------------------
 
@@ -616,7 +578,8 @@ class ReducedPathPropagator(Propagator):
         pos = self.path_pos
         order = self.path_order
         for r in sorted(blocks):
-            if r not in pos or st.size[r] < 2:
+            members = st.members[r]
+            if len(members) < 2:
                 continue
             i = pos[r]
             prev_b, next_b = order[i - 1], order[i + 1]
@@ -626,7 +589,6 @@ class ReducedPathPropagator(Propagator):
                        if st.scc_of[b] == next_b and gv.has_arc(a, b)}
             if not indoor or not outdoor:
                 self.fail("cut between consecutive blocks is empty")
-            members = st.nodes_of(r)
             if len(indoor) == 1:
                 (i0,) = indoor
                 for j in members:
@@ -638,7 +600,7 @@ class ReducedPathPropagator(Propagator):
                     if j != o0:
                         self.remove(o0, j)
             doors = indoor | outdoor
-            if st.size[r] > 2 and len(doors) == 2:
+            if len(members) > 2 and len(doors) == 2:
                 a, b = sorted(doors)
                 self.remove(a, b)
                 self.remove(b, a)
@@ -651,11 +613,7 @@ class ReducedPathPropagator(Propagator):
         if st.pop_epoch != gv.pop_epoch:
             self.events.clear()
             st.rebuild()
-            self.path_order = None
-            self.path_pos = None
-            self._full_walk()
-            if self.door_rules and self.path_order is not None:
-                self._apply_doors(set(self.path_order))
+            self._walk()
         while self.events:
             removed = []
             enforced = []
@@ -666,46 +624,10 @@ class ReducedPathPropagator(Propagator):
                 else:
                     enforced.append((u, v))
             splits = st.repair_after_deletions(removed) if removed else []
+            walked = bool(splits) or (bool(removed) and self.path_order is None)
+            if walked:
+                self._walk()
             touched = set()
-            cuts = set()
-            for (u, v) in removed:
-                x, y = st.scc_of[u], st.scc_of[v]
-                if x != y:
-                    cuts.add((x, y))
-                    touched.update((x, y))
-            if splits:
-                if self.path_order is not None:
-                    old_pos = self.path_pos
-                    frag_seq = {}
-                    ok = True
-                    for old, frags in sorted(splits,
-                                             key=lambda sp: old_pos[sp[0]]):
-                        i = old_pos[old]
-                        seq = self._local_walk(
-                            frags, self.path_order[i - 1],
-                            self.path_order[i + 1])
-                        if seq is None:
-                            ok = False
-                            break
-                        frag_seq[old] = seq
-                        touched.update(frags)
-                    if ok:
-                        new_order = []
-                        for b in self.path_order:
-                            new_order.extend(frag_seq.get(b, [b]))
-                        self._set_order(new_order)
-                    else:
-                        self.path_order = None
-                        self.path_pos = None
-                else:
-                    for old, frags in splits:
-                        touched.update(frags)
-            if self.path_order is None:
-                if removed or splits:
-                    self._full_walk()
-                    if self.door_rules and self.path_order is not None:
-                        self._apply_doors(set(self.path_order))
-                        continue
             for (u, v) in enforced:
                 x, y = st.scc_of[u], st.scc_of[v]
                 if x == y:
@@ -722,19 +644,27 @@ class ReducedPathPropagator(Propagator):
                         if st.scc_of[b] == y and (a, b) != (u, v):
                             self.remove(a, b)
                 touched.update((x, y))
-            if self.path_pos is not None:
-                for (x, y) in sorted(cuts):
-                    if self.path_pos.get(y) == self.path_pos.get(x, -9) + 1:
-                        self._check_cut(x, y)
-                if self.door_rules and touched:
-                    near = set()
-                    for b in touched:
-                        i = self.path_pos.get(b)
-                        if i is None:
-                            continue
-                        near.add(b)
-                        if i > 0:
-                            near.add(self.path_order[i - 1])
-                        if i + 1 < len(self.path_order):
-                            near.add(self.path_order[i + 1])
-                    self._apply_doors(near)
+            if walked or self.path_pos is None:
+                continue
+            # the order held: re-pin the consecutive blocks whose cut lost
+            # an arc (the last walk already removed every other arc out of
+            # them) and recheck the door rules next to every changed block
+            cuts = set()
+            for (u, v) in removed:
+                x, y = st.scc_of[u], st.scc_of[v]
+                if x != y:
+                    cuts.add((x, y))
+                    touched.update((x, y))
+            for (x, y) in sorted(cuts):
+                if self.path_pos[y] == self.path_pos[x] + 1:
+                    self._pin(x, y)
+            if self.door_rules and touched:
+                near = set()
+                for b in touched:
+                    i = self.path_pos[b]
+                    near.add(b)
+                    if i > 0:
+                        near.add(self.path_order[i - 1])
+                    if i + 1 < len(self.path_order):
+                        near.add(self.path_order[i + 1])
+                self._apply_doors(near)

@@ -1,6 +1,6 @@
 """Microbenchmarks of the solver's inner kernels (pytest-benchmark).
 
-    PYTHONPATH=src pytest tests/bench_kernels.py --benchmark-only --benchmark-autosave
+    pytest tests/bench_kernels.py --benchmark-only --benchmark-autosave
 
 The file name keeps it out of the default test collection; saved runs go
 to .benchmarks/ and `pytest-benchmark compare` lists them side by side.
@@ -111,4 +111,35 @@ def test_alldiff_warm_n45(benchmark):
         m.gv.remove_arc(u, p.mate_var[u])
         return (p,), {}
 
+    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
+
+
+def test_reduced_path_split_n45(benchmark):
+    """One reduced-path call after removing an arc that splits a block
+    (clustered n = 45, density 0.5, ALL/map).  From the warm root fixpoint,
+    node 3 keeps a single in-arc from inside its 14-node block (the others
+    go under a full fixpoint); then that arc goes, so the call repairs the
+    split, walks the condensation and applies the door rules."""
+    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
+    v = 3
+
+    def setup():
+        m = Model(len(C), s, e, C, model="ALL", relax="map")
+        m.root_propagate()
+        gv, st = m.gv, m.rp.state
+        inside = sorted(u for u in gv.pred[v] if st.scc_of[u] == st.scc_of[v])
+        gv.push_world()
+        for u in inside[1:]:
+            gv.remove_arc(u, v)
+        m.root_propagate()
+        (u,) = [u for u in gv.pred[v] if st.scc_of[u] == st.scc_of[v]]
+        gv.push_world()
+        gv.remove_arc(u, v)
+        return (m.rp,), {}
+
+    (rp,), _ = setup()
+    blocks = len(set(rp.state.scc_of))
+    rp.propagate()
+    assert len(set(rp.state.scc_of)) == blocks + 1
+    assert rp.path_order is not None
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)

@@ -424,7 +424,7 @@ def transitive_closure(state):
     result = {}
     later = set()
     for x in reversed(order):
-        block = set(state.nodes_of(x))
+        block = set(state.members[x])
         reach = block | later
         for v in block:
             result[v] = reach - {v}
@@ -434,7 +434,7 @@ def transitive_closure(state):
 
 def reduced_path_order(state):
     """The SCC sequence of the reduced path, or raise if it is not a path."""
-    sccs = state.sccs
+    sccs = state.members
     starts = [x for x in sccs if not state.rpred[x]]
     if len(starts) != 1:
         raise PreconditionViolation("reduced graph is not a path")
@@ -459,12 +459,12 @@ def reduced_path_order(state):
 
 def partition(state):
     """Id-agnostic snapshot: frozenset of frozensets of nodes."""
-    return frozenset(frozenset(state.nodes_of(x)) for x in state.sccs)
+    return frozenset(frozenset(state.members[x]) for x in state.members)
 
 
 def reduced_arcs(state):
     """Canonical condensation arcs keyed by smallest member node."""
     return frozenset(
-        (state.canonical[x], state.canonical[y])
-        for x in state.sccs for y in state.radj[x]
+        (state.members[x][0], state.members[y][0])
+        for x in state.members for y in state.radj[x]
     )

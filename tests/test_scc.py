@@ -34,12 +34,12 @@ def make_gv(n, arcs):
 
 def norm(state):
     """Id-agnostic view of the whole reduced state."""
-    key = {x: min(state.nodes_of(x)) for x in state.sccs}
+    key = {x: min(state.members[x]) for x in state.members}
     return {
         "partition": partition(state),
-        "radj": frozenset((key[x], key[y]) for x in state.sccs for y in state.radj[x]),
+        "radj": frozenset((key[x], key[y]) for x in state.members for y in state.radj[x]),
         "out": frozenset(
-            (key[x], frozenset(state.out_arcs[x])) for x in state.sccs
+            (key[x], frozenset(state.out_arcs[x])) for x in state.members
         ),
         "wit": frozenset(
             ((key[x], key[y]), c) for (x, y), c in state.wit.items()
@@ -73,16 +73,16 @@ def test_rebuild_structures():
     arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]
     gv = make_gv(4, arcs)
     st = ReducedState(gv).rebuild()
-    key = {min(st.nodes_of(x)): x for x in st.sccs}
+    key = {min(st.members[x]): x for x in st.members}
     a = key[0]
     b = key[2]
-    assert set(st.nodes_of(a)) == {0, 1}
-    assert st.canonical[a] == 0 and st.size[a] == 2
+    assert set(st.members[a]) == {0, 1}
+    assert st.members[a][0] == 0 and len(st.members[a]) == 2
     assert st.out_arcs[a] >= {(1, 2), (0, 3)}
     assert st.wit[(a, b)] == 2
     assert b in st.radj[a] and a in st.rpred[b]
-    # chains are ascending
-    assert st.nodes_of(a) == sorted(st.nodes_of(a))
+    # member lists are ascending
+    assert st.members[a] == sorted(st.members[a])
 
 
 def test_repair_equals_rebuild_randomized():
@@ -114,18 +114,18 @@ def test_split_reporting_and_id_reuse():
     arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 3)]
     gv = make_gv(5, arcs)
     st = ReducedState(gv).rebuild()
-    (big,) = [x for x in st.sccs if st.size[x] == 5]
+    (big,) = [x for x in st.members if len(st.members[x]) == 5]
     gv.remove_arc(4, 3)
     splits = st.repair_after_deletions([(4, 3)])
     assert len(splits) == 1
     old, frags = splits[0]
     assert old == big
-    assert st.scc_of[0] == big and st.size[big] == 4
-    assert set(st.nodes_of(big)) == {0, 1, 2, 3}
+    assert st.scc_of[0] == big and len(st.members[big]) == 4
+    assert set(st.members[big]) == {0, 1, 2, 3}
     assert len(frags) == 2
     assert big in frags
     (other,) = [f for f in frags if f != big]
-    assert st.nodes_of(other) == [4]
+    assert st.members[other] == [4]
 
 
 def test_tarjan_reruns_once_per_dirty_component():
@@ -213,7 +213,7 @@ def test_reduced_path_order_lists_components_in_sequence():
     gv = make_gv(n, arcs)
     st = ReducedState(gv).rebuild()
     order = reduced_path_order(st)
-    got = [set(st.nodes_of(x)) for x in order]
+    got = [set(st.members[x]) for x in order]
     # endpoint helpers from make_gv hang on both ends
     assert got[0] == {gv.s}
     assert got[-1] == {gv.e}

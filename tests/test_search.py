@@ -166,6 +166,31 @@ def test_model_rejects_fractional_costs():
         Model(4, 0, 3, C)
 
 
+def _path_costs_4x4():
+    C = np.full((4, 4), np.inf)
+    C[0, 1] = C[1, 2] = C[2, 3] = 1
+    return C
+
+
+def _with_nan():
+    C = _path_costs_4x4()
+    C[0, 2] = np.nan
+    return C
+
+
+@pytest.mark.parametrize("n, C, relax", [
+    # a 3-node model would read the 4x4 matrix's top-left corner, where
+    # the path 0->1->2 exists, and still answer infeasible
+    (3, _path_costs_4x4(), "both"),
+    # a 5-node model would index past the matrix
+    (5, _path_costs_4x4(), "tree"),
+    (4, _with_nan(), "tree"),
+], ids=["too-large", "too-small", "nan"])
+def test_model_rejects_malformed_cost_matrix(n, C, relax):
+    with pytest.raises(ValueError):
+        Model(n, 0, n - 1, C, relax=relax)
+
+
 def test_only_event_readers_keep_event_queues():
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
               relax="both")

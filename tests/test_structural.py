@@ -45,7 +45,7 @@ def test_walk_removes_block_skipping_arcs():
     assert removed == {(0, 4), (2, 6)}
     assert set(gv.mandatory_arcs()) == {(0, 1)}
     assert rp.path_order is not None
-    blocks = [frozenset(rp.state.nodes_of(x)) for x in rp.path_order]
+    blocks = [frozenset(rp.state.members[x]) for x in rp.path_order]
     assert blocks == fig.BASE7_BLOCKS
 
 
@@ -75,7 +75,7 @@ def test_door_rules_cascade():
     removed = fig.arc_set(fig.SKIP7) - set(gv.arcs())
     assert removed == {(0, 4), (2, 6), (2, 1), (1, 4)}
     assert set(gv.mandatory_arcs()) == {(0, 1), (1, 2)}
-    blocks = [frozenset(rp.state.nodes_of(x)) for x in rp.path_order]
+    blocks = [frozenset(rp.state.members[x]) for x in rp.path_order]
     assert blocks == [frozenset({0}), frozenset({1}), frozenset({2}),
                       frozenset({3, 4, 5}), frozenset({6})]
 
@@ -547,16 +547,19 @@ def _fresh_fixpoint(n, s, e, arcs, mandatory, door_rules):
         gv.enforce_arc(u, v)
     sched.schedule_all()
     sched.run_fixpoint()
-    return gv
+    return gv, rp
 
 
-@pytest.mark.parametrize("door_rules", [False, True])
-def test_incremental_walk_equals_fresh(door_rules):
-    """Random decision sequences with push/pop; the incrementally maintained
-    propagator must land on the same graph as a fresh propagator given the
-    surviving decisions."""
-    rng = random.Random(100 + door_rules)
-    for trial in range(25):
+def _block_order(rp):
+    if rp.path_order is None:
+        return None
+    return [frozenset(rp.state.members[x]) for x in rp.path_order]
+
+
+def _dense_graphs(rng):
+    """25 graphs on 5-8 nodes: each arc with probability 0.7, plus a
+    hidden spine."""
+    for _ in range(25):
         n = rng.randint(5, 8)
         s, e = 0, n - 1
         arcs = {(u, v) for u in range(n) for v in range(n)
@@ -565,7 +568,53 @@ def test_incremental_walk_equals_fresh(door_rules):
         rng.shuffle(mid)
         spine = [s] + mid + [e]
         arcs.update(zip(spine, spine[1:]))
+        yield n, arcs
 
+
+def _clustered_graphs(rng):
+    """A dozen 3-cluster gen_random graphs on 20-30 nodes; their blocks
+    split while the block order is known."""
+    for _ in range(12):
+        n = rng.randint(20, 30)
+        C, _, _ = gen_random(n, seed=rng.randrange(10**6),
+                             density=rng.uniform(0.3, 0.5), clusters=3)
+        yield n, {(u, v) for u in range(n) for v in range(n)
+                  if math.isfinite(C[u, v])}
+
+
+@pytest.mark.parametrize("door_rules, graphs, steps, seed", [
+    pytest.param(False, _dense_graphs, (2, 5), 100, id="False"),
+    pytest.param(True, _dense_graphs, (2, 5), 101, id="True"),
+    pytest.param(False, _clustered_graphs, (30, 40), 200,
+                 id="clustered-False"),
+    pytest.param(True, _clustered_graphs, (30, 40), 201,
+                 id="clustered-True"),
+])
+def test_incremental_walk_equals_fresh(door_rules, graphs, steps, seed):
+    """Random decision sequences with push/pop; after every decision the
+    incrementally maintained propagator must land on the same graph and
+    the same block order as a fresh propagator given the surviving
+    decisions."""
+    rng = random.Random(seed)
+    splits_under_order = 0
+
+    def check_against_fresh(gv, trial):
+        """Assert a fresh propagator's fixpoint equals gv; its block order."""
+        mand = [a for a in gv.arcs() if gv.has_mandatory(*a)]
+        try:
+            fresh, fresh_rp = _fresh_fixpoint(gv.n, gv.s, gv.e,
+                                              set(gv.arcs()), mand, door_rules)
+        except Contradiction:
+            pytest.fail(f"fresh run failed where incremental survived "
+                        f"(trial {trial})")
+        # a fresh propagator sees the incremental result as a fixpoint:
+        # nothing more to remove or enforce
+        assert set(fresh.arcs()) == set(gv.arcs())
+        assert set(fresh.mandatory_arcs()) == set(gv.mandatory_arcs())
+        return _block_order(fresh_rp)
+
+    for trial, (n, arcs) in enumerate(graphs(rng)):
+        s, e = 0, n - 1
         gv = GraphVar(n, s, e, sorted(arcs))
         sched = Scheduler(gv)
         rp = ReducedPathPropagator(gv, door_rules=door_rules)
@@ -576,8 +625,19 @@ def test_incremental_walk_equals_fresh(door_rules):
         except Contradiction:
             continue
 
+        repair = rp.state.repair_after_deletions
+
+        def counting_repair(removed):
+            nonlocal splits_under_order
+            splits = repair(removed)
+            if splits and rp.path_order is not None:
+                splits_under_order += 1
+            return splits
+
+        rp.state.repair_after_deletions = counting_repair
+
         applied = []
-        for _ in range(rng.randint(2, 5)):
+        for _ in range(rng.randint(*steps)):
             live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
             if not live:
                 break
@@ -595,23 +655,13 @@ def test_incremental_walk_equals_fresh(door_rules):
                 gv.pop_world()
                 sched.clear()
                 continue
+            assert check_against_fresh(gv, trial) == _block_order(rp)
             applied.append((kind, arc))
             if rng.random() < 0.3 and applied:
                 # back out the most recent decision again
                 gv.pop_world()
                 sched.clear()
                 applied.pop()
-
-        mand = [a for a in gv.arcs() if gv.has_mandatory(*a)]
-        try:
-            fresh = _fresh_fixpoint(n, s, e, set(gv.arcs()) | set(),
-                                    mand, door_rules)
-        except Contradiction:
-            # the incremental run must then also be failed; it is not, so
-            # compare against the raw surviving graph instead
-            pytest.fail(f"fresh run failed where incremental survived "
-                        f"(trial {trial})")
-        # a fresh propagator sees the incremental result as a fixpoint:
-        # nothing more to remove or enforce
-        assert set(fresh.arcs()) == set(gv.arcs())
-        assert set(fresh.mandatory_arcs()) == set(gv.mandatory_arcs())
+        check_against_fresh(gv, trial)
+    if graphs is _clustered_graphs:
+        assert splits_under_order > 0
