@@ -1,5 +1,9 @@
 """Strongly connected components and the reduced (condensed) graph.
 
+`tarjan_scc` is the package's one SCC routine: list-indexed, restricted to
+a node subset, and shared by the reduced state below and by alldiff's
+residual graph.
+
 The reduced state mirrors the potential graph of a GraphVar: an SCC partition
 (scc_of, plus per component the sorted member list Tarjan built), the
 condensation adjacency with witness counts, and per component the set of
@@ -17,59 +21,64 @@ from .kernel import PreconditionViolation
 
 
 def tarjan_scc(nodes, succ):
-    """Iterative Tarjan over `nodes` using successor callable `succ`.
+    """Iterative Tarjan over `nodes`; `succ[u]` iterates u's successors.
 
-    Returns a list of components, each a sorted list of nodes, in reverse
-    topological discovery order.
+    Only arcs whose head is in `nodes` are followed.  Roots are taken in
+    `nodes` order and successors in iteration order.  Returns (comps,
+    joined): the components, each a sorted list of nodes, in reverse
+    topological discovery order, and whether a followed arc joins two of
+    them.
     """
-    index = {}
-    low = {}
-    on_stack = set()
+    n = len(succ)
+    done = n                # popped with its component
+    index = [n + 1] * n     # n + 1: not in nodes; -1: not visited yet
+    for v in nodes:
+        index[v] = -1
+    low = [0] * n
     stack = []
     comps = []
-    counter = 0
+    joined = False
+    count = 0
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
-        # explicit DFS stack: (node, iterator over its successors)
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        on_stack.add(root)
+        # explicit DFS stack: (node, iterator over its successors)
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                i = index[w]
+                if i < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                elif w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-    return comps
+                if i < low[v]:          # on the stack: same component
+                    low[v] = i
+                elif i == done:         # into a finished component
+                    joined = True
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comp.sort()
+                    comps.append(comp)
+                    joined = joined or bool(work)   # the tree arc in
+                else:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return comps, joined
 
 
 class ReducedState:
@@ -88,7 +97,6 @@ class ReducedState:
         self.pop_epoch = -1
         # instrumentation for the repair complexity contract
         self.last_work = 0
-        self.tarjan_runs = 0
 
     # -- construction ------------------------------------------------------
 
@@ -148,8 +156,7 @@ class ReducedState:
         self.wit.clear()
         self.out_arcs.clear()
         self._next_id = 0
-        comps = tarjan_scc(range(gv.n), lambda u: gv.succ[u])
-        self.tarjan_runs += 1
+        comps, _ = tarjan_scc(range(gv.n), gv.succ)
         for comp in comps:
             self._install_comp(comp, self._next_id)
             self._next_id += 1
@@ -199,9 +206,7 @@ class ReducedState:
         fragments = set()
         for x in sorted(dirty):
             nodes = self.members[x]
-            member = set(nodes)
-            comps = tarjan_scc(nodes, lambda u: (w for w in gv.succ[u] if w in member))
-            self.tarjan_runs += 1
+            comps, _ = tarjan_scc(nodes, gv.succ)
             work += len(nodes)
             for u in nodes:
                 work += len(gv.succ[u])

@@ -41,9 +41,12 @@ class Model:
         self.C = np.asarray(C, dtype=float)
         if self.C.shape != (n, n):
             raise ValueError(f"cost matrix must be {n}x{n}, not {self.C.shape}")
-        # NaN is not infinite, so it would silently become an absent arc
+        # NaN and -inf are not +inf, so either would silently become an
+        # absent arc
         if np.isnan(self.C).any():
             raise ValueError("arc costs must not be NaN")
+        if np.isneginf(self.C).any():
+            raise ValueError("arc costs must not be -inf")
         # bounds are rounded up and the optimizing cap is cost - 1, both of
         # which are only sound on integer costs
         finite = self.C[np.isfinite(self.C)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from .kernel import ARC_ENFORCED, ARC_REMOVED, Propagator
-from .scc import ReducedState
+from .scc import ReducedState, tarjan_scc
 
 
 class DegreePropagator(Propagator):
@@ -219,7 +219,9 @@ class AllDifferentPropagator(Propagator):
     stored pair stays valid until its arc dies.  A perfect matching covers
     every value, so the residual digraph folds onto the variables, with
     u -> mate_val[v] for each unmatched v in succ[u]; an unmatched arc
-    (u, v) survives iff u and mate_val[v] share an SCC there.
+    (u, v) survives iff u and mate_val[v] share an SCC there.  The shared
+    `tarjan_scc` finds those SCCs, and a call where no arc joins two of
+    them stops there.
     """
 
     def __init__(self, gv):
@@ -271,52 +273,18 @@ class AllDifferentPropagator(Propagator):
         for u in left:
             if mate_var[u] < 0 and not self._augment(u):
                 self.fail("no successor assignment")
-        # iterative Tarjan on the folded residual digraph
+        # the residual digraph folded onto the variables
         adj = [None] * n
         for u in left:
             mu = mate_var[u]
             adj[u] = [mate_val[v] for v in succ[u] if v != mu]
-        index = [-1] * n
-        low = [0] * n
-        comp = [-1] * n         # the root of each variable's SCC
-        stack = []
-        count = 0
-        cross = False           # an arc between two SCCs, so one to remove
-        for r in left:
-            if index[r] >= 0:
-                continue
-            index[r] = low[r] = count
-            count += 1
-            stack.append(r)
-            work = [(r, iter(adj[r]))]
-            while work:
-                u, it = work[-1]
-                for w in it:
-                    if index[w] < 0:
-                        index[w] = low[w] = count
-                        count += 1
-                        stack.append(w)
-                        work.append((w, iter(adj[w])))
-                        break
-                    if comp[w] >= 0:        # into a finished SCC
-                        cross = True
-                    elif index[w] < low[u]:     # on the stack: same SCC
-                        low[u] = index[w]
-                else:
-                    work.pop()
-                    if low[u] == index[u]:
-                        while True:
-                            w = stack.pop()
-                            comp[w] = u
-                            if w == u:
-                                break
-                        cross = cross or bool(work)     # the tree arc in
-                    else:
-                        p = work[-1][0]
-                        if low[u] < low[p]:
-                            low[p] = low[u]
-        if not cross:
+        comps, joined = tarjan_scc(left, adj)
+        if not joined:          # no arc between two SCCs, none to remove
             return
+        comp = [0] * n
+        for k, members in enumerate(comps):
+            for u in members:
+                comp[u] = k
         for u in left:
             cu = comp[u]
             mu = mate_var[u]

@@ -143,3 +143,17 @@ def test_reduced_path_split_n45(benchmark):
     assert len(set(rp.state.scc_of)) == blocks + 1
     assert rp.path_order is not None
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
+
+
+def test_reduced_state_rebuild_n45(benchmark):
+    """One full SCC rebuild of the reduced state on the root graph of a
+    clustered 45-node, density-0.5 instance (ALL/map, after the root
+    fixpoint); the graph does not change between rounds."""
+    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
+    m = Model(len(C), s, e, C, model="ALL", relax="map")
+    m.root_propagate()
+    st = m.rp.state
+    blocks = sorted(map(tuple, st.members.values()))
+    st.rebuild()
+    assert sorted(map(tuple, st.members.values())) == blocks
+    benchmark(st.rebuild)

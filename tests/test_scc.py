@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hampath import scc
 from hampath.kernel import GraphVar, PreconditionViolation
 from hampath.scc import ReducedState, tarjan_scc
 
@@ -55,17 +56,30 @@ def test_tarjan_matches_kosaraju_on_random_graphs():
         succ = [[] for _ in range(n)]
         for (u, v) in arcs:
             succ[u].append(v)
-        comps = tarjan_scc(range(n), lambda u: succ[u])
+        comps, _ = tarjan_scc(range(n), succ)
         got = frozenset(frozenset(c) for c in comps)
         assert got == kosaraju_sccs(n, arcs)
+        # on a random node subset, in random order, only induced arcs count
+        nodes = rng.sample(range(n), rng.randrange(1, n + 1))
+        comps, joined = tarjan_scc(nodes, succ)
+        assert all(c == sorted(c) for c in comps)
+        label = {v: i for i, v in enumerate(nodes)}
+        induced = [(label[u], label[v]) for (u, v) in arcs
+                   if u in label and v in label]
+        want = kosaraju_sccs(len(nodes), induced)
+        assert frozenset(frozenset(label[v] for v in c) for c in comps) == want
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        assert joined == any(comp_of[nodes[a]] != comp_of[nodes[b]]
+                             for (a, b) in induced), trial
 
 
 def test_tarjan_component_order_is_reverse_topological():
     # 0 -> 1 -> 2 with a cycle {1, 3}
-    succ = {0: [1], 1: [2, 3], 2: [], 3: [1]}
-    comps = tarjan_scc(range(4), lambda u: succ[u])
+    succ = [[1], [2, 3], [], [1]]
+    comps, joined = tarjan_scc(range(4), succ)
     pos = {frozenset(c): i for i, c in enumerate(map(frozenset, comps))}
     assert pos[frozenset({2})] < pos[frozenset({1, 3})] < pos[frozenset({0})]
+    assert joined
 
 
 def test_rebuild_structures():
@@ -128,28 +142,41 @@ def test_split_reporting_and_id_reuse():
     assert st.members[other] == [4]
 
 
-def test_tarjan_reruns_once_per_dirty_component():
+@pytest.fixture
+def tarjan_runs(monkeypatch):
+    """Count the calls the SCC layer makes to tarjan_scc."""
+    runs = []
+
+    def counting(nodes, succ):
+        runs.append(nodes)
+        return tarjan_scc(nodes, succ)
+
+    monkeypatch.setattr(scc, "tarjan_scc", counting)
+    return runs
+
+
+def test_tarjan_reruns_once_per_dirty_component(tarjan_runs):
     # two disjoint 3-cycles, one intra deletion in each
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
     gv = make_gv(6, arcs)
     st = ReducedState(gv).rebuild()
-    runs = st.tarjan_runs
+    runs = len(tarjan_runs)
     gv.remove_arc(1, 2)
     gv.remove_arc(4, 5)
     st.repair_after_deletions([(1, 2), (4, 5)])
-    assert st.tarjan_runs == runs + 2
+    assert len(tarjan_runs) == runs + 2
 
 
-def test_cross_deletion_updates_witnesses_without_tarjan():
+def test_cross_deletion_updates_witnesses_without_tarjan(tarjan_runs):
     arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]
     gv = make_gv(4, arcs)
     st = ReducedState(gv).rebuild()
-    runs = st.tarjan_runs
+    runs = len(tarjan_runs)
     a = st.scc_of[0]
     b = st.scc_of[2]
     gv.remove_arc(0, 3)
     st.repair_after_deletions([(0, 3)])
-    assert st.tarjan_runs == runs
+    assert len(tarjan_runs) == runs
     assert st.wit[(a, b)] == 1
     gv.remove_arc(1, 2)
     st.repair_after_deletions([(1, 2)])

@@ -178,6 +178,12 @@ def _with_nan():
     return C
 
 
+def _with_neg_inf():
+    C = _path_costs_4x4()
+    C[0, 2] = -np.inf
+    return C
+
+
 @pytest.mark.parametrize("n, C, relax", [
     # a 3-node model would read the 4x4 matrix's top-left corner, where
     # the path 0->1->2 exists, and still answer infeasible
@@ -185,7 +191,8 @@ def _with_nan():
     # a 5-node model would index past the matrix
     (5, _path_costs_4x4(), "tree"),
     (4, _with_nan(), "tree"),
-], ids=["too-large", "too-small", "nan"])
+    (4, _with_neg_inf(), "map"),
+], ids=["too-large", "too-small", "nan", "neg-inf"])
 def test_model_rejects_malformed_cost_matrix(n, C, relax):
     with pytest.raises(ValueError):
         Model(n, 0, n - 1, C, relax=relax)
