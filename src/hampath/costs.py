@@ -28,12 +28,13 @@ class Objective:
     """Best-cost bookkeeping shared by the cost propagators.
 
     ub is a global inclusive cap (never undone on backtracking), lb is the
-    current world's proven floor and restores with the trail.
+    current world's proven floor and restores with the trail.  Costs may
+    be negative, so the floor starts at -inf; root propagation sets it.
     """
 
     def __init__(self, gv):
         self.gv = gv
-        self.lb = 0
+        self.lb = -INF
         self.ub = None
 
     def tighten_lb(self, value):
@@ -418,10 +419,8 @@ class HeldKarpPropagator(Propagator):
         self.reduced = reduced
         self.pi_out = np.zeros(gv.n)
         self.pi_in = np.zeros(gv.n)
-        self.last_analysis = None
         self.last_marginals = None
         self.last_swaps = None
-        self.best_lb = -INF
         self._done_stamp = None
         self._full_key = None
 
@@ -460,7 +459,6 @@ class HeldKarpPropagator(Propagator):
             if self.obj.ub is not None and \
                     math.ceil(lb - CEIL_EPS) > self.obj.ub:
                 self.pi_out, self.pi_in = best_pi
-                self.best_lb = max(self.best_lb, best)
                 self.fail("bound exceeds the cap")
             # ascent direction of L(pi) = min_T sum(c + pi) - sum(pi):
             # raise the price of nodes the tree over-uses
@@ -497,18 +495,14 @@ class HeldKarpPropagator(Propagator):
         if key != self._full_key:
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)
-            runs = 2 if gv.depth == 0 else 1
-            best = -INF
-            for _ in range(runs):
-                best = max(best, self._run(ub_target, blocks, cuts))
-            self.best_lb = best
+            for _ in range(2 if gv.depth == 0 else 1):
+                self._run(ub_target, blocks, cuts)
             self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the marginals and swap costs the branching reads
         E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
         bt = block_tree(E, S, blocks, cuts)
-        self.last_analysis = bt
         self.obj.tighten_lb(int(math.ceil(bt.total - offset - CEIL_EPS)))
         _, _, marginals, self.last_swaps = wst_filter(
             gv, bt, E, INF if ub is None else float(ub), offset, sink=self)
@@ -530,8 +524,6 @@ class HungarianPropagator(Propagator):
     duals, drops stale or non-tight matches, then re-augments.
     """
 
-    BIGC = 1e15
-
     def __init__(self, gv, C, obj):
         super().__init__(gv)
         self.name = "assignment"
@@ -541,8 +533,8 @@ class HungarianPropagator(Propagator):
         self.cols = [v for v in range(gv.n) if v != gv.s]
         # flat positions of the rows x cols block, for ndarray.take
         self._flat = np.add.outer(np.array(self.rows) * gv.n, self.cols)
-        base = np.asarray(C, dtype=float).take(self._flat)
-        self.Cbase = np.where(np.isfinite(base), base, self.BIGC)
+        # inf marks an absent arc
+        self.Cbase = np.asarray(C, dtype=float).take(self._flat)
         # plain lists: the augmenting loops read them one entry at a time
         self.du = [0.0] * len(self.rows)
         self.dv = [0.0] * len(self.cols)
@@ -558,12 +550,12 @@ class HungarianPropagator(Propagator):
         done = [False] * m
         while True:
             j_best = -1
-            d_best = self.BIGC
+            d_best = INF
             for j in range(m):
                 if not done[j] and dist[j] < d_best:
                     d_best = dist[j]
                     j_best = j
-            if j_best == -1 or d_best >= self.BIGC / 2:
+            if j_best == -1:
                 self.fail("no successor assignment within the domain")
             j = j_best
             done[j] = True
@@ -599,7 +591,7 @@ class HungarianPropagator(Propagator):
         if self._done_stamp == gv.stamp():
             return
         A = gv.pmask.take(self._flat)
-        Cm = np.where(A, self.Cbase, self.BIGC)
+        Cm = np.where(A, self.Cbase, INF)
         # revived arcs may undercut the duals: clamp columns down
         colmin = (Cm - np.array(self.du)[:, None]).min(axis=0)
         self.dv = np.minimum(self.dv, colmin).tolist()
@@ -618,8 +610,6 @@ class HungarianPropagator(Propagator):
             if row_match[i] == -1:
                 self._augment(i, Cl)
         cost = float(sum(Cl[i][j] for i, j in enumerate(row_match)))
-        if cost >= self.BIGC / 2:
-            self.fail("no successor assignment within the domain")
         self.obj.tighten_lb(int(math.ceil(cost - CEIL_EPS)))
         ub = self.obj.ub
         if ub is not None:

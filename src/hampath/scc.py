@@ -95,8 +95,6 @@ class ReducedState:
         self.out_arcs = {}             # scc id -> set of cross arcs (u, v)
         self._next_id = 0
         self.pop_epoch = -1
-        # instrumentation for the repair complexity contract
-        self.last_work = 0
 
     # -- construction ------------------------------------------------------
 
@@ -118,18 +116,14 @@ class ReducedState:
         row.clear()
         scc_of = self.scc_of
         gv = self.gv
-        work = 0
         for u in self.members[x]:
-            work += 1
             for v in gv.succ[u]:
-                work += 1
                 y = scc_of[v]
                 if y != x:
                     row.add((u, v))
                     self.wit[(x, y)] = self.wit.get((x, y), 0) + 1
                     self.radj[x].add(y)
                     self.rpred[y].add(x)
-        return work
 
     def _rewit_row(self, p):
         """Refresh p's reduced arcs after head components changed id."""
@@ -138,14 +132,11 @@ class ReducedState:
             self.wit.pop((p, y), None)
         self.radj[p].clear()
         scc_of = self.scc_of
-        work = 0
         for (u, v) in self.out_arcs[p]:
-            work += 1
             y = scc_of[v]
             self.wit[(p, y)] = self.wit.get((p, y), 0) + 1
             self.radj[p].add(y)
             self.rpred[y].add(p)
-        return work
 
     def rebuild(self):
         """Full Tarjan pass over the current potential graph."""
@@ -160,11 +151,9 @@ class ReducedState:
         for comp in comps:
             self._install_comp(comp, self._next_id)
             self._next_id += 1
-        work = 0
         for x in range(self._next_id):
-            work += self._scan_out_row(x)
+            self._scan_out_row(x)
         self.pop_epoch = gv.pop_epoch
-        self.last_work = gv.n + work
         return self
 
     # -- incremental repair --------------------------------------------------
@@ -181,11 +170,9 @@ class ReducedState:
         gv = self.gv
         if self.pop_epoch != gv.pop_epoch:
             raise PreconditionViolation("state is stale after backtracking; rebuild")
-        work = 0
         dirty = set()
         # phase A: classify against the partition as of the batch start
         for (u, v) in removed:
-            work += 1
             x = self.scc_of[u]
             y = self.scc_of[v]
             if x == y:
@@ -207,9 +194,6 @@ class ReducedState:
         for x in sorted(dirty):
             nodes = self.members[x]
             comps, _ = tarjan_scc(nodes, gv.succ)
-            work += len(nodes)
-            for u in nodes:
-                work += len(gv.succ[u])
             if len(comps) == 1:
                 continue
             # largest fragment keeps the id; ties go to the smallest member
@@ -235,9 +219,8 @@ class ReducedState:
         # are rescanned from the graph; rows of surviving predecessors only
         # need their head components remapped.
         for f in sorted(fragments):
-            work += self._scan_out_row(f)
+            self._scan_out_row(f)
         for p in sorted(affected_preds - fragments):
-            work += self._rewit_row(p)
-        self.last_work = work
+            self._rewit_row(p)
         return splits
 

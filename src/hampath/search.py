@@ -36,7 +36,6 @@ class Model:
             raise ValueError(f"unknown model {model!r}")
         if relax not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {relax!r}")
-        self.model_name = model
         self.relax = relax
         self.C = np.asarray(C, dtype=float)
         if self.C.shape != (n, n):

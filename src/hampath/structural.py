@@ -470,12 +470,11 @@ class ReducedPathPropagator(Propagator):
     checked again.
     """
 
-    def __init__(self, gv, door_rules=True):
+    def __init__(self, gv):
         super().__init__(gv)
         self.name = "reduced-path"
         self.priority = 2
         self.events = deque()
-        self.door_rules = door_rules
         self.state = ReducedState(gv)
         self.path_order = None
         self.path_pos = None
@@ -535,8 +534,7 @@ class ReducedPathPropagator(Propagator):
             return
         self.path_order = order
         self.path_pos = {x: i for i, x in enumerate(order)}
-        if self.door_rules:
-            self._apply_doors(order)
+        self._apply_doors(order)
 
     # -- door rules ----------------------------------------------------------
 
@@ -626,7 +624,7 @@ class ReducedPathPropagator(Propagator):
             for (x, y) in sorted(cuts):
                 if self.path_pos[y] == self.path_pos[x] + 1:
                     self._pin(x, y)
-            if self.door_rules and touched:
+            if touched:
                 near = set()
                 for b in touched:
                     i = self.path_pos[b]

@@ -10,6 +10,7 @@ from hampath.scc import ReducedState, tarjan_scc
 
 from oracles import (kosaraju_sccs, partition, reachable_pairs,
                      reduced_path_order, transitive_closure)
+from probes import SccWork
 
 
 def random_digraph(rng, n, p):
@@ -99,7 +100,8 @@ def test_rebuild_structures():
     assert st.members[a] == sorted(st.members[a])
 
 
-def test_repair_equals_rebuild_randomized():
+def test_repair_equals_rebuild_randomized(monkeypatch):
+    work = SccWork(monkeypatch)
     rng = random.Random(42)
     for trial in range(60):
         n = rng.randrange(4, 14)
@@ -115,11 +117,13 @@ def test_repair_equals_rebuild_randomized():
                 gv.remove_arc(u, v)
             if not batch:
                 continue
+            work.total = 0
             st.repair_after_deletions(batch)
+            repaired = work.total
             fresh = ReducedState(gv).rebuild()
             assert norm(st) == norm(fresh), f"trial {trial} diverged"
             m = gv.n_potential + len(batch)
-            assert st.last_work <= 4 * (gv.n + m)
+            assert repaired <= 4 * (gv.n + m)
 
 
 def test_split_reporting_and_id_reuse():

@@ -19,6 +19,7 @@ from hampath.structural import (
 
 import figures as fig
 import oracles
+from probes import WalkOnlyReducedPath
 
 
 def make(arcs, n=fig.N, s=fig.S, e=fig.E):
@@ -39,7 +40,7 @@ def run(gv, sched, props):
 
 def test_walk_removes_block_skipping_arcs():
     gv, sched = make(fig.arc_set(fig.SKIP7))
-    rp = ReducedPathPropagator(gv, door_rules=False)
+    rp = WalkOnlyReducedPath(gv)
     run(gv, sched, [rp])
     removed = fig.arc_set(fig.SKIP7) - set(gv.arcs())
     assert removed == {(0, 4), (2, 6)}
@@ -52,7 +53,7 @@ def test_walk_removes_block_skipping_arcs():
 def test_walk_pruning_is_sound():
     # every arc the walk removes lies on no Hamiltonian path at all
     gv, sched = make(fig.arc_set(fig.SKIP7))
-    rp = ReducedPathPropagator(gv, door_rules=False)
+    rp = WalkOnlyReducedPath(gv)
     run(gv, sched, [rp])
     paths = [set(zip(seq, seq[1:]))
              for seq in oracles.ham_paths(fig.N, fig.S, fig.E,
@@ -70,7 +71,7 @@ def test_door_rules_cascade():
     # with door rules on, the two-door block {1,2} loses its internal arc
     # (2,1); the block then splits and the walk tightens further
     gv, sched = make(fig.arc_set(fig.SKIP7))
-    rp = ReducedPathPropagator(gv, door_rules=True)
+    rp = ReducedPathPropagator(gv)
     run(gv, sched, [rp])
     removed = fig.arc_set(fig.SKIP7) - set(gv.arcs())
     assert removed == {(0, 4), (2, 6), (2, 1), (1, 4)}
@@ -538,10 +539,10 @@ def test_position_bounds_match_the_hall_sweep_at_n45():
 # -- incremental equals from-scratch ----------------------------------------------
 
 
-def _fresh_fixpoint(n, s, e, arcs, mandatory, door_rules):
+def _fresh_fixpoint(n, s, e, arcs, mandatory, propagator):
     gv = GraphVar(n, s, e, sorted(arcs))
     sched = Scheduler(gv)
-    rp = ReducedPathPropagator(gv, door_rules=door_rules)
+    rp = propagator(gv)
     sched.register(rp)
     for (u, v) in sorted(mandatory):
         gv.enforce_arc(u, v)
@@ -582,15 +583,16 @@ def _clustered_graphs(rng):
                   if math.isfinite(C[u, v])}
 
 
-@pytest.mark.parametrize("door_rules, graphs, steps, seed", [
-    pytest.param(False, _dense_graphs, (2, 5), 100, id="False"),
-    pytest.param(True, _dense_graphs, (2, 5), 101, id="True"),
-    pytest.param(False, _clustered_graphs, (30, 40), 200,
+# the ids say whether the door rules run
+@pytest.mark.parametrize("propagator, graphs, steps, seed", [
+    pytest.param(WalkOnlyReducedPath, _dense_graphs, (2, 5), 100, id="False"),
+    pytest.param(ReducedPathPropagator, _dense_graphs, (2, 5), 101, id="True"),
+    pytest.param(WalkOnlyReducedPath, _clustered_graphs, (30, 40), 200,
                  id="clustered-False"),
-    pytest.param(True, _clustered_graphs, (30, 40), 201,
+    pytest.param(ReducedPathPropagator, _clustered_graphs, (30, 40), 201,
                  id="clustered-True"),
 ])
-def test_incremental_walk_equals_fresh(door_rules, graphs, steps, seed):
+def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
     """Random decision sequences with push/pop; after every decision the
     incrementally maintained propagator must land on the same graph and
     the same block order as a fresh propagator given the surviving
@@ -603,7 +605,7 @@ def test_incremental_walk_equals_fresh(door_rules, graphs, steps, seed):
         mand = [a for a in gv.arcs() if gv.has_mandatory(*a)]
         try:
             fresh, fresh_rp = _fresh_fixpoint(gv.n, gv.s, gv.e,
-                                              set(gv.arcs()), mand, door_rules)
+                                              set(gv.arcs()), mand, propagator)
         except Contradiction:
             pytest.fail(f"fresh run failed where incremental survived "
                         f"(trial {trial})")
@@ -617,7 +619,7 @@ def test_incremental_walk_equals_fresh(door_rules, graphs, steps, seed):
         s, e = 0, n - 1
         gv = GraphVar(n, s, e, sorted(arcs))
         sched = Scheduler(gv)
-        rp = ReducedPathPropagator(gv, door_rules=door_rules)
+        rp = propagator(gv)
         sched.register(rp)
         sched.schedule_all()
         try:
