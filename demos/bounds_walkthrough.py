@@ -30,8 +30,8 @@ N, S, E = 7, 0, 6
 
 class WalkOnly(ReducedPathPropagator):
     # the door rules would prune (2, 1) and (1, 4) and split block {1, 2};
-    # the walkthrough compares both trees on the walk's block order alone
-    def _apply_doors(self, blocks):
+    # the walkthrough compares both trees on the cut pinning's block order
+    def _apply_doors(self, cuts):
         pass
 
 
@@ -54,7 +54,7 @@ def main():
     print("instance: 7 nodes, optimum %d via %s" % (opt, path))
 
     gv, rp = build()
-    print("block order:", [rp.state.members[x] for x in rp.path_order])
+    print("block order:", rp.blocks)
 
     Ecost, Scost = effective_costs(gv, C)
     mst = block_tree(Ecost, Scost, *tree_oracle(gv)).total

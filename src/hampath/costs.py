@@ -139,29 +139,26 @@ def tree_oracle(gv, reduced=None):
 
     A block is (members, index array, mandatory pairs), the members
     ascending and the pairs in member positions; a cut is (arcs, tails,
-    heads, mandatory arc or None) between two consecutive blocks.  Once the
-    reduced-path propagator `reduced` holds a block order in sync with the
-    domain, every block of that order is spanned on its own and each cut
-    adds one connector arc.  Otherwise one block holds all n nodes, with
-    no index array, and there are no cuts: the plain spanning tree.
+    heads, mandatory arc or None) between two consecutive blocks.  While
+    the reduced-path propagator `reduced` holds a block order from a
+    complete call made since the last backtrack, every block of that order
+    is spanned on its own and each cut adds one connector arc.  Otherwise
+    one block holds all n nodes, with no index array, and there are no
+    cuts: the plain spanning tree.
     """
     mand = mandatory_pairs(gv)
-    if reduced is None or reduced.path_order is None \
-            or reduced.state.pop_epoch != gv.pop_epoch:
+    if reduced is None or reduced.epoch != gv.pop_epoch:
         return [(range(gv.n), None, mand)], []
-    st = reduced.state
-    order = reduced.path_order
     blocks = []
-    for x in order:
-        members = st.members[x]
+    for members in reduced.blocks:
         pos = {u: i for i, u in enumerate(members)}
         blocks.append((members, np.array(members),
                        [(pos[a], pos[b]) for (a, b) in mand
                         if a in pos and b in pos]))
     cuts = []
-    for x, y in zip(order, order[1:]):
-        cut = sorted((u, v) for (u, v) in st.out_arcs[x]
-                     if st.scc_of[v] == y and gv.has_arc(u, v))
+    for kept in reduced.cuts:
+        # arcs can only have gone since that call
+        cut = [a for a in kept if gv.has_arc(*a)]
         if not cut:
             raise Contradiction("block tree: empty cut between blocks")
         forced = next((a for a in cut if gv.has_mandatory(*a)), None)

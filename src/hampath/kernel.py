@@ -6,8 +6,8 @@ may still be part of the path) and the mandatory graph (arcs that must be).
 The variable is instantiated when both coincide.  Backtracking restores state
 through a trail of undo closures.  Every domain mutation schedules each
 subscribed propagator and appends exactly one event to the queue of each
-subscriber that keeps one.  Only the degree, no-cycle and reduced-path
-propagators keep a queue; the others re-read the domain when woken.
+subscriber that keeps one.  Only the degree and no-cycle propagators keep
+a queue; the others re-read the domain when woken.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class GraphVar:
         """Undo every change since the matching push.
 
         Pending propagator events refer to the abandoned world and are
-        discarded; propagators with heavier incremental state notice the
-        epoch bump and rebuild lazily.
+        discarded; state kept from the abandoned world is recognised by
+        the epoch bump.
         """
         d = self.trail.pop()
         self.pop_epoch += 1

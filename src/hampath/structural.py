@@ -2,9 +2,9 @@
 
 Everything in here prunes the graph variable through combinatorial
 arguments only; cost reasoning lives in costs.py.  The reduced-path
-propagator is the workhorse: it keeps an incremental SCC condensation and
-walks it to pin down the block order, pruning arcs that cross the
-established cuts the wrong way.  The dominator and position propagators
+propagator is the workhorse: it recomputes the SCC condensation on every
+call, reads the block order off it and prunes arcs that cross the cuts
+between blocks the wrong way.  The dominator and position propagators
 reason from the two endpoints alone and never read the block order.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kernel import ARC_ENFORCED, ARC_REMOVED, Propagator
+from .kernel import ARC_ENFORCED, Propagator
 from .scc import ReducedState, tarjan_scc
 
 
@@ -278,13 +278,9 @@ class AllDifferentPropagator(Propagator):
         for u in left:
             mu = mate_var[u]
             adj[u] = [mate_val[v] for v in succ[u] if v != mu]
-        comps, joined = tarjan_scc(left, adj)
+        _, comp, joined = tarjan_scc(left, adj)
         if not joined:          # no arc between two SCCs, none to remove
             return
-        comp = [0] * n
-        for k, members in enumerate(comps):
-            for u in members:
-                comp[u] = k
         for u in left:
             cu = comp[u]
             mu = mate_var[u]
@@ -458,103 +454,42 @@ class PositionPropagator(Propagator):
 
 
 class ReducedPathPropagator(Propagator):
-    """Maintain the SCC condensation and walk it into a block path.
+    """Prune arcs that cannot lie on a path through the SCC condensation.
 
-    The state is repaired incrementally from the deletion events.  One walk
-    orders the blocks: it starts from the s block and runs whenever a block
-    splits, or whenever an arc goes while no order is known.  Once a
-    block's successor is pinned, each of its other outgoing arcs dies, a
-    cut with one witness arc enforces it, and the door rules prune inside
-    blocks with a single entry or exit node.  While the order holds and no
-    block splits, only the cuts and blocks next to the changed arcs are
-    checked again.
+    Every call rebuilds the SCC partition.  The condensation is a DAG and
+    its blocks come in topological order, so a Hamiltonian path through
+    the blocks exists iff each block has an arc into the next one, and
+    then follows that order.  Per consecutive pair the arcs out of a block
+    that skip the next block die, an empty cut fails, a mandatory witness
+    evicts the other witnesses and a lone witness is enforced.  The door
+    rules then prune inside blocks with a single entry or exit node.
+
+    `blocks` and `cuts` keep the block order and the witness arcs of every
+    cut from the last complete call, and `epoch` the gv.pop_epoch it ran
+    in.  The tree oracle reads them until the next backtrack: only arcs
+    can go before then, so every path left still runs through the blocks
+    in that order.
     """
 
     def __init__(self, gv):
         super().__init__(gv)
         self.name = "reduced-path"
         self.priority = 2
-        self.events = deque()
         self.state = ReducedState(gv)
-        self.path_order = None
-        self.path_pos = None
+        self.blocks = None
+        self.cuts = None
+        self.epoch = -1
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _pin(self, x, y):
-        """Block y follows block x: every other arc out of x dies, and the
-        cut from x to y fails when empty and is enforced when one arc wide."""
-        st = self.state
-        gv = self.gv
-        witnesses = []
-        for (a, b) in sorted(st.out_arcs[x]):
-            if st.scc_of[b] != y:
-                self.remove(a, b)
-            elif gv.has_arc(a, b):
-                witnesses.append((a, b))
-        if not witnesses:
-            self.fail("cut between consecutive blocks is empty")
-        if len(witnesses) == 1:
-            self.enforce(*witnesses[0])
-
-    # -- the walk ------------------------------------------------------------
-
-    def _walk(self):
-        """Walk the condensation from the s block, then apply the door rules
-        to every block once the order covers them all."""
-        st = self.state
-        gv = self.gv
-        self.path_order = None
-        self.path_pos = None
-        s_block = st.scc_of[gv.s]
-        e_block = st.scc_of[gv.e]
-        for x in sorted(st.members):
-            if x != s_block and not st.rpred[x]:
-                self.fail("block with no way in")
-        visited = {s_block}
-        order = [s_block]
-        x = s_block
-        while x != e_block:
-            cands = []
-            for y in sorted(st.radj[x]):
-                if y not in visited and not (st.rpred[y] - visited):
-                    cands.append(y)
-            if not cands:
-                break
-            if len(cands) > 1:
-                self.fail("two blocks forced into the same slot")
-            (y,) = cands
-            self._pin(x, y)
-            visited.add(y)
-            order.append(y)
-            x = y
-        if len(order) != len(st.members):
-            if x == e_block:
-                self.fail("endpoint block reached with blocks left over")
-            return
-        self.path_order = order
-        self.path_pos = {x: i for i, x in enumerate(order)}
-        self._apply_doors(order)
-
-    # -- door rules ----------------------------------------------------------
-
-    def _apply_doors(self, blocks):
-        st = self.state
-        gv = self.gv
-        pos = self.path_pos
-        order = self.path_order
-        for r in sorted(blocks):
-            members = st.members[r]
+    def _apply_doors(self, cuts):
+        """Door rules on every interior block; cuts[k] is the list of
+        witness arcs from block k into block k + 1."""
+        blocks = self.state.members
+        for k in range(1, len(blocks) - 1):
+            members = blocks[k]
             if len(members) < 2:
                 continue
-            i = pos[r]
-            prev_b, next_b = order[i - 1], order[i + 1]
-            indoor = {b for (a, b) in st.out_arcs[prev_b]
-                      if st.scc_of[b] == r and gv.has_arc(a, b)}
-            outdoor = {a for (a, b) in st.out_arcs[r]
-                       if st.scc_of[b] == next_b and gv.has_arc(a, b)}
-            if not indoor or not outdoor:
-                self.fail("cut between consecutive blocks is empty")
+            indoor = {b for (_, b) in cuts[k - 1]}
+            outdoor = {a for (a, _) in cuts[k]}
             if len(indoor) == 1:
                 (i0,) = indoor
                 for j in members:
@@ -571,66 +506,35 @@ class ReducedPathPropagator(Propagator):
                 self.remove(a, b)
                 self.remove(b, a)
 
-    # -- main loop -------------------------------------------------------------
-
     def propagate(self):
         gv = self.gv
-        st = self.state
-        if st.pop_epoch != gv.pop_epoch:
-            self.events.clear()
-            st.rebuild()
-            self._walk()
-        while self.events:
-            removed = []
-            enforced = []
-            while self.events:
-                kind, u, v = self.events.popleft()
-                if kind == ARC_REMOVED:
-                    removed.append((u, v))
-                else:
-                    enforced.append((u, v))
-            splits = st.repair_after_deletions(removed) if removed else []
-            walked = bool(splits) or (bool(removed) and self.path_order is None)
-            if walked:
-                self._walk()
-            touched = set()
-            for (u, v) in enforced:
-                x, y = st.scc_of[u], st.scc_of[v]
-                if x == y:
-                    continue
-                if self.path_pos is not None:
-                    if self.path_pos[y] != self.path_pos[x] + 1:
-                        self.fail("mandatory arc skips a block")
-                # the path leaves x and enters y exactly once
-                for (a, b) in sorted(st.out_arcs[x]):
-                    if (a, b) != (u, v):
-                        self.remove(a, b)
-                for p in sorted(st.rpred[y]):
-                    for (a, b) in sorted(st.out_arcs[p]):
-                        if st.scc_of[b] == y and (a, b) != (u, v):
-                            self.remove(a, b)
-                touched.update((x, y))
-            if walked or self.path_pos is None:
-                continue
-            # the order held: re-pin the consecutive blocks whose cut lost
-            # an arc (the last walk already removed every other arc out of
-            # them) and recheck the door rules next to every changed block
-            cuts = set()
-            for (u, v) in removed:
-                x, y = st.scc_of[u], st.scc_of[v]
-                if x != y:
-                    cuts.add((x, y))
-                    touched.update((x, y))
-            for (x, y) in sorted(cuts):
-                if self.path_pos[y] == self.path_pos[x] + 1:
-                    self._pin(x, y)
-            if touched:
-                near = set()
-                for b in touched:
-                    i = self.path_pos[b]
-                    near.add(b)
-                    if i > 0:
-                        near.add(self.path_order[i - 1])
-                    if i + 1 < len(self.path_order):
-                        near.add(self.path_order[i + 1])
-                self._apply_doors(near)
+        st = self.state.rebuild()
+        blocks = st.members
+        scc_of = st.scc_of
+        cuts = []
+        for k in range(len(blocks) - 1):
+            # arcs out of block k run forward; all but those into k + 1
+            # skip a block, and the path leaves k into k + 1 exactly once
+            cut = []
+            for u in blocks[k]:
+                for v in sorted(gv.succ[u]):
+                    y = scc_of[v]
+                    if y == k + 1:
+                        cut.append((u, v))
+                    elif y != k:
+                        self.remove(u, v)
+            if not cut:
+                self.fail("cut between consecutive blocks is empty")
+            forced = [a for a in cut if gv.has_mandatory(*a)]
+            if forced:
+                for a in cut:
+                    if a != forced[0]:
+                        self.remove(*a)     # raises on a second mandatory
+                cut = forced
+            elif len(cut) == 1:
+                self.enforce(*cut[0])
+            cuts.append(cut)
+        self._apply_doors(cuts)
+        self.blocks = blocks
+        self.cuts = cuts
+        self.epoch = gv.pop_epoch

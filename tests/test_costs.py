@@ -43,7 +43,7 @@ def with_order(arcs):
     sched.register(rp)
     sched.schedule_all()
     sched.run_fixpoint()
-    assert rp.path_order is not None
+    assert rp.epoch == gv.pop_epoch     # the tree oracle reads its blocks
     return gv, rp
 
 
@@ -241,7 +241,7 @@ def test_block_tree_filter_soundness_randomized():
             sched.run_fixpoint()
         except Contradiction:
             pytest.fail("walk failed although a Hamiltonian path exists")
-        if rp.path_order is None or len(rp.path_order) < 3:
+        if len(rp.blocks) < 3:
             continue
         tried += 1
         live = {(u, v): C[(u, v)] for (u, v) in gv.arcs()}
@@ -378,7 +378,7 @@ def test_propagator_tree_follows_the_block_order(model, want):
         assert hk.reduced is m.rp
         hk.reduced = WalkOnlyReducedPath(m.gv)
         hk.reduced.propagate()      # establish the block order only
-        assert len(hk.reduced.path_order) == len(fig.BASE7_BLOCKS)
+        assert len(hk.reduced.blocks) == len(fig.BASE7_BLOCKS)
     assert not hk.pi_out.any() and not hk.pi_in.any()
     total, xs, ys = hk._tree_at(*tree_oracle(m.gv, hk.reduced))
     assert total == want

@@ -203,7 +203,7 @@ def test_only_event_readers_keep_event_queues():
               relax="both")
     assert len(m.scheduler.props) == 6
     assert [p.name for p in m.scheduler.props if p.events is not None] == \
-        ["degree", "nocycle", "reduced-path"]
+        ["degree", "nocycle"]
 
 
 MODEL_PROPS = {"BASIC": [], "ARB": ["arbo", "arbo-rev"], "POS": ["positions"],

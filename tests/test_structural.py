@@ -45,8 +45,7 @@ def test_walk_removes_block_skipping_arcs():
     removed = fig.arc_set(fig.SKIP7) - set(gv.arcs())
     assert removed == {(0, 4), (2, 6)}
     assert set(gv.mandatory_arcs()) == {(0, 1)}
-    assert rp.path_order is not None
-    blocks = [frozenset(rp.state.members[x]) for x in rp.path_order]
+    blocks = [frozenset(b) for b in rp.state.members]
     assert blocks == fig.BASE7_BLOCKS
 
 
@@ -76,7 +75,7 @@ def test_door_rules_cascade():
     removed = fig.arc_set(fig.SKIP7) - set(gv.arcs())
     assert removed == {(0, 4), (2, 6), (2, 1), (1, 4)}
     assert set(gv.mandatory_arcs()) == {(0, 1), (1, 2)}
-    blocks = [frozenset(rp.state.members[x]) for x in rp.path_order]
+    blocks = [frozenset(b) for b in rp.state.members]
     assert blocks == [frozenset({0}), frozenset({1}), frozenset({2}),
                       frozenset({3, 4, 5}), frozenset({6})]
 
@@ -552,9 +551,7 @@ def _fresh_fixpoint(n, s, e, arcs, mandatory, propagator):
 
 
 def _block_order(rp):
-    if rp.path_order is None:
-        return None
-    return [frozenset(rp.state.members[x]) for x in rp.path_order]
+    return [frozenset(b) for b in rp.state.members]
 
 
 def _dense_graphs(rng):
@@ -574,7 +571,7 @@ def _dense_graphs(rng):
 
 def _clustered_graphs(rng):
     """A dozen 3-cluster gen_random graphs on 20-30 nodes; their blocks
-    split while the block order is known."""
+    split under decisions."""
     for _ in range(12):
         n = rng.randint(20, 30)
         C, _, _ = gen_random(n, seed=rng.randrange(10**6),
@@ -594,11 +591,11 @@ def _clustered_graphs(rng):
 ])
 def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
     """Random decision sequences with push/pop; after every decision the
-    incrementally maintained propagator must land on the same graph and
-    the same block order as a fresh propagator given the surviving
-    decisions."""
+    propagator, which keeps its cuts across worlds, must land on the same
+    graph and the same block order as a fresh propagator given the
+    surviving decisions."""
     rng = random.Random(seed)
-    splits_under_order = 0
+    grew = 0        # decisions after which the condensation has more blocks
 
     def check_against_fresh(gv, trial):
         """Assert a fresh propagator's fixpoint equals gv; its block order."""
@@ -627,18 +624,8 @@ def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
         except Contradiction:
             continue
 
-        repair = rp.state.repair_after_deletions
-
-        def counting_repair(removed):
-            nonlocal splits_under_order
-            splits = repair(removed)
-            if splits and rp.path_order is not None:
-                splits_under_order += 1
-            return splits
-
-        rp.state.repair_after_deletions = counting_repair
-
-        applied = []
+        # block count per world on the decision stack, root first
+        sizes = [len(rp.state.members)]
         for _ in range(rng.randint(*steps)):
             live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
             if not live:
@@ -658,12 +645,13 @@ def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
                 sched.clear()
                 continue
             assert check_against_fresh(gv, trial) == _block_order(rp)
-            applied.append((kind, arc))
-            if rng.random() < 0.3 and applied:
+            grew += len(rp.state.members) > sizes[-1]
+            sizes.append(len(rp.state.members))
+            if rng.random() < 0.3:
                 # back out the most recent decision again
                 gv.pop_world()
                 sched.clear()
-                applied.pop()
+                sizes.pop()
         check_against_fresh(gv, trial)
     if graphs is _clustered_graphs:
-        assert splits_under_order > 0
+        assert grew > 0
