@@ -10,8 +10,8 @@ plain bound cannot touch.  One swap filter serves both trees.
 
 import numpy as np
 
-from hampath.costs import block_tree, effective_costs, tree_oracle, wst_filter
-from hampath.kernel import GraphVar, Scheduler
+from hampath.costs import effective_costs, span_blocks, tree_oracle, wst_filter
+from hampath.kernel import GraphVar, Propagator, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.structural import ReducedPathPropagator
 
@@ -45,6 +45,17 @@ def build():
     return gv, rp
 
 
+def filtered(gv, E, S, oracle, ub):
+    """Arcs the swap filter removes and enforces at cap ub, as a domain
+    diff; a bare propagator makes the changes."""
+    arcs, mandatory = set(gv.arcs()), set(gv.mandatory_arcs())
+    blocks, cuts, _ = oracle
+    wst_filter(Propagator(gv), E, S, span_blocks(E, S, *oracle), blocks, cuts,
+               ub, 0.0)
+    return (sorted(arcs - set(gv.arcs())),
+            sorted(set(gv.mandatory_arcs()) - mandatory))
+
+
 def main():
     C = np.full((N, N), np.inf)
     for (u, v), w in ARCS.items():
@@ -56,24 +67,23 @@ def main():
     gv, rp = build()
     print("block order:", rp.blocks)
 
-    Ecost, Scost = effective_costs(gv, C)
-    mst = block_tree(Ecost, Scost, *tree_oracle(gv)).total
-    bst = block_tree(Ecost, Scost, *tree_oracle(gv, rp))
+    zero = np.zeros(N)
+    Ecost, Scost = effective_costs(gv, C, zero, zero)
+    mst = span_blocks(Ecost, Scost, *tree_oracle(gv))[0]
+    bst, trees, connectors = span_blocks(Ecost, Scost, *tree_oracle(gv, rp))
     print("plain spanning tree bound: %d" % mst)
     print("block spanning tree bound: %d  (per block %s, connectors %s)"
-          % (bst.total, [int(t.total) for t in bst.trees],
-             sorted(c for c, _, _, _ in bst.connectors)))
+          % (bst, [int(sum(Scost[a, c] for a, c in t)) for t in trees],
+             sorted(float(Ecost[a]) for a in connectors)))
 
-    removed, enforced, _, _ = wst_filter(gv, bst, Ecost, ub=opt)
+    removed, enforced = filtered(gv, Ecost, Scost, tree_oracle(gv, rp), opt)
     print("block filter at ub=%d removes %s, enforces %s"
-          % (opt, sorted(removed), sorted(enforced)))
+          % (opt, removed, enforced))
 
     gv2, _ = build()
-    E2, S2 = effective_costs(gv2, C)
-    tree = block_tree(E2, S2, *tree_oracle(gv2))
-    wrem, wenf, _, _ = wst_filter(gv2, tree, E2, ub=opt)
+    wrem, wenf = filtered(gv2, Ecost, Scost, tree_oracle(gv2), opt)
     print("plain filter at ub=%d removes %s, enforces %s"
-          % (opt, sorted(wrem), sorted(wenf)))
+          % (opt, wrem, wenf))
 
 
 if __name__ == "__main__":

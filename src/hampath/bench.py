@@ -118,11 +118,16 @@ def main(argv=None):
 
     rows = bench_grid(insts, heuristics, models, relax=args.relax,
                       time_limit=args.time_limit)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                write_csv(rows, fh)
+        else:
+            write_csv(rows, sys.stdout)
+    except ValueError as exc:
+        # rejected by the solver, e.g. a NaN or negative time limit
+        sys.stderr.write(f"{ap.prog}: error: {exc}\n")
+        return 1
     return 0
 
 

@@ -111,12 +111,11 @@ def main(argv=None, clock=time.monotonic):
     try:
         name, C, s, e = _load(args)
         m = Model(len(C), s, e, C, model=args.model, relax=args.relax)
+        res = solve(m, heuristic=args.heuristic, prove_ub=args.prove,
+                    time_limit=args.time_limit, clock=clock)
     except (OSError, ParseError, ValueError) as exc:
         sys.stderr.write(f"hampath: error: {exc}\n")
         return EXIT_ERROR
-
-    res = solve(m, heuristic=args.heuristic, prove_ub=args.prove,
-                time_limit=args.time_limit, clock=clock)
 
     text = _render(args.format, name, args, res)
     if args.out:

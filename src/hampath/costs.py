@@ -9,6 +9,13 @@ oracle spans every block on its own and joins consecutive blocks with
 their cheapest cut arc; until then it spans all nodes at once.  One swap
 filter prunes against whichever tree it built.  The assignment propagator
 bounds through the successor matching instead.
+
+The tree has one format from oracle to filter: the reduced-path
+propagator's block and cut lists as they are, per block the (parent,
+child) node pairs in Prim's joining order, and per cut one connector arc.
+The filter analyses it with node-indexed lists.  The cuts need no
+re-check: the Lagrangian runs at priority 5 and every mutation wakes
+reduced-path at priority 2, so its last call saw the current domain.
 """
 
 from __future__ import annotations
@@ -76,319 +83,243 @@ class TrivialObjectivePropagator(Propagator):
 # -- the tree oracle -------------------------------------------------------------
 
 
-def effective_costs(gv, C, pi_out=None, pi_in=None):
+def effective_costs(gv, C, pi_out, pi_in):
     """(E, S): directed effective costs and their symmetrized minimum.
 
     E[u, v] = C[u, v] + pi_out[u] + pi_in[v] on present arcs, inf elsewhere.
     S is the elementwise minimum of E and its transpose.
     """
-    if pi_out is None:
-        E = np.where(gv.pmask, C, INF)
-    else:
-        E = np.where(gv.pmask, C + pi_out[:, None] + pi_in[None, :], INF)
-    S = np.minimum(E, E.T)
-    return E, S
+    E = np.where(gv.pmask, C + pi_out[:, None] + pi_in[None, :], INF)
+    return E, np.minimum(E, E.T)
 
 
-def mandatory_pairs(gv):
-    return sorted({(u, v) if u < v else (v, u) for u, v in gv.mandatory_arcs()})
+def tree_oracle(gv, reduced=None):
+    """(blocks, cuts, pins) the tree relaxation spans on the current domain.
+
+    While the reduced-path propagator `reduced` holds a block order from a
+    complete call made since the last backtrack, blocks and cuts are its
+    own lists: the member lists in block order, each ascending, and per
+    consecutive pair the sorted witness arcs.  Otherwise one block holds
+    all n nodes and there are no cuts: the plain spanning tree.  pins[u]
+    lists the nodes tied to u by a mandatory arc.
+
+    The cuts need no re-check: `hk` runs at priority 5 and every mutation
+    wakes reduced-path at priority 2, so its last call saw this domain.
+    Every cut arc is present, and a cut that holds a mandatory arc holds
+    only that arc; a cut of one arc holds a mandatory one.
+    """
+    pins = [[] for _ in range(gv.n)]
+    for u, heads in enumerate(gv.msucc):
+        for v in heads:
+            pins[u].append(v)
+            pins[v].append(u)
+    if reduced is None or reduced.epoch != gv.pop_epoch:
+        return [list(range(gv.n))], [], pins
+    return reduced.blocks, reduced.cuts, pins
 
 
-def _prim_pairs(S_sel, S_true):
-    """Min spanning tree on the selection weights; true weights summed.
+PIN = -1e17     # selection weight of a mandatory pair
 
-    Returns (total, pairs).  Mandatory pairs carry a large negative
-    selection weight so they enter the tree as soon as they touch it.
-    Raises on a disconnected graph.
+
+def _prim_pairs(S, members, pins):
+    """Min spanning tree over `members` on the nested-list weights S.
+
+    members ascend; pins[u] lists u's mandatory partners, and such a pair
+    enters the tree as soon as it touches it (partners outside `members`
+    are never read).  Returns (total, pairs): the summed weight and the
+    (parent, child) pairs in joining order, rooted at members[0].  Raises
+    on a disconnected graph.
     """
     # plain lists beat numpy here: the graphs are small and the loop is
     # dominated by per-call dispatch overhead, not arithmetic
-    n = S_sel.shape[0]
-    sel = S_sel.tolist()
-    true = sel if S_true is S_sel else S_true.tolist()
-    best = sel[0][:]
-    best[0] = INF
-    intree = [False] * n
-    intree[0] = True
-    src = [0] * n
+    root = members[0]
+    todo = members[1:]
+    best = S[root][:]
+    src = [root] * len(best)
+    for k in pins[root]:
+        best[k] = PIN
     total = 0.0
     pairs = []
-    for _ in range(n - 1):
-        bj = INF
-        j = -1
-        for k in range(n):
-            if best[k] < bj:
-                bj = best[k]
-                j = k
-        if j < 0:
+    while todo:
+        # todo stays ascending, so ties go to the smallest node
+        j = min(todo, key=best.__getitem__)
+        if best[j] == INF:
             raise Contradiction("spanning tree: potential graph disconnected")
-        total += true[src[j]][j]
-        pairs.append((src[j], j))
-        intree[j] = True
-        best[j] = INF
-        row = sel[j]
-        for k in range(n):
-            if not intree[k] and row[k] < best[k]:
+        a = src[j]
+        total += S[a][j]
+        pairs.append((a, j))
+        todo.remove(j)
+        row = S[j]
+        for k in todo:
+            if row[k] < best[k]:
                 best[k] = row[k]
+                src[k] = j
+        for k in pins[j]:
+            if PIN < best[k]:
+                best[k] = PIN
                 src[k] = j
     return total, pairs
 
 
-def tree_oracle(gv, reduced=None):
-    """(blocks, cuts) the tree relaxation spans on the current domain.
-
-    A block is (members, index array, mandatory pairs), the members
-    ascending and the pairs in member positions; a cut is (arcs, tails,
-    heads, mandatory arc or None) between two consecutive blocks.  While
-    the reduced-path propagator `reduced` holds a block order from a
-    complete call made since the last backtrack, every block of that order
-    is spanned on its own and each cut adds one connector arc.  Otherwise
-    one block holds all n nodes, with no index array, and there are no
-    cuts: the plain spanning tree.
-    """
-    mand = mandatory_pairs(gv)
-    if reduced is None or reduced.epoch != gv.pop_epoch:
-        return [(range(gv.n), None, mand)], []
-    blocks = []
-    for members in reduced.blocks:
-        pos = {u: i for i, u in enumerate(members)}
-        blocks.append((members, np.array(members),
-                       [(pos[a], pos[b]) for (a, b) in mand
-                        if a in pos and b in pos]))
-    cuts = []
-    for kept in reduced.cuts:
-        # arcs can only have gone since that call
-        cut = [a for a in kept if gv.has_arc(*a)]
-        if not cut:
-            raise Contradiction("block tree: empty cut between blocks")
-        forced = next((a for a in cut if gv.has_mandatory(*a)), None)
-        us = np.fromiter((u for u, _ in cut), np.int64, len(cut))
-        vs = np.fromiter((v for _, v in cut), np.int64, len(cut))
-        cuts.append((cut, us, vs, forced))
-    return blocks, cuts
-
-
-def span_blocks(E, S, blocks, cuts):
+def span_blocks(E, S, blocks, cuts, pins):
     """One evaluation of the tree oracle at directed costs E.
 
-    Returns (total, trees, connectors): per block its tree pairs (a, b),
-    a < b, in node ids; per cut the selected connector arc, its mandatory
-    arc if it has one and its cheapest arc otherwise.
+    Returns (total, trees, connectors): per block its tree as (parent,
+    child) node pairs in joining order; per cut its connector arc, the
+    lone arc of a one-arc cut and the cheapest arc otherwise.  Block
+    totals are summed in block order, then the connectors in cut order.
     """
+    Sw = S.tolist()
     total = 0.0
     trees = []
-    for members, idx, mand in blocks:
+    for members in blocks:
         if len(members) < 2:
             trees.append([])
             continue
-        true = S if idx is None else S[np.ix_(idx, idx)]
-        sel = true
-        if mand:
-            sel = true.copy()
-            for a, b in mand:
-                sel[a, b] = sel[b, a] = -1e17
-        t, pairs = _prim_pairs(sel, true)
+        t, pairs = _prim_pairs(Sw, members, pins)
         total += t
-        # members ascend, so position order is node order
-        trees.append([(members[p], members[q]) if p < q
-                      else (members[q], members[p]) for p, q in pairs])
+        trees.append(pairs)
     connectors = []
-    for cut, us, vs, forced in cuts:
-        # the cut is sorted, so argmin breaks ties towards the smallest arc
-        arc = forced if forced is not None \
-            else cut[int(np.argmin(E[us, vs]))]
+    for cut in cuts:
+        # the cut is sorted, so min breaks ties towards the smallest arc
+        arc = cut[0] if len(cut) == 1 else min(cut, key=E.__getitem__)
         total += float(E[arc])
         connectors.append(arc)
     return total, trees, connectors
 
 
-def realized_arc(E, a, b):
-    """Direction a tree edge {a, b} takes under directed costs E."""
-    if a > b:
-        a, b = b, a
-    return (a, b) if E[a, b] <= E[b, a] else (b, a)
+def _tree_path(parent, depth, x, y):
+    """The child nodes of the tree edges on the path between x and y."""
+    out = []
+    dx, dy = depth[x], depth[y]
+    while dx > dy:
+        out.append(x)
+        x = parent[x]
+        dx -= 1
+    while dy > dx:
+        out.append(y)
+        y = parent[y]
+        dy -= 1
+    while x != y:
+        out.append(x)
+        out.append(y)
+        x = parent[x]
+        y = parent[y]
+    return out
 
 
-class TreeAnalysis:
-    """A rooted spanning tree with path queries for the swap arguments."""
-
-    def __init__(self, nodes, edges, E):
-        self.nodes = list(nodes)
-        self.edges = edges
-        self.total = sum(e[2] for e in edges)
-        self.pair_index = {(a, b): i for i, (a, b, _, _) in enumerate(edges)}
-        adj = {u: [] for u in nodes}
-        for i, (a, b, w, m) in enumerate(edges):
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-        root = self.nodes[0]
-        self.parent = {root: None}
-        self.pedge = {root: None}
-        self.depth = {root: 0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, i in adj[u]:
-                if v not in self.parent:
-                    self.parent[v] = u
-                    self.pedge[v] = i
-                    self.depth[v] = self.depth[u] + 1
-                    stack.append(v)
-        # realized arcs and directions, fed to the branching heuristics
-        self.realized = [realized_arc(E, a, b) for (a, b, _, _) in edges]
-
-    def path_edges(self, x, y):
-        """Edge indices on the tree path between x and y."""
-        out = []
-        dx, dy = self.depth[x], self.depth[y]
-        while dx > dy:
-            out.append(self.pedge[x])
-            x = self.parent[x]
-            dx -= 1
-        while dy > dx:
-            out.append(self.pedge[y])
-            y = self.parent[y]
-            dy -= 1
-        while x != y:
-            out.append(self.pedge[x])
-            out.append(self.pedge[y])
-            x = self.parent[x]
-            y = self.parent[y]
-        return out
-
-
-class BlockTree:
-    """Per-block trees plus one connector arc per consecutive cut."""
-
-    def __init__(self, total, trees, connectors):
-        self.total = total
-        self.trees = trees                  # TreeAnalysis per block, in order
-        self.connectors = connectors        # (cost, u, v, cut arcs) per cut
-
-
-def block_tree(E, S, blocks, cuts):
-    """The tree oracle's spanning tree at directed costs E, analysed for
-    the swap filter."""
-    total, trees, arcs = span_blocks(E, S, blocks, cuts)
-    analyses = []
-    for (members, _, mand), pairs in zip(blocks, trees):
-        pinned = {(members[a], members[b]) for a, b in mand}
-        edges = [(a, b, float(S[a, b]), (a, b) in pinned) for a, b in pairs]
-        analyses.append(TreeAnalysis(members, edges, E))
-    connectors = [(float(E[u, v]), u, v, cut)
-                  for (u, v), (cut, _, _, _) in zip(arcs, cuts)]
-    return BlockTree(total, analyses, connectors)
-
-
-def _tree_swap_tables(tree, S):
-    """Per pair: the heaviest replaceable edge on its tree path; per tree
-    edge: the cheapest outside pair that could stand in for it.
-
-    S is the symmetrized cost matrix as nested lists.  Returns (maxpath,
-    repl) where maxpath maps a non-tree pair (a, b) to the max
-    non-mandatory edge weight on its path (-inf when everything on the
-    path is mandatory) and repl[i] is edge i's replacement cost.
-    """
-    maxpath = {}
-    repl = [INF] * len(tree.edges)
-    nodes = tree.nodes
-    for ai, a in enumerate(nodes):
-        row = S[a]
-        for b in nodes[ai + 1:]:
-            w = row[b]
-            if w == INF or (a, b) in tree.pair_index:
-                continue
-            mx = -INF
-            for i in tree.path_edges(a, b):
-                ea, eb, ew, emand = tree.edges[i]
-                if not emand:
-                    if ew > mx:
-                        mx = ew
-                    if w < repl[i]:
-                        repl[i] = w
-            maxpath[(a, b)] = mx
-    return maxpath, repl
-
-
-def wst_filter(gv, bt, E, ub, offset=0.0, sink=None):
+def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
     """Swap-based filtering against the block spanning tree bound.
 
-    A cut arc can only stand in for its cut's connector; an arc inside a
-    block runs the spanning-tree swap argument within its block's tree.
-    An arc whose best insertion still lands above ub dies.  A tree edge
-    whose removal cannot be repaired within ub is enforced when only one
-    direction is present, and so is the last arc left in a cut.
+    `tree` is span_blocks' evaluation at directed costs E over the oracle's
+    blocks and cuts, and its total minus `offset` is the bound.  A cut arc
+    can only stand in for its cut's connector; an arc inside a block runs
+    the spanning-tree swap argument within its block's tree.  An arc whose
+    best insertion still lands above ub dies.  A tree edge whose removal
+    cannot be repaired within ub is enforced when only one direction is
+    present, and so is the last arc left in a cut.  The propagator p
+    makes both changes.
 
-    Returns (removed, enforced, marginals, swaps): marginals maps each
-    present arc off the tree to the bound with that arc swapped in, swaps
-    maps each non-mandatory realized tree arc to the extra cost of its
-    cheapest replacement.  Pass ub = inf to analyse without pruning.
+    Returns (marginals, swaps): marginals maps each present arc off the
+    tree to the bound with that arc swapped in, swaps maps each
+    non-mandatory realized tree arc to the extra cost of its cheapest
+    replacement.  Pass ub = inf to analyse without pruning.
     """
-    rm = sink.remove if sink is not None else gv.remove_arc
-    enf = sink.enforce if sink is not None else gv.enforce_arc
-    removed = []
-    enforced = []
+    gv = p.gv
+    B, trees, connectors = tree
+    Ew = E.tolist()
     marginals = {}
     swaps = {}
-    B = bt.total
-    Ew = E.tolist()
-    for (csel, su, sv, cut) in bt.connectors:
+    for cut, (su, sv) in zip(cuts, connectors):
+        if len(cut) == 1:
+            continue            # its lone arc is mandatory
+        csel = Ew[su][sv]
         alive = []
         best = INF
         for (u, v) in cut:
-            if not gv.has_arc(u, v):
-                continue
             if (u, v) != (su, sv):
                 marginal = B - csel + Ew[u][v] - offset
                 marginals[(u, v)] = marginal
                 if marginal > ub + PRUNE_EPS:
-                    if rm(u, v):
-                        removed.append((u, v))
+                    p.remove(u, v)
                     continue
                 best = min(best, Ew[u][v])
             alive.append((u, v))
-        if not gv.has_mandatory(su, sv):
-            swaps[(su, sv)] = best - csel
-        if len(alive) == 1 and enf(*alive[0]):
-            enforced.append(alive[0])
-    Sw = np.minimum(E, E.T).tolist()
-    for tree in bt.trees:
-        if len(tree.nodes) < 2:
+        swaps[(su, sv)] = best - csel
+        if len(alive) == 1:
+            p.enforce(*alive[0])
+    # every block tree at once, indexed by the child node c of each edge
+    # {parent[c], c}: its depth, its realized arc (the cheaper direction,
+    # the smaller tail on a tie) and its weight, None on a mandatory pair
+    Sw = S.tolist()
+    msucc = gv.msucc
+    n = gv.n
+    parent = [-1] * n
+    depth = [0] * n
+    arc = [None] * n
+    weight = [None] * n
+    repl = [INF] * n        # cheapest pair that could stand in for the edge
+    for pairs in trees:
+        for a, c in pairs:
+            parent[c] = a
+            depth[c] = depth[a] + 1
+            arc[c] = (a, c) if (Ew[a][c], a) <= (Ew[c][a], c) else (c, a)
+            if c not in msucc[a] and a not in msucc[c]:
+                weight[c] = Sw[a][c]
+    for members, pairs in zip(blocks, trees):
+        if not pairs:
             continue
-        inside = set(tree.nodes)
-        maxpath, repl = _tree_swap_tables(tree, Sw)
-        for u in tree.nodes:
+        # per pair off the tree: the heaviest replaceable edge on its tree
+        # path, -inf when every edge there is mandatory
+        maxpath = {}
+        for i, a in enumerate(members):
+            row = Sw[a]
+            for b in members[i + 1:]:
+                w = row[b]
+                if w == INF or parent[a] == b or parent[b] == a:
+                    continue
+                mx = -INF
+                for c in _tree_path(parent, depth, a, b):
+                    cw = weight[c]
+                    if cw is not None:
+                        if cw > mx:
+                            mx = cw
+                        if w < repl[c]:
+                            repl[c] = w
+                maxpath[(a, b)] = mx
+        inside = set(members)
+        for u in members:
             for v in sorted(gv.succ[u] & inside):
-                a, b = (u, v) if u < v else (v, u)
-                i = tree.pair_index.get((a, b))
-                if i is not None:
-                    if tree.edges[i][3]:
+                c = v if parent[v] == u else u if parent[u] == v else -1
+                if c >= 0:
+                    if weight[c] is None:
                         # pair pinned by a directed arc; the reverse
                         # direction can never ride along it, the pinned
                         # one must never be touched
-                        if gv.has_mandatory(v, u) and rm(u, v):
-                            removed.append((u, v))
+                        if gv.has_mandatory(v, u):
+                            p.remove(u, v)
                         continue
-                    if tree.realized[i] == (u, v):
+                    if arc[c] == (u, v):
                         continue
                     # opposite direction of a tree edge: swap the edge
                     # for itself
-                    mx = tree.edges[i][2]
+                    mx = weight[c]
                 else:
-                    mx = maxpath[(a, b)]
+                    mx = maxpath[(u, v) if u < v else (v, u)]
                 marginal = B - mx + Ew[u][v] - offset
                 marginals[(u, v)] = marginal
-                if marginal > ub + PRUNE_EPS and rm(u, v):
-                    removed.append((u, v))
-        for i, (a, b, w, emand) in enumerate(tree.edges):
-            if emand:
+                if marginal > ub + PRUNE_EPS:
+                    p.remove(u, v)
+        for _, c in pairs:
+            w = weight[c]
+            if w is None:
                 continue
-            ra, rb = tree.realized[i]
-            swaps[(ra, rb)] = repl[i] - w
-            if B - w + repl[i] - offset > ub + PRUNE_EPS \
-                    and not gv.has_arc(rb, ra) and enf(ra, rb):
-                enforced.append((ra, rb))
-    return removed, enforced, marginals, swaps
+            ra, rb = arc[c]
+            swaps[(ra, rb)] = repl[c] - w
+            if B - w + repl[c] - offset > ub + PRUNE_EPS \
+                    and not gv.has_arc(rb, ra):
+                p.enforce(ra, rb)
+    return marginals, swaps
 
 
 # -- Lagrangian propagator ------------------------------------------------------
@@ -399,10 +330,14 @@ class HeldKarpPropagator(Propagator):
 
     The tree comes from `tree_oracle`: the block tree while the
     reduced-path propagator `reduced` knows the block order, the plain
-    spanning tree otherwise.  Node multipliers price the out-degree of
-    every node but e and the in-degree of every node but s.  They persist
-    across calls and across backtracking; each run restarts the step
-    control, not the multipliers.
+    spanning tree otherwise.  Each call reads the oracle once; every
+    ascent step and the filtering pass span that same (blocks, cuts,
+    pins) through `span_blocks`.  Priority 5 makes it run last, after
+    reduced-path (priority 2) has seen every mutation, so the block order
+    it reads is current.  Node
+    multipliers price the out-degree of every node but e and the in-degree
+    of every node but s.  They persist across calls and across
+    backtracking; each run restarts the step control, not the multipliers.
     """
 
     ITERS = 30
@@ -423,10 +358,11 @@ class HeldKarpPropagator(Propagator):
 
     # one relaxation evaluation at the current multipliers; returns the
     # tree total plus the realized arc endpoints as two index arrays
-    def _tree_at(self, blocks, cuts):
+    def _tree_at(self, blocks, cuts, pins):
         E, S = effective_costs(self.gv, self.C, self.pi_out, self.pi_in)
-        total, trees, connectors = span_blocks(E, S, blocks, cuts)
-        A = np.asarray([p for tree in trees for p in tree],
+        total, trees, connectors = span_blocks(E, S, blocks, cuts, pins)
+        A = np.asarray([(a, c) if a < c else (c, a)
+                        for tree in trees for a, c in tree],
                        dtype=np.int64).reshape(-1, 2)
         lo, hi = A[:, 0], A[:, 1]
         fwd = E[lo, hi] <= E[hi, lo]
@@ -435,7 +371,7 @@ class HeldKarpPropagator(Propagator):
         ys = np.concatenate([np.where(fwd, hi, lo), K[:, 1]])
         return total, xs, ys
 
-    def _run(self, ub_target, blocks, cuts):
+    def _run(self, ub_target, oracle):
         gv = self.gv
         n = gv.n
         lam = 2.0
@@ -443,7 +379,7 @@ class HeldKarpPropagator(Propagator):
         best = -INF
         best_pi = (self.pi_out.copy(), self.pi_in.copy())
         for _ in range(self.ITERS):
-            total, xs, ys = self._tree_at(blocks, cuts)
+            total, xs, ys = self._tree_at(*oracle)
             lb = total - (self.pi_out.sum() + self.pi_in.sum())
             if lb > best + 1e-12:
                 best = lb
@@ -483,7 +419,7 @@ class HeldKarpPropagator(Propagator):
         gv = self.gv
         if self._done_stamp == gv.stamp():
             return      # woken only by its own filtering, nothing changed
-        blocks, cuts = tree_oracle(gv, self.reduced)
+        oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
         # the same node only redo the filtering below at the stored
@@ -493,16 +429,18 @@ class HeldKarpPropagator(Propagator):
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)
             for _ in range(2 if gv.depth == 0 else 1):
-                self._run(ub_target, blocks, cuts)
+                self._run(ub_target, oracle)
             self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the marginals and swap costs the branching reads
         E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
-        bt = block_tree(E, S, blocks, cuts)
-        self.obj.tighten_lb(int(math.ceil(bt.total - offset - CEIL_EPS)))
-        _, _, marginals, self.last_swaps = wst_filter(
-            gv, bt, E, INF if ub is None else float(ub), offset, sink=self)
+        tree = span_blocks(E, S, *oracle)
+        self.obj.tighten_lb(int(math.ceil(tree[0] - offset - CEIL_EPS)))
+        blocks, cuts, _ = oracle
+        marginals, self.last_swaps = wst_filter(
+            self, E, S, tree, blocks, cuts, INF if ub is None else float(ub),
+            offset)
         # the sparse heuristics read marginals only under a cap; the dive to
         # the first path goes by arc costs (ftv33 under ALL/both needs 183
         # nodes that way, 1,088 when steered by the marginals)

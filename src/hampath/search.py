@@ -251,9 +251,15 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     infeasible, None when an optimizing run finds no path at all, and
     otherwise the least floor over the subtrees still open, capped at the
     best cost found (or at prove_ub + 1 before any path is found).
+
+    time_limit is in clock units; NaN and negative limits are rejected.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
+    # a NaN deadline would never pass, so the run would ignore the limit
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a non-negative number, "
+                         f"not {time_limit!r}")
     gv = m.gv
     t0 = clock()
     deadline = None if time_limit is None else t0 + time_limit

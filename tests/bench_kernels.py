@@ -9,10 +9,12 @@ to .benchmarks/ and `pytest-benchmark compare` lists them side by side.
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hampath import Model, circuit_to_path, parse_tsplib
-from hampath.costs import HungarianPropagator, _prim_pairs, effective_costs
+from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
+                           span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar
 from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
@@ -40,8 +42,37 @@ def test_prim_pairs(benchmark, name):
     """The spanning tree on the symmetrized root costs (n = 18 and 49)."""
     C, s, e = circuit_to_path(parse_tsplib(str(INSTANCES / name)).matrix, 0)
     m = Model(len(C), s, e, C, model="BASIC", relax="tree")
-    _, S = effective_costs(m.gv, C)
-    benchmark(_prim_pairs, S, S)
+    zero = np.zeros(len(C))
+    _, S = effective_costs(m.gv, C, zero, zero)
+    members, _, pins = tree_oracle(m.gv)
+    benchmark(_prim_pairs, S.tolist(), members[0], pins)
+
+
+def test_wst_filter_ftv33(benchmark):
+    """One swap filter call on the ftv33 ALL/both root state under the cap
+    1286 (n = 34): the root fixpoint has warmed the multipliers and
+    established the block order, and the tree is spanned once at the
+    stored multipliers.  Each round filters inside a pushed world and pops
+    it, so every round sees the same domain."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.obj.ub = 1286
+    m.root_propagate()
+    hk, gv = m.hk, m.gv
+    oracle = tree_oracle(gv, hk.reduced)
+    blocks, cuts, _ = oracle
+    assert len(blocks) > 1      # the block order is established
+    E, S = effective_costs(gv, hk.C, hk.pi_out, hk.pi_in)
+    tree = span_blocks(E, S, *oracle)
+    offset = float(hk.pi_out.sum() + hk.pi_in.sum())
+
+    def once():
+        gv.push_world()
+        wst_filter(hk, E, S, tree, blocks, cuts, 1286.0, offset)
+        gv.pop_world()
+
+    benchmark(once)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["arbo", "arbo-rev"])

@@ -6,6 +6,8 @@ helpers wrap or subclass its pieces instead.
 
 from __future__ import annotations
 
+from hampath.costs import span_blocks, wst_filter
+from hampath.kernel import Propagator
 from hampath.structural import ReducedPathPropagator
 
 
@@ -27,3 +29,19 @@ def record_runs(hk):
 
     hk._run = recording
     return runs
+
+
+def filter_diff(gv, E, S, oracle, ub, offset=0.0):
+    """Span the oracle's tree at E, run the swap filter on it at cap ub.
+
+    Returns (tree, removed, enforced, marginals, swaps): the span_blocks
+    evaluation, then the arcs the filter removed and enforced, read as a
+    diff of the domain, and the filter's own two maps.
+    """
+    arcs, mandatory = set(gv.arcs()), set(gv.mandatory_arcs())
+    blocks, cuts, _ = oracle
+    tree = span_blocks(E, S, *oracle)
+    marginals, swaps = wst_filter(Propagator(gv), E, S, tree, blocks, cuts,
+                                  ub, offset)
+    return (tree, arcs - set(gv.arcs()),
+            set(gv.mandatory_arcs()) - mandatory, marginals, swaps)

@@ -11,8 +11,10 @@ import math
 import statistics
 import time
 
+import numpy as np
+
 from hampath import bench, cli
-from hampath.costs import block_tree, effective_costs, lb_trivial, tree_oracle, wst_filter
+from hampath.costs import effective_costs, lb_trivial, span_blocks, tree_oracle
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
@@ -22,7 +24,7 @@ from hampath.tsplib import parse_tsplib
 
 import figures as fig
 from oracles import mutual_reachability, partition
-from probes import WalkOnlyReducedPath, record_runs
+from probes import WalkOnlyReducedPath, filter_diff, record_runs
 
 
 def _report(k, msg):
@@ -41,6 +43,11 @@ def _ordered(arcs):
     return gv, rp
 
 
+def _costs(gv, C):
+    """Effective costs at zero multipliers."""
+    return effective_costs(gv, C, np.zeros(gv.n), np.zeros(gv.n))
+
+
 def _path_cost(C, path):
     return sum(C[path[i], path[i + 1]] for i in range(len(path) - 1))
 
@@ -50,16 +57,16 @@ def test_criterion_1_block_tree_bounds_regression():
     assert fig.BASE7[(1, 4)] == 5
 
     gv, rp = _ordered(fig.arc_set(fig.BASE7))
-    E, S = effective_costs(gv, C)
+    E, S = _costs(gv, C)
 
-    total = block_tree(E, S, *tree_oracle(gv)).total
+    total = span_blocks(E, S, *tree_oracle(gv))[0]
     assert total == fig.BASE7_MST == 19
 
-    bst = block_tree(E, S, *tree_oracle(gv, rp))
-    assert bst.total == fig.BASE7_BST == 27
-    per_block = [tree.total for tree in bst.trees]
+    bst, trees, connectors = span_blocks(E, S, *tree_oracle(gv, rp))
+    assert bst == fig.BASE7_BST == 27
+    per_block = [sum(S[a, c] for a, c in tree) for tree in trees]
     assert per_block == [0, 10, 10, 0]
-    assert sorted(c for c, u, v, cut in bst.connectors) == [2, 2, 3]
+    assert sorted(E[a] for a in connectors) == [2, 2, 3]
 
     opt, path = dp_oracle(C, fig.S, fig.E)
     assert opt == fig.BASE7_OPT == 28
@@ -67,27 +74,25 @@ def test_criterion_1_block_tree_bounds_regression():
 
     # the sharper bound prunes the two costly arcs at ub = optimum while
     # the plain tree bound prunes neither of them
-    removed, enforced, _, _ = wst_filter(gv, bst, E, ub=28)
-    assert set(removed) == {(1, 4), (4, 6)}
+    _, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv, rp), 28)
+    assert removed == {(1, 4), (4, 6)}
     gv2, _ = _ordered(fig.arc_set(fig.BASE7))
-    E2, S2 = effective_costs(gv2, C)
-    tree2 = block_tree(E2, S2, *tree_oracle(gv2))
-    wrem, wenf, _, _ = wst_filter(gv2, tree2, E2, ub=28)
+    E2, S2 = _costs(gv2, C)
+    _, wrem, wenf, _, _ = filter_diff(gv2, E2, S2, tree_oracle(gv2), 28)
     assert (1, 4) not in wrem and (4, 6) not in wrem
-    assert wrem == []
+    assert wrem == set()
 
     best = math.inf
     for _ in range(3):
         g, r = _ordered(fig.arc_set(fig.BASE7))
         g2, r2 = _ordered(fig.arc_set(fig.BASE7))
         t0 = time.perf_counter()
-        Ea, Sa = effective_costs(g, C)
-        mt = block_tree(Ea, Sa, *tree_oracle(g)).total
-        ba = block_tree(Ea, Sa, *tree_oracle(g, r))
-        wst_filter(g, ba, Ea, ub=28)
-        wst_filter(g2, block_tree(Ea, Sa, *tree_oracle(g2)), Ea, ub=28)
+        Ea, Sa = _costs(g, C)
+        mt = span_blocks(Ea, Sa, *tree_oracle(g))[0]
+        ba = filter_diff(g, Ea, Sa, tree_oracle(g, r), 28)[0][0]
+        filter_diff(g2, Ea, Sa, tree_oracle(g2), 28)
         best = min(best, time.perf_counter() - t0)
-        assert mt == 19 and ba.total == 27
+        assert mt == 19 and ba == 27
     assert best < 1e-3, best
     _report(1, "mst 19, block tree 27, pruned {(1,4),(4,6)}, %.0f us" % (best * 1e6))
 
@@ -239,11 +244,11 @@ def test_criterion_5_lower_bounds_never_cross_the_optimum():
         sched.schedule_all()
         sched.run_fixpoint()
         assert rp.epoch == gv.pop_epoch
-        E, S = effective_costs(gv, C)
-        mt = block_tree(E, S, *tree_oracle(gv)).total
+        E, S = _costs(gv, C)
+        mt = span_blocks(E, S, *tree_oracle(gv))[0]
         assert mt <= opt + 1e-9, (i, mt, opt)
-        bst = block_tree(E, S, *tree_oracle(gv, rp))
-        assert bst.total >= mt - 1e-9, (i, bst.total, mt)
+        bst = span_blocks(E, S, *tree_oracle(gv, rp))[0]
+        assert bst >= mt - 1e-9, (i, bst, mt)
     assert feasible == 1000
     dt = time.perf_counter() - t0
     assert dt < 120.0, dt

@@ -150,6 +150,22 @@ def test_time_limit_exit_code(capsys):
     assert nodes <= 2
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_bad_time_limit_exits_one(limit, capsys, tmp_path):
+    assert run_cli(["--instance", "random:12", "--time-limit", limit]) \
+        == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hampath: error: time limit must be a non-negative")
+    code = bench.main(["--random", "6", "--heuristics", "enforceSparse",
+                       "--models", "BASIC", "--time-limit", limit,
+                       "--out", str(tmp_path / "grid.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "hampath-bench: error: time limit must be a non-negative")
+
+
 # -- benchmark harness ---------------------------------------------------------------
 
 

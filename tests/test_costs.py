@@ -13,11 +13,10 @@ from hampath.costs import (
     HeldKarpPropagator,
     HungarianPropagator,
     Objective,
-    block_tree,
     effective_costs,
     lb_trivial,
+    span_blocks,
     tree_oracle,
-    wst_filter,
 )
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
@@ -28,7 +27,7 @@ from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import figures as fig
 import oracles
-from probes import WalkOnlyReducedPath, record_runs
+from probes import WalkOnlyReducedPath, filter_diff, record_runs
 
 
 def gv_of(arcs, n=fig.N, s=fig.S, e=fig.E):
@@ -47,14 +46,15 @@ def with_order(arcs):
     return gv, rp
 
 
-def plain_tree(gv, E, S):
-    """The tree oracle without a block order: one block of all nodes."""
-    return block_tree(E, S, *tree_oracle(gv))
+def plain_costs(gv, C):
+    """Effective costs at zero multipliers."""
+    return effective_costs(gv, C, np.zeros(gv.n), np.zeros(gv.n))
 
 
-def ordered_tree(gv, rp, E, S):
-    """The tree oracle over the block order `rp` established."""
-    return block_tree(E, S, *tree_oracle(gv, rp))
+def plain_total(gv, E, S):
+    """The tree oracle's total without a block order: one block of all
+    nodes."""
+    return span_blocks(E, S, *tree_oracle(gv))[0]
 
 
 def random_instance(rng, n, density=0.75):
@@ -81,8 +81,8 @@ def random_instance(rng, n, density=0.75):
 def test_mst_totals_match_on_base_graph():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)
-    E, S = effective_costs(gv, C)
-    tp = plain_tree(gv, E, S).total
+    E, S = plain_costs(gv, C)
+    tp = plain_total(gv, E, S)
     edges = [(a, b, S[a, b]) for a in range(fig.N) for b in range(a + 1, fig.N)
              if np.isfinite(S[a, b])]
     tk = oracles.min_spanning_tree_kruskal(fig.N, edges)
@@ -93,12 +93,12 @@ def test_mst_totals_match_on_base_graph():
 def test_block_tree_reproduces_stated_numbers():
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, S = effective_costs(gv, C)
-    bst = ordered_tree(gv, rp, E, S)
-    assert bst.total == fig.BASE7_BST
-    per_block = [tree.total for tree in bst.trees]
+    E, S = plain_costs(gv, C)
+    total, trees, connectors = span_blocks(E, S, *tree_oracle(gv, rp))
+    assert total == fig.BASE7_BST
+    per_block = [sum(S[a, c] for a, c in tree) for tree in trees]
     assert per_block == [0.0, 10.0, 10.0, 0.0]
-    assert [(c, u, v) for (c, u, v, _) in bst.connectors] == \
+    assert [(E[a], *a) for a in connectors] == \
         [(2.0, 0, 1), (3.0, 2, 3), (2.0, 5, 6)]
     # the straight tree bound is weaker on this graph
     assert fig.BASE7_MST <= fig.BASE7_BST
@@ -107,10 +107,10 @@ def test_block_tree_reproduces_stated_numbers():
 def test_block_tree_filter_prunes_the_two_costly_arcs():
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, S = effective_costs(gv, C)
-    bst = ordered_tree(gv, rp, E, S)
-    removed, enforced, marg, swaps = wst_filter(gv, bst, E, ub=fig.BASE7_OPT)
-    assert set(removed) == {(1, 4), (4, 6)}
+    E, S = plain_costs(gv, C)
+    _, removed, enforced, marg, swaps = filter_diff(
+        gv, E, S, tree_oracle(gv, rp), fig.BASE7_OPT)
+    assert removed == {(1, 4), (4, 6)}
     assert gv.has_arc(2, 4) and gv.has_arc(4, 3)
     # (5, 6) is the sole survivor of its cut once (4, 6) dies
     assert (5, 6) in enforced
@@ -124,23 +124,23 @@ def test_block_tree_filter_boundary_at_one_below():
     # gone at ub 27
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
-    E, S = effective_costs(gv, C)
-    bst = ordered_tree(gv, rp, E, S)
-    removed, _, _, _ = wst_filter(gv, bst, E, ub=fig.BASE7_OPT - 1)
+    E, S = plain_costs(gv, C)
+    _, removed, _, _, _ = filter_diff(gv, E, S, tree_oracle(gv, rp),
+                                      fig.BASE7_OPT - 1)
     assert (4, 3) in removed
 
 
 def test_plain_tree_filter_prunes_nothing_here():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)
-    E, S = effective_costs(gv, C)
-    tree = plain_tree(gv, E, S)
-    assert tree.total == fig.BASE7_MST
-    removed, enforced, _, _ = wst_filter(gv, tree, E, ub=fig.BASE7_OPT)
+    E, S = plain_costs(gv, C)
+    tree, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv),
+                                                fig.BASE7_OPT)
+    assert tree[0] == fig.BASE7_MST
     # the weaker bound removes nothing; it does notice that the cut around
     # the start node has a single crossing and pins it
-    assert removed == []
-    assert enforced == [(0, 1)]
+    assert removed == set()
+    assert enforced == {(0, 1)}
 
 
 def test_optimum_of_base_graph():
@@ -174,9 +174,9 @@ def test_prim_equals_kruskal_equals_brute():
             if all(u not in p and v not in p for p in picked):
                 gv.enforce_arc(u, v)
                 picked.append((u, v))
-        E, S = effective_costs(gv, M)
+        E, S = plain_costs(gv, M)
         try:
-            tp = plain_tree(gv, E, S).total
+            tp = plain_total(gv, E, S)
         except Contradiction:
             tp = None
         forced = [(min(u, v), max(u, v)) for (u, v) in gv.mandatory_arcs()]
@@ -209,17 +209,15 @@ def test_tree_filter_soundness_randomized():
             continue
         tried += 1
         gv = GraphVar(n, s, e, sorted(C))
-        E, S = effective_costs(gv, M)
-        tree = plain_tree(gv, E, S)
-        before = set(gv.arcs())
-        removed, enforced, _, _ = wst_filter(gv, tree, E, ub=float(opt))
+        E, S = plain_costs(gv, M)
+        _, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv),
+                                                 float(opt))
         ok_sets = _paths_within(C, n, s, e, opt)
         assert ok_sets, "optimum path must survive its own bound"
         union = set.union(*ok_sets)
         inter = set.intersection(*ok_sets)
-        assert not (set(removed) & union)
-        assert set(enforced) <= inter
-        assert set(gv.arcs()) == before - set(removed)
+        assert not (removed & union)
+        assert enforced <= inter
     assert tried >= 30
 
 
@@ -245,17 +243,115 @@ def test_block_tree_filter_soundness_randomized():
             continue
         tried += 1
         live = {(u, v): C[(u, v)] for (u, v) in gv.arcs()}
-        E, S = effective_costs(gv, M)
-        bst = ordered_tree(gv, rp, E, S)
-        assert bst.total <= opt + 1e-9
-        removed, enforced, _, _ = wst_filter(gv, bst, E, ub=float(opt))
+        E, S = plain_costs(gv, M)
+        tree, removed, enforced, _, _ = filter_diff(
+            gv, E, S, tree_oracle(gv, rp), float(opt))
+        assert tree[0] <= opt + 1e-9
         ok_sets = _paths_within(live, n, s, e, opt)
         assert ok_sets
         union = set.union(*ok_sets)
         inter = set.intersection(*ok_sets)
-        assert not (set(removed) & union)
-        assert set(enforced) <= inter
+        assert not (removed & union)
+        assert enforced <= inter
     assert tried >= 15
+
+
+def _best_block_tree(S, members, forced, pair=None, weight=None, drop=None):
+    """Kruskal over one block: S weights, `pair` at `weight`, `drop` left
+    out, the `forced` pairs first; inf when no spanning tree exists."""
+    at = {u: i for i, u in enumerate(members)}
+    edges = []
+    for a, b in itertools.combinations(members, 2):
+        w = weight if (a, b) == pair else S[a, b]
+        if (a, b) != drop and np.isfinite(w):
+            edges.append((at[a], at[b], w))
+    t = oracles.min_spanning_tree_kruskal(
+        len(members), edges, forced=[(at[a], at[b]) for a, b in forced])
+    return math.inf if t is None else t
+
+
+def _same(x, y):
+    return x == y or abs(x - y) <= 1e-6 * max(1.0, abs(y))
+
+
+def test_swap_filter_matches_kruskal_exactly():
+    # marginals and swaps at nonzero multipliers, under the plain tree and
+    # under an established block order, against Kruskal over each block
+    rng = random.Random(61)
+    checked = {False: 0, True: 0}
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        C, M, s, e = random_instance(rng, n, density=0.6)
+        pi_out = np.array([rng.uniform(-4.0, 4.0) for _ in range(n)])
+        pi_in = np.array([rng.uniform(-4.0, 4.0) for _ in range(n)])
+        offset = float(pi_out.sum() + pi_in.sum())
+        # one or two mandatory arcs, a matching
+        picked = []
+        for (u, v) in rng.sample(sorted(C), rng.randint(1, 2)):
+            if all(u not in p and v not in p for p in picked):
+                picked.append((u, v))
+        for ordered in (False, True):
+            gv = GraphVar(n, s, e, sorted(C))
+            for a in picked:
+                gv.enforce_arc(*a)
+            rp = None
+            if ordered:
+                sched = Scheduler(gv)
+                rp = WalkOnlyReducedPath(gv)
+                sched.register(rp)
+                sched.schedule_all()
+                try:
+                    sched.run_fixpoint()
+                except Contradiction:
+                    continue
+            oracle = tree_oracle(gv, rp)
+            blocks, cuts, _ = oracle
+            E, S = effective_costs(gv, M, pi_out, pi_in)
+            tree, removed, enforced, marg, swaps = filter_diff(
+                gv, E, S, oracle, math.inf, offset)
+            # without a cap only the reverse of a mandatory arc goes
+            assert not enforced
+            assert all(gv.has_mandatory(v, u) for u, v in removed)
+            checked[ordered] += 1
+            total, trees, connectors = tree
+            bound = total - offset
+            mand = {(min(a), max(a)) for a in gv.mandatory_arcs()}
+            forced = [[p for p in sorted(mand) if p[0] in b and p[1] in b]
+                      for b in map(set, blocks)]
+            best = [_best_block_tree(S, members, f)
+                    for members, f in zip(blocks, forced)]
+            assert [E[a] for a in connectors] == \
+                [min(E[a] for a in cut) for cut in cuts]
+            assert _same(bound, sum(best) + sum(E[a] for a in connectors)
+                         - offset)
+            where = {u: k for k, members in enumerate(blocks) for u in members}
+            for (u, v), got in marg.items():
+                k = where[u]
+                if where[v] != k:
+                    # a cut arc stands in for its connector
+                    assert _same(got, bound - E[connectors[k]] + E[u, v])
+                    continue
+                pair = (min(u, v), max(u, v))
+                forced_tree = _best_block_tree(S, blocks[k], forced[k] + [pair],
+                                               pair=pair, weight=E[u, v])
+                assert _same(got, bound - best[k] + forced_tree), (u, v)
+            for (u, v), got in swaps.items():
+                k = where[u]
+                if where[v] != k:
+                    alt = min((E[a] for a in cuts[k] if a != (u, v)),
+                              default=math.inf)
+                    assert _same(got, alt - E[u, v])
+                    continue
+                pair = (min(u, v), max(u, v))
+                assert pair not in mand
+                without = _best_block_tree(S, blocks[k], forced[k], drop=pair)
+                assert _same(got, without - best[k]), (u, v)
+            # an arc without a marginal lies on the tree or its connectors
+            on_tree = {frozenset(a) for t in trees for a in t}
+            on_tree |= {frozenset(a) for a in connectors}
+            assert all(frozenset(a) in on_tree
+                       for a in gv.arcs() if a not in marg)
+    assert checked[False] == 40 and checked[True] >= 30
 
 
 # -- subgradient propagator ---------------------------------------------------------
@@ -270,7 +366,7 @@ def test_subgradient_bound_below_optimum():
         if opt is None:
             continue
         gv = GraphVar(n, s, e, sorted(C))
-        mst0 = plain_tree(gv, *effective_costs(gv, M)).total
+        mst0 = plain_total(gv, *plain_costs(gv, M))
         sched = Scheduler(gv)
         obj = Objective(gv)
         obj.ub = int(opt)
@@ -390,11 +486,13 @@ def test_tree_branching_scores_the_block_analysis():
     m = Model(len(C), s, e, C, model="ALL", relax="tree")
     m.root_propagate()
     hk = m.hk
-    bt = block_tree(*effective_costs(m.gv, hk.C, hk.pi_out, hk.pi_in),
-                    *tree_oracle(m.gv, hk.reduced))
-    assert len(bt.trees) > 1 and bt.connectors     # a block tree, not the MST
-    realized = {arc for tree in bt.trees for arc in tree.realized}
-    realized |= {(u, v) for (_, u, v, _) in bt.connectors}
+    E, S = effective_costs(m.gv, hk.C, hk.pi_out, hk.pi_in)
+    _, trees, connectors = span_blocks(E, S, *tree_oracle(m.gv, hk.reduced))
+    assert len(trees) > 1 and connectors     # a block tree, not the MST
+    # a tree edge realizes its cheaper direction, the smaller tail on a tie
+    realized = {min((a, c), (c, a), key=lambda x: (E[x], x[0]))
+                for tree in trees for a, c in tree}
+    realized |= set(connectors)
     fallback = next(a for a in m.gv.arcs() if not m.gv.has_mandatory(*a))
     kind, u, v = choose_decision(m, "removeMaxRC")
     assert kind == "remove" and (u, v) != fallback

@@ -98,6 +98,25 @@ def test_time_limit_reports_limit_status():
     assert r.nodes <= 2         # the deadline is read on every pass
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0, -1e-9])
+def test_bad_time_limit_is_rejected(limit):
+    C = fig.cost_matrix(fig.BASE7)
+    m = fresh(C, fig.S, fig.E)
+    with pytest.raises(ValueError, match="time limit"):
+        solve(m, time_limit=limit)
+    assert m.scheduler.props[0].stats["invocations"] == 0   # nothing ran
+
+
+def test_zero_and_infinite_time_limits_are_accepted():
+    C = fig.cost_matrix(fig.BASE7)
+    ticker = itertools.count()
+    r = solve(fresh(C, fig.S, fig.E), time_limit=0,
+              clock=lambda: float(next(ticker)))
+    assert r.status == "limit"
+    r = solve(fresh(C, fig.S, fig.E), time_limit=float("inf"))
+    assert (r.status, r.best_cost) == ("optimal", fig.BASE7_OPT)
+
+
 def test_configuration_validation():
     C = fig.cost_matrix(fig.BASE7)
     with pytest.raises(ValueError):
