@@ -13,7 +13,7 @@ import sys
 import time
 
 from .gen import gen_random
-from .search import HEURISTICS, MODELS, Model, solve
+from .search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
 from .tsplib import ParseError, circuit_to_path, parse_tsplib
 
 CSV_HEADER = "instance,heuristic,model,status,cost,lb,nodes,time_s"
@@ -25,6 +25,11 @@ def run_one(name, C, s, e, heuristic, model, relax="tree",
     m = Model(len(C), s, e, C, model=model, relax=relax)
     res = solve(m, heuristic=heuristic, prove_ub=prove_ub,
                 time_limit=time_limit, clock=clock)
+    return result_row(name, heuristic, model, res)
+
+
+def result_row(name, heuristic, model, res):
+    """The CSV row dict of one search result."""
     return {
         "instance": name,
         "heuristic": heuristic,
@@ -90,7 +95,7 @@ def main(argv=None):
     ap.add_argument("--home", type=int, default=0)
     ap.add_argument("--heuristics", default=",".join(HEURISTICS))
     ap.add_argument("--models", default=",".join(MODELS))
-    ap.add_argument("--relax", default="tree", choices=("tree", "map", "both"))
+    ap.add_argument("--relax", default="tree", choices=RELAXATIONS)
     ap.add_argument("--time-limit", type=float, default=None)
     ap.add_argument("--out", default=None, help="CSV output file (default stdout)")
     args = ap.parse_args(argv)

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .bench import CSV_HEADER, format_row
+from .bench import CSV_HEADER, format_row, result_row
 from .gen import gen_random
 from .search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
 from .tsplib import ParseError, circuit_to_path, parse_tsplib
@@ -86,10 +86,7 @@ def _render(fmt, name, args, res):
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     if fmt == "csv":
-        row = {"instance": name, "heuristic": args.heuristic,
-               "model": args.model, "status": res.status,
-               "cost": res.best_cost, "lb": res.lb,
-               "nodes": res.nodes, "time_s": res.time_s}
+        row = result_row(name, args.heuristic, args.model, res)
         return CSV_HEADER + "\n" + format_row(row) + "\n"
     lines = [
         f"instance   {name}",

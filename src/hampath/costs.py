@@ -13,9 +13,7 @@ bounds through the successor matching instead.
 The tree has one format from oracle to filter: the reduced-path
 propagator's block and cut lists as they are, per block the (parent,
 child) node pairs in Prim's joining order, and per cut one connector arc.
-The filter analyses it with node-indexed lists.  The cuts need no
-re-check: the Lagrangian runs at priority 5 and every mutation wakes
-reduced-path at priority 2, so its last call saw the current domain.
+The filter analyses it with node-indexed lists.
 """
 
 from __future__ import annotations
@@ -35,8 +33,9 @@ class Objective:
     """Best-cost bookkeeping shared by the cost propagators.
 
     ub is a global inclusive cap (never undone on backtracking), lb is the
-    current world's proven floor and restores with the trail.  Costs may
-    be negative, so the floor starts at -inf; root propagation sets it.
+    current world's proven floor; each raise is logged, so backtracking
+    restores it.  Costs may be negative, so the floor starts at -inf; root
+    propagation sets it.
     """
 
     def __init__(self, gv):
@@ -47,7 +46,7 @@ class Objective:
     def tighten_lb(self, value):
         if value > self.lb:
             old = self.lb
-            self.gv.trail.record(lambda: setattr(self, "lb", old))
+            self.gv.record(lambda: setattr(self, "lb", old))
             self.lb = value
             if self.ub is not None and self.lb > self.ub:
                 raise Contradiction("objective: floor exceeds the cap")
@@ -332,12 +331,10 @@ class HeldKarpPropagator(Propagator):
     reduced-path propagator `reduced` knows the block order, the plain
     spanning tree otherwise.  Each call reads the oracle once; every
     ascent step and the filtering pass span that same (blocks, cuts,
-    pins) through `span_blocks`.  Priority 5 makes it run last, after
-    reduced-path (priority 2) has seen every mutation, so the block order
-    it reads is current.  Node
-    multipliers price the out-degree of every node but e and the in-degree
-    of every node but s.  They persist across calls and across
-    backtracking; each run restarts the step control, not the multipliers.
+    pins) through `span_blocks`.  Node multipliers price the out-degree of
+    every node but e and the in-degree of every node but s.  They persist
+    across calls and across backtracking; each run restarts the step
+    control, not the multipliers.
     """
 
     ITERS = 30
@@ -424,7 +421,7 @@ class HeldKarpPropagator(Propagator):
         # the multiplier search happens once per search node; later wakes in
         # the same node only redo the filtering below at the stored
         # multipliers, which stays a valid relaxation of the shrunk domain
-        key = (gv.pop_epoch, gv.trail.depth)
+        key = (gv.pop_epoch, gv.depth)
         if key != self._full_key:
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)

@@ -1,13 +1,18 @@
-"""Graph variable kernel: domains, trailing, events and the propagation loop.
+"""Graph variable kernel: domains, the change log and the propagation loop.
 
 The decision variable of the whole solver is a single graph variable over a
 fixed node set 0..n-1 with two nested arc sets: the potential graph (arcs that
 may still be part of the path) and the mandatory graph (arcs that must be).
-The variable is instantiated when both coincide.  Backtracking restores state
-through a trail of undo closures.  Every domain mutation schedules each
-subscribed propagator and appends exactly one event to the queue of each
-subscriber that keeps one.  Only the degree and no-cycle propagators keep
-a queue; the others re-read the domain when woken.
+The variable is instantiated when both coincide.
+
+One list, the change log, records every change in order: an
+(ARC_REMOVED or ARC_ENFORCED, u, v) record per domain mutation and an
+(UNDO, fn, None) record per piece of propagator state to restore.  A world
+is a mark into the log; popping it undoes the records past the mark, last
+in first out.  The log is also the event stream: every mutation wakes each
+subscribed propagator, and the two that read the changes themselves
+(degree and no-cycle) keep a cursor into it.  The others re-read the
+domain when woken.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 ARC_REMOVED = 0
 ARC_ENFORCED = 1
+UNDO = 2
 
 
 class Contradiction(Exception):
@@ -28,40 +34,8 @@ class PreconditionViolation(Exception):
     """Raised when an operation is called outside its stated precondition."""
 
 
-class Trail:
-    """Undo log with world marks."""
-
-    def __init__(self):
-        self._undo = []
-        self._marks = []
-
-    @property
-    def depth(self):
-        return len(self._marks)
-
-    @property
-    def size(self):
-        return len(self._undo)
-
-    def push(self):
-        self._marks.append(len(self._undo))
-        return len(self._marks)
-
-    def record(self, fn):
-        self._undo.append(fn)
-
-    def pop(self):
-        if not self._marks:
-            raise PreconditionViolation("pop without matching push")
-        mark = self._marks.pop()
-        undo = self._undo
-        while len(undo) > mark:
-            undo.pop()()
-        return len(self._marks)
-
-
 class GraphVar:
-    """Potential/mandatory digraph pair with trailing and event emission.
+    """Potential/mandatory digraph pair with its change log.
 
     The initial domain already encodes the path endpoints: no arc enters s,
     no arc leaves e, and self loops are dropped.
@@ -80,10 +54,10 @@ class GraphVar:
         self.pmask = np.zeros((n, n), dtype=bool)
         self.n_potential = 0
         self.n_mandatory = 0
-        self.trail = Trail()
+        self.log = []
+        self._marks = []            # log length at each open world's push
         self.pop_epoch = 0
         self._subs = []
-        self._listeners = []        # subscribers with an event queue
         self.scheduler = None
         for (u, v) in arcs:
             if u == v or v == s or u == e:
@@ -115,19 +89,22 @@ class GraphVar:
 
     @property
     def depth(self):
-        return self.trail.depth
+        return len(self._marks)
 
     # -- mutation --------------------------------------------------------
 
     def subscribe(self, propagator):
+        """Wake propagator on every later mutation; its cursor starts at
+        the end of the log, so it reads only changes made from now on."""
+        propagator.read = len(self.log)
         self._subs.append(propagator)
-        if propagator.events is not None:
-            self._listeners.append(propagator)
+
+    def record(self, fn):
+        """Call fn when the current world is popped, in log order."""
+        self.log.append((UNDO, fn, None))
 
     def _emit(self, kind, u, v):
-        ev = (kind, u, v)
-        for p in self._listeners:
-            p.events.append(ev)
+        self.log.append((kind, u, v))
         sched = self.scheduler
         if sched is not None:
             for p in self._subs:
@@ -144,14 +121,6 @@ class GraphVar:
         self.pred[v].discard(u)
         self.pmask[u, v] = False
         self.n_potential -= 1
-
-        def undo():
-            self.succ[u].add(v)
-            self.pred[v].add(u)
-            self.pmask[u, v] = True
-            self.n_potential += 1
-
-        self.trail.record(undo)
         self._emit(ARC_REMOVED, u, v)
         return True
 
@@ -164,13 +133,6 @@ class GraphVar:
         self.msucc[u].add(v)
         self.mpred[v].add(u)
         self.n_mandatory += 1
-
-        def undo():
-            self.msucc[u].discard(v)
-            self.mpred[v].discard(u)
-            self.n_mandatory -= 1
-
-        self.trail.record(undo)
         self._emit(ARC_ENFORCED, u, v)
         return True
 
@@ -180,42 +142,60 @@ class GraphVar:
         Equal stamps mean no mutation and no backtrack happened in between,
         so a propagator that saw the first stamp has nothing new to do.
         """
-        return (self.pop_epoch, self.trail.size)
+        return (self.pop_epoch, len(self.log))
 
     # -- worlds ----------------------------------------------------------
 
     def push_world(self):
-        return self.trail.push()
+        self._marks.append(len(self.log))
+        return len(self._marks)
 
     def pop_world(self):
-        """Undo every change since the matching push.
+        """Undo every change since the matching push, last first.
 
-        Pending propagator events refer to the abandoned world and are
-        discarded; state kept from the abandoned world is recognised by
-        the epoch bump.
+        Every subscriber's cursor moves to the mark, which discards the
+        events it had not read; state kept from the abandoned world is
+        recognised by the epoch bump.
         """
-        d = self.trail.pop()
+        if not self._marks:
+            raise PreconditionViolation("pop without matching push")
+        mark = self._marks.pop()
+        log = self.log
+        succ, pred, msucc, mpred = self.succ, self.pred, self.msucc, self.mpred
+        pmask = self.pmask
+        for kind, u, v in reversed(log[mark:]):
+            if kind == ARC_REMOVED:
+                succ[u].add(v)
+                pred[v].add(u)
+                pmask[u, v] = True
+                self.n_potential += 1
+            elif kind == ARC_ENFORCED:
+                msucc[u].discard(v)
+                mpred[v].discard(u)
+                self.n_mandatory -= 1
+            else:
+                u()
+        del log[mark:]
         self.pop_epoch += 1
-        for p in self._listeners:
-            p.events.clear()
         for p in self._subs:
             p.scheduled = False
+            p.read = mark
         if self.scheduler is not None:
             self.scheduler.clear()
-        return d
+        return len(self._marks)
 
 
 class Propagator:
     """Base class: a filtering routine woken by domain changes.
 
-    A propagator that reads the changes themselves sets `events` to a
-    deque in its constructor; the graph variable then queues every arc
-    event there, FIFO.  The others are only woken.
+    Every mutation wakes every subscriber.  A propagator that reads the
+    changes themselves takes them from `unread()`, FIFO, its own cascade
+    included; the others ignore the cursor and re-read the domain.
     """
 
     name = "propagator"
     priority = 0
-    events = None
+    read = 0        # log position of the first record not yet read
 
     def __init__(self, gv):
         self.gv = gv
@@ -224,6 +204,14 @@ class Propagator:
 
     def propagate(self):
         raise NotImplementedError
+
+    def unread(self):
+        """The log records past the cursor, UNDO records included, as one
+        list; the cursor moves to the end of the log."""
+        log = self.gv.log
+        batch = log[self.read:]
+        self.read = len(log)
+        return batch
 
     # counted wrappers so per-propagator filtering totals end up in reports
     def remove(self, u, v):

@@ -54,6 +54,9 @@ class Model:
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and np.isfinite(self.C[u, v])]
         self.gv = GraphVar(n, s, e, arcs)
+        # solve() sets it: a search leaves the root's changes and the cap
+        # in place, so a model serves one search
+        self.searched = False
         self.scheduler = Scheduler(self.gv)
         self.obj = Objective(self.gv)
         gv = self.gv
@@ -252,7 +255,9 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     otherwise the least floor over the subtrees still open, capped at the
     best cost found (or at prove_ub + 1 before any path is found).
 
-    time_limit is in clock units; NaN and negative limits are rejected.
+    time_limit is in clock units; NaN and negative limits are rejected,
+    as is a prove_ub that is not finite.  A model serves one search: a
+    second call on it raises ValueError.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -260,6 +265,11 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number, "
                          f"not {time_limit!r}")
+    if prove_ub is not None and not math.isfinite(prove_ub):
+        raise ValueError(f"prove_ub must be finite, not {prove_ub!r}")
+    if m.searched:
+        raise ValueError("model already searched; build a new Model per solve")
+    m.searched = True
     gv = m.gv
     t0 = clock()
     deadline = None if time_limit is None else t0 + time_limit

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kernel import ARC_ENFORCED, Propagator
+from .kernel import ARC_ENFORCED, UNDO, Propagator
 from .scc import ReducedState, tarjan_scc
 
 
@@ -21,17 +21,17 @@ class DegreePropagator(Propagator):
 
     Zero potential out or in arcs on an interior node is a dead end, a
     single one is forced, and a mandatory arc evicts its siblings.  The
-    first call checks every node; after that an arc event (u, v) can only
-    change the out-row of u and the in-column of v, so each call rechecks
-    just those.  The first scan is trailed, so backtracking past it asks
-    for a full scan again.
+    first call checks every node; after that an arc record (u, v) in the
+    change log can only change the out-row of u and the in-column of v, so
+    each call rechecks just those.  The first scan is undone on
+    backtracking like the arcs, so popping past it asks for a full scan
+    again.
     """
 
     def __init__(self, gv):
         super().__init__(gv)
         self.name = "degree"
         self.priority = 0
-        self.events = deque()
         self.scanned = False
 
     def _row(self, u):
@@ -66,23 +66,24 @@ class DegreePropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        events = self.events
         if not self.scanned:
-            # the scan covers every event queued so far; its own
-            # mutations queue new ones, read below
-            events.clear()
+            # the scan covers every change logged so far; its own
+            # mutations are logged after the cursor, read below
+            self.read = len(gv.log)
             self.scanned = True
-            gv.trail.record(lambda: setattr(self, "scanned", False))
+            gv.record(lambda: setattr(self, "scanned", False))
             for u in range(gv.n):
                 if u != gv.e:
                     self._row(u)
                 if u != gv.s:
                     self._col(u)
-        # arcs never leave e nor enter s, so no event names them there
-        while events:
-            _, u, v = events.popleft()
-            self._row(u)
-            self._col(v)
+        # arcs never leave e nor enter s, so no record names them there;
+        # each batch holds the mutations the previous one caused
+        while batch := self.unread():
+            for kind, u, v in batch:
+                if kind != UNDO:
+                    self._row(u)
+                    self._col(v)
 
 
 class NoCyclePropagator(Propagator):
@@ -90,34 +91,33 @@ class NoCyclePropagator(Propagator):
 
     chain_start[b] is the first node of the chain ending at b and
     chain_end[a] the last node of the chain starting at a; both are only
-    meaningful at chain endpoints.  Updates are trailed so backtracking
-    restores the chain structure.
+    meaningful at chain endpoints.  Each merge logs the slots it
+    overwrites, so backtracking restores the chain structure.
     """
 
     def __init__(self, gv):
         super().__init__(gv)
         self.name = "nocycle"
         self.priority = 0
-        self.events = deque()
         self.chain_start = list(range(gv.n))
         self.chain_end = list(range(gv.n))
 
     def propagate(self):
         gv = self.gv
-        while self.events:
-            kind, u, v = self.events.popleft()
+        cs, ce = self.chain_start, self.chain_end
+        # its own mutations are removals, so one batch holds every
+        # enforcement there is to read
+        for kind, u, v in self.unread():
             if kind != ARC_ENFORCED:
                 continue
-            a = self.chain_start[u]
-            b = self.chain_end[v]
+            a = cs[u]
+            b = ce[v]
             if a == v:
                 self.fail("mandatory arcs close a cycle")
-            cs, ce = self.chain_start, self.chain_end
-            # bind per event: several merges can land on the trail from one
-            # call, each undo must restore its own slots
-            gv.trail.record(
-                lambda a=a, b=b, oe=ce[a], os=cs[b]:
-                    (ce.__setitem__(a, oe), cs.__setitem__(b, os)))
+            # bind per merge: several can be logged from one call, each
+            # undo must restore its own slots
+            gv.record(lambda a=a, b=b, oe=ce[a], os=cs[b]:
+                      (ce.__setitem__(a, oe), cs.__setitem__(b, os)))
             ce[a] = b
             cs[b] = a
             # the arc from the merged chain's end back to its start would
@@ -215,7 +215,7 @@ class AllDifferentPropagator(Propagator):
 
     The matching is kept across calls in `mate_var`/`mate_val`.  Each call
     drops the pairs whose arc is gone and re-augments only the variables
-    left free.  It needs no trail: backtracking only puts arcs back, so a
+    left free.  It logs no undo: backtracking only puts arcs back, so a
     stored pair stays valid until its arc dies.  A perfect matching covers
     every value, so the residual digraph folds onto the variables, with
     u -> mate_val[v] for each unmatched v in succ[u]; an unmatched arc

@@ -16,8 +16,9 @@ from hampath import Model, circuit_to_path, parse_tsplib
 from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
                            span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
-from hampath.kernel import GraphVar
+from hampath.kernel import GraphVar, Scheduler
 from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
+                                DegreePropagator, NoCyclePropagator,
                                 PositionPropagator)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -189,3 +190,55 @@ def test_reduced_state_rebuild_n45(benchmark):
     st.rebuild()
     assert st.members == blocks
     benchmark(st.rebuild)
+
+
+def test_kernel_round_bays29(benchmark):
+    """One search-node round of the kernel alone (n = 29): push a world,
+    remove 30 arcs and enforce a 10-arc chain out of s, run the fixpoint
+    of `degree` and `nocycle`, pop.  The domain is the bays29 BASIC/map
+    root state under the cap 2020, restated on a graph variable that only
+    those two propagators watch; every round sees the same domain."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="BASIC", relax="map")
+    m.obj.ub = 2020
+    m.root_propagate()
+    gv = GraphVar(m.gv.n, s, e, m.gv.arcs())
+    for u, v in m.gv.mandatory_arcs():
+        gv.enforce_arc(u, v)
+    sched = Scheduler(gv)
+    sched.register(DegreePropagator(gv))
+    sched.register(NoCyclePropagator(gv))
+    sched.schedule_all()
+    sched.run_fixpoint()
+    # the chain follows the cheapest successor not yet on it; the removed
+    # arcs avoid its nodes and leave every other node three arcs each way
+    # that avoid them too
+    chain = [s]
+    while len(chain) < 11:
+        u = chain[-1]
+        chain.append(min((w for w in gv.succ[u] if w not in chain and w != e),
+                         key=lambda w: (C[u][w], w)))
+    out = [len(x.difference(chain)) for x in gv.succ]
+    inn = [len(x.difference(chain)) for x in gv.pred]
+    drop = []
+    for u, v in gv.arcs():
+        if len(drop) < 30 and u not in chain and v not in chain \
+                and not gv.has_mandatory(u, v) and out[u] > 3 and inn[v] > 3:
+            drop.append((u, v))
+            out[u] -= 1
+            inn[v] -= 1
+
+    def once():
+        gv.push_world()
+        for u, v in drop:
+            gv.remove_arc(u, v)
+        for u, v in zip(chain, chain[1:]):
+            gv.enforce_arc(u, v)
+        sched.run_fixpoint()
+        gv.pop_world()
+
+    before = gv.arcs()
+    once()
+    assert len(drop) == 30 and gv.arcs() == before
+    benchmark(once)

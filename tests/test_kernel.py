@@ -1,13 +1,13 @@
-"""Kernel tests: domains, trailing, events, scheduler ordering."""
+"""Kernel tests: domains, the change log, events, scheduler ordering."""
 
 import random
-from collections import deque
 
 import pytest
 
 from hampath.kernel import (
     ARC_ENFORCED,
     ARC_REMOVED,
+    UNDO,
     Contradiction,
     GraphVar,
     Propagator,
@@ -35,13 +35,11 @@ class Recorder(Propagator):
     def __init__(self, gv, priority=0, log=None):
         super().__init__(gv)
         self.priority = priority
-        self.events = deque()
         self.log = log if log is not None else []
         self.seen = []
 
     def propagate(self):
-        while self.events:
-            self.seen.append(self.events.popleft())
+        self.seen.extend(r for r in self.unread() if r[0] != UNDO)
         self.log.append(self.name)
 
 
@@ -90,10 +88,28 @@ def test_events_exactly_once_fifo():
     gv.subscribe(b)
     gv.remove_arc(1, 2)
     gv.enforce_arc(1, 3)
-    gv.remove_arc(1, 2)  # no-op, must not emit
+    gv.remove_arc(1, 2)  # no-op, must not log
     expected = [(ARC_REMOVED, 1, 2), (ARC_ENFORCED, 1, 3)]
-    assert list(a.events) == expected
-    assert list(b.events) == expected
+    assert gv.log == expected
+    assert a.unread() == expected
+    assert b.unread() == expected
+    # each reader got them once
+    assert a.unread() == [] and b.unread() == []
+    gv.remove_arc(2, 1)
+    assert a.unread() == [(ARC_REMOVED, 2, 1)]
+    assert b.unread() == [(ARC_REMOVED, 2, 1)]
+
+
+def test_late_subscriber_reads_only_later_changes():
+    gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    early = Recorder(gv)
+    gv.subscribe(early)
+    gv.remove_arc(1, 2)
+    late = Recorder(gv)
+    gv.subscribe(late)
+    gv.enforce_arc(1, 3)
+    assert early.unread() == [(ARC_REMOVED, 1, 2), (ARC_ENFORCED, 1, 3)]
+    assert late.unread() == [(ARC_ENFORCED, 1, 3)]
 
 
 def test_events_reach_only_queue_keepers():
@@ -109,37 +125,55 @@ def test_events_reach_only_queue_keepers():
     sched.register(rec)
     sched.register(quiet)
     gv.remove_arc(1, 2)
-    assert list(rec.events) == [(ARC_REMOVED, 1, 2)]
-    assert quiet.events is None and quiet.scheduled
+    assert rec.scheduled and quiet.scheduled
     sched.run_fixpoint()
-    assert quiet.stats["invocations"] == 1
+    assert rec.seen == [(ARC_REMOVED, 1, 2)]
+    # the non-reader was only woken: its cursor never moved
+    assert quiet.stats["invocations"] == 1 and quiet.read == 0
 
 
 def test_push_pop_restores_bit_identical_state():
     rng = random.Random(7)
     gv = GraphVar(6, 0, 5, full_arcs(6, 0, 5))
+    # each logged callable pops the witness its record pushed; it must
+    # find its own witness on top and the arcs as they were when it was
+    # logged, so callables and arc records are undone together, LIFO
+    witness = []
+    misordered = []
     stack = []
     for _ in range(300):
         op = rng.random()
         if op < 0.35 and gv.depth < 6:
-            stack.append(snapshot(gv))
+            stack.append((snapshot(gv), len(witness)))
             gv.push_world()
         elif op < 0.5 and stack:
             gv.pop_world()
-            assert snapshot(gv) == stack.pop()
+            assert (snapshot(gv), len(witness)) == stack.pop()
+        elif op < 0.6:
+            here = snapshot(gv)
+            witness.append(here)
+
+            def undo(here=here):
+                if witness.pop() is not here or snapshot(gv) != here:
+                    misordered.append(here)
+
+            gv.record(undo)
         else:
             u = rng.randrange(6)
             v = rng.randrange(6)
             try:
-                if op < 0.8:
+                if op < 0.85:
                     gv.remove_arc(u, v)
                 else:
                     gv.enforce_arc(u, v)
             except Contradiction:
                 pass
+    assert any(r[0] == UNDO for r in gv.log)
+    assert any(r[0] != UNDO for r in gv.log)
     while stack:
         gv.pop_world()
-        assert snapshot(gv) == stack.pop()
+        assert (snapshot(gv), len(witness)) == stack.pop()
+    assert not misordered
 
 
 def test_pop_discards_pending_events():
@@ -147,12 +181,16 @@ def test_pop_discards_pending_events():
     sched = Scheduler(gv)
     r = Recorder(gv)
     sched.register(r)
+    gv.remove_arc(2, 1)     # pending from the root world
     gv.push_world()
     gv.remove_arc(1, 2)
-    assert r.events and r.scheduled
+    assert r.scheduled and len(gv.log) == 2
     gv.pop_world()
-    assert not r.events and not r.scheduled
+    assert not r.scheduled and r.unread() == []
+    assert gv.log == [(ARC_REMOVED, 2, 1)]
     assert gv.has_arc(1, 2)
+    gv.enforce_arc(1, 3)
+    assert r.unread() == [(ARC_ENFORCED, 1, 3)]
 
 
 def test_scheduler_priority_and_single_pending():

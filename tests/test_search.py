@@ -2,6 +2,7 @@
 prove-mode semantics, determinism, and limit handling."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,35 @@ def test_bad_time_limit_is_rejected(limit):
     with pytest.raises(ValueError, match="time limit"):
         solve(m, time_limit=limit)
     assert m.scheduler.props[0].stats["invocations"] == 0   # nothing ran
+
+
+@pytest.mark.parametrize("ub", [math.inf, -math.inf, math.nan])
+def test_non_finite_prove_ub_is_rejected(ub):
+    m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E)
+    with pytest.raises(ValueError, match="prove_ub"):
+        solve(m, prove_ub=ub)
+    assert m.scheduler.props[0].stats["invocations"] == 0   # nothing ran
+
+
+def test_a_model_serves_one_search():
+    C, s, e = gen_random(9, seed=3)
+    want, _ = dp_oracle(C, s, e)
+    assert want == 157
+    m = fresh(C, s, e, model="ALL", relax="both")
+    # calls rejected for a bad argument leave the model usable
+    with pytest.raises(ValueError):
+        solve(m, heuristic="coinflip")
+    with pytest.raises(ValueError):
+        solve(m, prove_ub=math.inf)
+    r = solve(m)
+    assert (r.status, r.best_cost) == ("optimal", 157)
+    # the search left the root's changes and the cap 156 in place
+    with pytest.raises(ValueError, match="already searched"):
+        solve(m)
+    m = fresh(C, s, e, model="ALL", relax="both")
+    assert solve(m, prove_ub=156).status == "infeasible"
+    with pytest.raises(ValueError, match="already searched"):
+        solve(m)
 
 
 def test_zero_and_infinite_time_limits_are_accepted():
@@ -217,11 +247,14 @@ def test_model_rejects_malformed_cost_matrix(n, C, relax):
         Model(n, 0, n - 1, C, relax=relax)
 
 
-def test_only_event_readers_keep_event_queues():
+def test_only_event_readers_read_the_log():
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
               relax="both")
     assert len(m.scheduler.props) == 6
-    assert [p.name for p in m.scheduler.props if p.events is not None] == \
+    m.root_propagate()
+    assert m.gv.log     # the root fixpoint changed the domain
+    # the others are only woken, so their cursors stay where they started
+    assert [p.name for p in m.scheduler.props if p.read] == \
         ["degree", "nocycle"]
 
 
