@@ -9,7 +9,7 @@ can confirm it before the solver proves it by propagation and search.
 
 import os
 
-from hampath import Model, dp_oracle, parse_tsplib, solve
+from hampath import Model, circuit_to_path, dp_oracle, parse_tsplib, solve
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCE = os.path.join(HERE, os.pardir, "instances", "br17.atsp")
@@ -20,7 +20,7 @@ def main():
     print("parsed %s: %d cities, type %s" %
           (inst.name, inst.dimension, inst.problem_type))
 
-    M, s, e = inst.path_matrix(home=0)
+    M, s, e = circuit_to_path(inst.matrix, 0)
     print("path form: %d nodes, start %d, end %d" % (M.shape[0], s, e))
 
     opt, _ = dp_oracle(M, s, e)

@@ -10,9 +10,9 @@ One list, the change log, records every change in order: an
 (UNDO, fn, None) record per piece of propagator state to restore.  A world
 is a mark into the log; popping it undoes the records past the mark, last
 in first out.  The log is also the event stream: every mutation wakes each
-subscribed propagator, and the two that read the changes themselves
-(degree and no-cycle) keep a cursor into it.  The others re-read the
-domain when woken.
+subscribed propagator, and the one that reads the changes themselves
+(degree) keeps a cursor into it.  The others re-read the domain when
+woken.
 """
 
 from __future__ import annotations

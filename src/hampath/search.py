@@ -18,8 +18,8 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
 from .kernel import Contradiction, GraphVar, Scheduler
 from .structural import (AllDifferentPropagator, ArborescencePropagator,
-                         DegreePropagator, NoCyclePropagator,
-                         PositionPropagator, ReducedPathPropagator)
+                         DegreePropagator, PositionPropagator,
+                         ReducedPathPropagator)
 
 MODELS = ("BASIC", "ARB", "POS", "AD", "BST", "ALL")
 RELAXATIONS = ("tree", "map", "both")
@@ -63,7 +63,6 @@ class Model:
 
         reg = self.scheduler.register
         reg(DegreePropagator(gv))
-        reg(NoCyclePropagator(gv))
         # under map and both the assignment bound, never below the sum of
         # the row minima, dominates the trivial floor
         if relax == "tree":
@@ -278,7 +277,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     nodes = 1
     status = None
     if prove_ub is not None:
-        m.obj.ub = int(prove_ub)
+        # costs are integers of either sign, so the cap rounds down
+        m.obj.ub = math.floor(prove_ub)
     # pending alternative per open level with the floor of the node that
     # branched, or None once the alternative is spent
     stack = []
@@ -287,7 +287,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     def global_lb(st):
         cap = best_cost
         if cap is None and prove_ub is not None:
-            cap = int(prove_ub) + 1
+            cap = math.floor(prove_ub) + 1
         if st in ("optimal", "infeasible"):
             return cap          # nothing is left open
         # the current node is open unless it failed or is a spent leaf

@@ -17,15 +17,22 @@ from .scc import ReducedState, tarjan_scc
 
 
 class DegreePropagator(Propagator):
-    """Each node except e has one successor, each except s one predecessor.
+    """Degree constraints and the no-subtour rule on mandatory chains.
 
-    Zero potential out or in arcs on an interior node is a dead end, a
+    Each node except e has one successor, each except s one predecessor:
+    zero potential out or in arcs on an interior node is a dead end, a
     single one is forced, and a mandatory arc evicts its siblings.  The
-    first call checks every node; after that an arc record (u, v) in the
-    change log can only change the out-row of u and the in-column of v, so
-    each call rechecks just those.  The first scan is undone on
-    backtracking like the arcs, so popping past it asks for a full scan
-    again.
+    mandatory arcs fuse into chains, and the arc from a chain's end back
+    to its start would close a cycle, so it goes.
+
+    The first call fuses every mandatory arc and checks every node; after
+    that an arc record (u, v) in the change log can only change the
+    out-row of u and the in-column of v, so each call fuses the enforced
+    arcs it reads and rechecks just those.  chain_start[b] is the first
+    node of the chain ending at b and chain_end[a] the last node of the
+    chain starting at a; both are only meaningful at chain endpoints.
+    The first scan and every fusion are undone on backtracking like the
+    arcs, so popping past the scan asks for a full scan again.
     """
 
     def __init__(self, gv):
@@ -33,6 +40,22 @@ class DegreePropagator(Propagator):
         self.name = "degree"
         self.priority = 0
         self.scanned = False
+        self.chain_start = list(range(gv.n))
+        self.chain_end = list(range(gv.n))
+
+    def _fuse(self, u, v):
+        cs, ce = self.chain_start, self.chain_end
+        a = cs[u]
+        b = ce[v]
+        if a == v:
+            self.fail("mandatory arcs close a cycle")
+        # bind per fusion: several can be logged from one call, each undo
+        # must restore its own slots
+        self.gv.record(lambda a=a, b=b, oe=ce[a], os=cs[b]:
+                       (ce.__setitem__(a, oe), cs.__setitem__(b, os)))
+        ce[a] = b
+        cs[b] = a
+        self.remove(b, a)
 
     def _row(self, u):
         row = self.gv.succ[u]
@@ -67,11 +90,14 @@ class DegreePropagator(Propagator):
     def propagate(self):
         gv = self.gv
         if not self.scanned:
-            # the scan covers every change logged so far; its own
-            # mutations are logged after the cursor, read below
+            # the scan covers every change logged so far, so it fuses the
+            # arcs mandatory now, each once; its own mutations are logged
+            # after the cursor, read below
             self.read = len(gv.log)
             self.scanned = True
             gv.record(lambda: setattr(self, "scanned", False))
+            for u, v in gv.mandatory_arcs():
+                self._fuse(u, v)
             for u in range(gv.n):
                 if u != gv.e:
                     self._row(u)
@@ -81,48 +107,12 @@ class DegreePropagator(Propagator):
         # each batch holds the mutations the previous one caused
         while batch := self.unread():
             for kind, u, v in batch:
-                if kind != UNDO:
-                    self._row(u)
-                    self._col(v)
-
-
-class NoCyclePropagator(Propagator):
-    """Fuse mandatory arcs into chains and forbid the closing arc.
-
-    chain_start[b] is the first node of the chain ending at b and
-    chain_end[a] the last node of the chain starting at a; both are only
-    meaningful at chain endpoints.  Each merge logs the slots it
-    overwrites, so backtracking restores the chain structure.
-    """
-
-    def __init__(self, gv):
-        super().__init__(gv)
-        self.name = "nocycle"
-        self.priority = 0
-        self.chain_start = list(range(gv.n))
-        self.chain_end = list(range(gv.n))
-
-    def propagate(self):
-        gv = self.gv
-        cs, ce = self.chain_start, self.chain_end
-        # its own mutations are removals, so one batch holds every
-        # enforcement there is to read
-        for kind, u, v in self.unread():
-            if kind != ARC_ENFORCED:
-                continue
-            a = cs[u]
-            b = ce[v]
-            if a == v:
-                self.fail("mandatory arcs close a cycle")
-            # bind per merge: several can be logged from one call, each
-            # undo must restore its own slots
-            gv.record(lambda a=a, b=b, oe=ce[a], os=cs[b]:
-                      (ce.__setitem__(a, oe), cs.__setitem__(b, os)))
-            ce[a] = b
-            cs[b] = a
-            # the arc from the merged chain's end back to its start would
-            # close a cycle
-            self.remove(b, a)
+                if kind == UNDO:
+                    continue
+                if kind == ARC_ENFORCED:
+                    self._fuse(u, v)
+                self._row(u)
+                self._col(v)
 
 
 class ArborescencePropagator(Propagator):
@@ -323,8 +313,6 @@ class PositionPropagator(Propagator):
         super().__init__(gv)
         self.name = "positions"
         self.priority = 3
-        self.lb = None
-        self.ub = None
 
     def _bfs(self, roots, rows):
         n = self.gv.n
@@ -445,8 +433,6 @@ class PositionPropagator(Propagator):
                 changed = True
             if not changed:
                 break
-        self.lb = lb
-        self.ub = ub
         for u in range(n):
             for v in sorted(gv.succ[u]):
                 if lb[u] + 1 > ub[v] or ub[u] + 1 < lb[v]:

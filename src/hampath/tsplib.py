@@ -38,9 +38,6 @@ class Instance:
     comment: str = ""
     coords: list = field(default_factory=list)
 
-    def path_matrix(self, home=0):
-        return circuit_to_path(self.matrix, home)
-
 
 def _nint(x):
     return int(x + 0.5)
@@ -141,7 +138,6 @@ def parse_tsplib(source):
         if nums is None:
             raise ParseError(0, "missing EDGE_WEIGHT_SECTION")
         M = _fill_matrix(dim, fmt, nums)
-        coords = header.get("_COORDS", [])
     else:
         raise ParseError(0, f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
 

@@ -18,8 +18,7 @@ from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
 from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
-                                DegreePropagator, NoCyclePropagator,
-                                PositionPropagator)
+                                DegreePropagator, PositionPropagator)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -195,9 +194,9 @@ def test_reduced_state_rebuild_n45(benchmark):
 def test_kernel_round_bays29(benchmark):
     """One search-node round of the kernel alone (n = 29): push a world,
     remove 30 arcs and enforce a 10-arc chain out of s, run the fixpoint
-    of `degree` and `nocycle`, pop.  The domain is the bays29 BASIC/map
-    root state under the cap 2020, restated on a graph variable that only
-    those two propagators watch; every round sees the same domain."""
+    of `degree`, pop.  The domain is the bays29 BASIC/map root state under
+    the cap 2020, restated on a graph variable that only `degree` watches;
+    every round sees the same domain."""
     C, s, e = circuit_to_path(
         parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
     m = Model(len(C), s, e, C, model="BASIC", relax="map")
@@ -208,7 +207,6 @@ def test_kernel_round_bays29(benchmark):
         gv.enforce_arc(u, v)
     sched = Scheduler(gv)
     sched.register(DegreePropagator(gv))
-    sched.register(NoCyclePropagator(gv))
     sched.schedule_all()
     sched.run_fixpoint()
     # the chain follows the cheapest successor not yet on it; the removed

@@ -20,7 +20,7 @@ from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.scc import ReducedState
 from hampath.search import HEURISTICS, Model, solve
-from hampath.tsplib import parse_tsplib
+from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import figures as fig
 from oracles import mutual_reachability, partition
@@ -295,7 +295,7 @@ def test_criterion_6_incremental_scc_matches_rebuild():
 def test_criterion_7_br17_proved_at_its_documented_optimum():
     inst = parse_tsplib("instances/br17.atsp")
     assert inst.dimension == 17
-    M, s, e = inst.path_matrix(home=0)
+    M, s, e = circuit_to_path(inst.matrix, 0)
     assert M.shape == (18, 18)
 
     opt, _ = dp_oracle(M, s, e)

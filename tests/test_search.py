@@ -116,6 +116,23 @@ def test_non_finite_prove_ub_is_rejected(ub):
     assert m.scheduler.props[0].stats["invocations"] == 0   # nothing ran
 
 
+@pytest.mark.parametrize("costs, ub, status, lb", [
+    # costs may be negative, so a fractional cap rounds down, not to zero
+    ((0, 0), -0.5, "infeasible", 0),
+    ((-1, 0), -1.5, "infeasible", -1),
+    ((-1, 0), -0.5, "proven", -1),
+])
+@pytest.mark.parametrize("relax", RELAXATIONS)
+def test_fractional_prove_ub_rounds_down(costs, ub, status, lb, relax):
+    C = np.full((3, 3), np.inf)
+    C[0, 1], C[1, 2] = costs
+    r = solve(fresh(C, 0, 2, relax=relax), prove_ub=ub)
+    assert r.status == status
+    assert r.lb == lb
+    if status == "proven":
+        assert r.best_cost == sum(costs)
+
+
 def test_a_model_serves_one_search():
     C, s, e = gen_random(9, seed=3)
     want, _ = dp_oracle(C, s, e)
@@ -250,12 +267,11 @@ def test_model_rejects_malformed_cost_matrix(n, C, relax):
 def test_only_event_readers_read_the_log():
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
               relax="both")
-    assert len(m.scheduler.props) == 6
+    assert len(m.scheduler.props) == 5
     m.root_propagate()
     assert m.gv.log     # the root fixpoint changed the domain
     # the others are only woken, so their cursors stay where they started
-    assert [p.name for p in m.scheduler.props if p.read] == \
-        ["degree", "nocycle"]
+    assert [p.name for p in m.scheduler.props if p.read] == ["degree"]
 
 
 MODEL_PROPS = {"BASIC": [], "ARB": ["arbo", "arbo-rev"], "POS": ["positions"],
@@ -271,5 +287,5 @@ def test_each_configuration_registers_its_propagators(model, relax):
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model=model,
               relax=relax)
     names = [p.name for p in m.scheduler.props]
-    want = ["degree", "nocycle"] + MODEL_PROPS[model] + RELAX_PROPS[relax]
+    want = ["degree"] + MODEL_PROPS[model] + RELAX_PROPS[relax]
     assert sorted(names) == sorted(want)

@@ -12,14 +12,13 @@ from hampath.structural import (
     AllDifferentPropagator,
     ArborescencePropagator,
     DegreePropagator,
-    NoCyclePropagator,
     PositionPropagator,
     ReducedPathPropagator,
 )
 
 import figures as fig
 import oracles
-from probes import WalkOnlyReducedPath
+from probes import WalkOnlyReducedPath, record_windows
 
 
 def make(arcs, n=fig.N, s=fig.S, e=fig.E):
@@ -104,7 +103,7 @@ def test_unreachable_end_block_fails():
         sched.run_fixpoint()
 
 
-# -- degree and no-cycle ---------------------------------------------------------
+# -- degree and the chain rule --------------------------------------------------
 
 
 def test_degree_enforces_singletons_and_evicts_siblings():
@@ -130,14 +129,30 @@ def test_degree_fails_on_empty_row():
         sched.run_fixpoint()
 
 
-def test_nocycle_blocks_closing_arc():
-    arcs = [(0, 1), (1, 2), (2, 1), (1, 3), (2, 3)]
-    gv = GraphVar(4, 0, 3, arcs)
+# the chain rule alone removes (2, 1) once (1, 2) is mandatory: node 1
+# keeps its other predecessors and node 2 its other successors
+FIVE = (5, 0, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1), (1, 3), (2, 3),
+                  (3, 1), (3, 2), (3, 4), (2, 4), (1, 4)])
+FOUR = (4, 0, 3, [(0, 1), (1, 2), (2, 1), (1, 3), (2, 3)])
+
+
+def _degree_only(graph, root_first):
+    """A graph variable watched by `degree` alone, with or without the
+    root fixpoint run before the caller's mutations."""
+    gv = GraphVar(*graph)
     sched = Scheduler(gv)
-    nc = NoCyclePropagator(gv)
-    dg = DegreePropagator(gv)
-    for p in (dg, nc):
-        sched.register(p)
+    sched.register(DegreePropagator(gv))
+    if root_first:
+        sched.schedule_all()
+        sched.run_fixpoint()
+    return gv, sched
+
+
+@pytest.mark.parametrize("root_first", [False, True],
+                         ids=["before-first-call", "after-root"])
+@pytest.mark.parametrize("graph", [FOUR, FIVE], ids=["four", "five"])
+def test_degree_blocks_closing_arc(graph, root_first):
+    gv, sched = _degree_only(graph, root_first)
     gv.enforce_arc(1, 2)
     sched.schedule_all()
     sched.run_fixpoint()
@@ -145,17 +160,43 @@ def test_nocycle_blocks_closing_arc():
     assert not gv.has_arc(2, 1)
 
 
-def test_nocycle_rejects_mandatory_cycle():
-    arcs = [(0, 1), (1, 2), (2, 1), (1, 3), (2, 3)]
-    gv = GraphVar(4, 0, 3, arcs)
-    sched = Scheduler(gv)
-    nc = NoCyclePropagator(gv)
-    sched.register(nc)
+@pytest.mark.parametrize("root_first", [False, True],
+                         ids=["before-first-call", "after-root"])
+def test_degree_rejects_mandatory_cycle(root_first):
+    # the degree rules alone accept 0->3->4 beside the cycle 1<->2
+    gv, sched = _degree_only(FIVE, root_first)
+    gv.enforce_arc(1, 2)
+    gv.enforce_arc(2, 1)
+    sched.schedule_all()
+    with pytest.raises(Contradiction):
+        sched.run_fixpoint()
+
+
+def test_degree_rejects_closing_a_fused_chain():
+    gv, sched = _degree_only(FOUR, True)
     gv.enforce_arc(1, 2)
     sched.run_fixpoint()
     with pytest.raises(Contradiction):
         gv.enforce_arc(2, 1)
         sched.run_fixpoint()
+
+
+def test_degree_fuses_each_mandatory_arc_once():
+    # 1->2->3 is mandatory before the first call, logged in the order
+    # (2, 3), (1, 2); fusing the log records again after the mandatory
+    # arcs would leave chain 1..3 ending at 2, so prepending 4 would spare
+    # the closing arc (3, 4)
+    n = 7
+    arcs = [(u, v) for u in range(n) for v in range(n)
+            if u != v and v != 0 and u != n - 1]
+    gv, sched = _degree_only((n, 0, n - 1, arcs), False)
+    gv.enforce_arc(2, 3)
+    gv.enforce_arc(1, 2)
+    sched.schedule_all()
+    sched.run_fixpoint()
+    gv.enforce_arc(4, 1)
+    sched.run_fixpoint()
+    assert not gv.has_arc(3, 4)
 
 
 def _degree_state(gv):
@@ -164,10 +205,10 @@ def _degree_state(gv):
 
 def test_degree_events_reach_the_full_scan_closure():
     """Random remove/enforce steps under push/pop: the event-driven degree
-    propagator with no-cycle lands on the closure that full scans reach,
-    or fails exactly when that closure is a contradiction.  Half the trials
-    skip the root fixpoint, so the first full scan happens inside a world
-    that may be backed out again."""
+    propagator, chain rule included, lands on the closure that full scans
+    reach, or fails exactly when that closure is a contradiction.  Half the
+    trials skip the root fixpoint, so the first full scan happens inside a
+    world that may be backed out again."""
     rng = random.Random(7)
     checked = failed = 0
     for trial in range(400):
@@ -179,8 +220,7 @@ def test_degree_events_reach_the_full_scan_closure():
                       and rng.random() < density)
         gv = GraphVar(n, s, e, arcs)
         sched = Scheduler(gv)
-        for p in (DegreePropagator(gv), NoCyclePropagator(gv)):
-            sched.register(p)
+        sched.register(DegreePropagator(gv))
         if trial % 2 == 0:
             want = oracles.degree_closure(n, s, e, arcs, ())
             sched.schedule_all()
@@ -461,11 +501,13 @@ def test_positions_sound_against_path_enumeration():
         gv = GraphVar(n, s, e, sorted(arcs))
         sched = Scheduler(gv)
         pp = PositionPropagator(gv)
+        windows = record_windows(pp)
         run(gv, sched, [pp])
+        lb, ub = windows
         for v in range(n):
             if positions[v]:
-                assert pp.lb[v] <= min(positions[v])
-                assert pp.ub[v] >= max(positions[v])
+                assert lb[v] <= min(positions[v])
+                assert ub[v] >= max(positions[v])
 
 
 def test_positions_channeling_removes_impossible_arcs():
@@ -475,8 +517,10 @@ def test_positions_channeling_removes_impossible_arcs():
     gv = GraphVar(5, 0, 4, arcs)
     sched = Scheduler(gv)
     pp = PositionPropagator(gv)
+    windows = record_windows(pp)
     run(gv, sched, [pp])
-    assert pp.lb[3] == 3 and pp.ub[3] == 3
+    lb, ub = windows
+    assert lb[3] == 3 and ub[3] == 3
     assert not gv.has_arc(0, 3)
     assert gv.has_arc(3, 4)
 

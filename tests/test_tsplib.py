@@ -172,6 +172,6 @@ def test_documented_optima_of_vendored_instances():
                        ("instances/gr17.tsp", 2085),
                        ("instances/ulysses16.tsp", 6859)):
         inst = parse_tsplib(fname)
-        M, s, e = inst.path_matrix(0)
+        M, s, e = circuit_to_path(inst.matrix, 0)
         cost, _ = dp_oracle(M, s, e)
         assert cost == opt, fname
