@@ -102,8 +102,9 @@ def tree_oracle(gv, reduced=None):
     all n nodes and there are no cuts: the plain spanning tree.  pins[u]
     lists the nodes tied to u by a mandatory arc.
 
-    The cuts need no re-check: `hk` runs at priority 5 and every mutation
-    wakes reduced-path at priority 2, so its last call saw this domain.
+    The cuts need no re-check: `hk` runs at priority 5, every mutation but
+    its own wakes reduced-path at priority 2, and it repeats its pass until
+    its door rules, the only ones that cut inside a block, remove nothing.
     Every cut arc is present, and a cut that holds a mandatory arc holds
     only that arc; a cut of one arc holds a mandatory one.
     """
@@ -350,7 +351,6 @@ class HeldKarpPropagator(Propagator):
         self.pi_in = np.zeros(gv.n)
         self.last_marginals = None
         self.last_swaps = None
-        self._done_stamp = None
         self._full_key = None
 
     # one relaxation evaluation at the current multipliers; returns the
@@ -414,13 +414,12 @@ class HeldKarpPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        if self._done_stamp == gv.stamp():
-            return      # woken only by its own filtering, nothing changed
         oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
-        # the same node only redo the filtering below at the stored
-        # multipliers, which stays a valid relaxation of the shrunk domain
+        # the same node, by other propagators' changes, only redo the
+        # filtering below at the stored multipliers, which stays a valid
+        # relaxation of the shrunk domain
         key = (gv.pop_epoch, gv.depth)
         if key != self._full_key:
             ub_target = float(ub) if ub is not None \
@@ -442,7 +441,6 @@ class HeldKarpPropagator(Propagator):
         # the first path goes by arc costs (ftv33 under ALL/both needs 183
         # nodes that way, 1,088 when steered by the marginals)
         self.last_marginals = marginals if ub is not None else None
-        self._done_stamp = gv.stamp()
 
 
 # -- assignment propagator -------------------------------------------------------
@@ -472,7 +470,6 @@ class HungarianPropagator(Propagator):
         self.dv = [0.0] * len(self.cols)
         self.row_match = [-1] * len(self.rows)
         self.col_match = [-1] * len(self.cols)
-        self._done_stamp = None
 
     def _augment(self, i0, Cm):
         du, dv = self.du, self.dv
@@ -520,8 +517,6 @@ class HungarianPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        if self._done_stamp == gv.stamp():
-            return
         A = gv.pmask.take(self._flat)
         Cm = np.where(A, self.Cbase, INF)
         # revived arcs may undercut the duals: clamp columns down
@@ -551,4 +546,3 @@ class HungarianPropagator(Propagator):
             for i, j in zip(*(ix.tolist() for ix in np.nonzero(bad))):
                 if row_match[i] != j:
                     self.remove(rows[i], cols[j])
-        self._done_stamp = gv.stamp()

@@ -10,9 +10,10 @@ One list, the change log, records every change in order: an
 (UNDO, fn, None) record per piece of propagator state to restore.  A world
 is a mark into the log; popping it undoes the records past the mark, last
 in first out.  The log is also the event stream: every mutation wakes each
-subscribed propagator, and the one that reads the changes themselves
-(degree) keeps a cursor into it.  The others re-read the domain when
-woken.
+registered propagator but the one making it (Schulte & Stuckey, TOPLAS
+31(1), 2008), so a call of `propagate` must end at its own fixpoint.  The
+one that reads the changes themselves (degree) keeps a cursor into the log;
+the others re-read the domain when woken.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class GraphVar:
         self.log = []
         self._marks = []            # log length at each open world's push
         self.pop_epoch = 0
-        self._subs = []
         self.scheduler = None
         for (u, v) in arcs:
             if u == v or v == s or u == e:
@@ -93,12 +93,6 @@ class GraphVar:
 
     # -- mutation --------------------------------------------------------
 
-    def subscribe(self, propagator):
-        """Wake propagator on every later mutation; its cursor starts at
-        the end of the log, so it reads only changes made from now on."""
-        propagator.read = len(self.log)
-        self._subs.append(propagator)
-
     def record(self, fn):
         """Call fn when the current world is popped, in log order."""
         self.log.append((UNDO, fn, None))
@@ -107,7 +101,7 @@ class GraphVar:
         self.log.append((kind, u, v))
         sched = self.scheduler
         if sched is not None:
-            for p in self._subs:
+            for p in sched.props:
                 if not p.scheduled:
                     sched.schedule(p)
 
@@ -136,14 +130,6 @@ class GraphVar:
         self._emit(ARC_ENFORCED, u, v)
         return True
 
-    def stamp(self):
-        """Cheap fingerprint of the domain state.
-
-        Equal stamps mean no mutation and no backtrack happened in between,
-        so a propagator that saw the first stamp has nothing new to do.
-        """
-        return (self.pop_epoch, len(self.log))
-
     # -- worlds ----------------------------------------------------------
 
     def push_world(self):
@@ -153,9 +139,9 @@ class GraphVar:
     def pop_world(self):
         """Undo every change since the matching push, last first.
 
-        Every subscriber's cursor moves to the mark, which discards the
-        events it had not read; state kept from the abandoned world is
-        recognised by the epoch bump.
+        Every registered propagator's cursor moves to the mark, which
+        discards the events it had not read, and the queue empties; state
+        kept from the abandoned world is recognised by the epoch bump.
         """
         if not self._marks:
             raise PreconditionViolation("pop without matching push")
@@ -177,20 +163,23 @@ class GraphVar:
                 u()
         del log[mark:]
         self.pop_epoch += 1
-        for p in self._subs:
-            p.scheduled = False
-            p.read = mark
-        if self.scheduler is not None:
-            self.scheduler.clear()
+        sched = self.scheduler
+        if sched is not None:
+            for p in sched.props:
+                p.scheduled = False
+                p.read = mark
+            sched.clear()
         return len(self._marks)
 
 
 class Propagator:
     """Base class: a filtering routine woken by domain changes.
 
-    Every mutation wakes every subscriber.  A propagator that reads the
-    changes themselves takes them from `unread()`, FIFO, its own cascade
-    included; the others ignore the cursor and re-read the domain.
+    Every mutation wakes every registered propagator but the one making it,
+    so `propagate` repeats its work until a second call would change nothing.
+    One that reads the changes themselves takes them from `unread()`, FIFO,
+    its own cascade included; the others ignore the cursor and re-read the
+    domain.
     """
 
     name = "propagator"
@@ -236,7 +225,8 @@ class Scheduler:
     Buckets drain lowest priority first, FIFO within a bucket, and a
     propagator sits in the queue at most once.  Cost relaxations carry the
     highest priority numbers, so the Lagrangian propagators only run when
-    nothing else is pending.
+    nothing else is pending.  A propagator stays flagged `scheduled` while it
+    runs, so only the changes made by others queue it again.
     """
 
     def __init__(self, gv):
@@ -247,8 +237,9 @@ class Scheduler:
         self.props = []
 
     def register(self, propagator):
+        """Wake propagator on, and let it read, every later mutation."""
+        propagator.read = len(self.gv.log)
         self.props.append(propagator)
-        self.gv.subscribe(propagator)
         if propagator.priority not in self._buckets:
             self._buckets[propagator.priority] = deque()
             self._order = sorted(self._buckets)
@@ -279,6 +270,8 @@ class Scheduler:
                     break
             if prop is None:
                 return
-            prop.scheduled = False
             prop.stats["invocations"] += 1
-            prop.propagate()
+            try:
+                prop.propagate()
+            finally:
+                prop.scheduled = False

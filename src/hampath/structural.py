@@ -23,7 +23,7 @@ class DegreePropagator(Propagator):
     zero potential out or in arcs on an interior node is a dead end, a
     single one is forced, and a mandatory arc evicts its siblings.  The
     mandatory arcs fuse into chains, and the arc from a chain's end back
-    to its start would close a cycle, so it goes.
+    to its start would close a cycle, so it goes before it can be enforced.
 
     The first call fuses every mandatory arc and checks every node; after
     that an arc record (u, v) in the change log can only change the
@@ -47,8 +47,6 @@ class DegreePropagator(Propagator):
         cs, ce = self.chain_start, self.chain_end
         a = cs[u]
         b = ce[v]
-        if a == v:
-            self.fail("mandatory arcs close a cycle")
         # bind per fusion: several can be logged from one call, each undo
         # must restore its own slots
         self.gv.record(lambda a=a, b=b, oe=ce[a], os=cs[b]:
@@ -307,6 +305,8 @@ class PositionPropagator(Propagator):
     Mandatory arcs couple neighbouring windows, and the O(n log n)
     bounds-consistency pass of alldifferent narrows them, both until
     nothing changes; then arcs incompatible with pos[v] = pos[u] + 1 go away.
+    A removal can lengthen a bfs depth, so a call repeats all of this until
+    it removes nothing.
     """
 
     def __init__(self, gv):
@@ -408,53 +408,58 @@ class PositionPropagator(Propagator):
     def propagate(self):
         gv = self.gv
         n = gv.n
-        dist_s = self._bfs([gv.s], gv.succ)
-        dist_e = self._bfs([gv.e], gv.pred)
-        if -1 in dist_s or -1 in dist_e:
-            self.fail("node cut off from an endpoint")
-        lb = dist_s[:]
-        ub = [n - 1 - d for d in dist_e]
-        ub[gv.s] = 0
-        lb[gv.e] = n - 1
-        # fixpoint over mandatory-arc coupling and hall intervals
-        while True:
-            changed = False
-            for u, v in gv.mandatory_arcs():
-                if lb[u] + 1 > lb[v]:
-                    lb[v] = lb[u] + 1
+        removed = -1
+        while self.stats["removed"] != removed:
+            removed = self.stats["removed"]
+            dist_s = self._bfs([gv.s], gv.succ)
+            dist_e = self._bfs([gv.e], gv.pred)
+            if -1 in dist_s or -1 in dist_e:
+                self.fail("node cut off from an endpoint")
+            lb = dist_s[:]
+            ub = [n - 1 - d for d in dist_e]
+            ub[gv.s] = 0
+            lb[gv.e] = n - 1
+            # fixpoint over mandatory-arc coupling and hall intervals
+            while True:
+                changed = False
+                for u, v in gv.mandatory_arcs():
+                    if lb[u] + 1 > lb[v]:
+                        lb[v] = lb[u] + 1
+                        changed = True
+                    if ub[v] - 1 < ub[u]:
+                        ub[u] = ub[v] - 1
+                        changed = True
+                for x in range(n):
+                    if lb[x] > ub[x]:
+                        self.fail("empty position domain")
+                if self._hall_sweep(lb, ub):
                     changed = True
-                if ub[v] - 1 < ub[u]:
-                    ub[u] = ub[v] - 1
-                    changed = True
-            for x in range(n):
-                if lb[x] > ub[x]:
-                    self.fail("empty position domain")
-            if self._hall_sweep(lb, ub):
-                changed = True
-            if not changed:
-                break
-        for u in range(n):
-            for v in sorted(gv.succ[u]):
-                if lb[u] + 1 > ub[v] or ub[u] + 1 < lb[v]:
-                    self.remove(u, v)
+                if not changed:
+                    break
+            for u in range(n):
+                for v in sorted(gv.succ[u]):
+                    if lb[u] + 1 > ub[v] or ub[u] + 1 < lb[v]:
+                        self.remove(u, v)
 
 
 class ReducedPathPropagator(Propagator):
     """Prune arcs that cannot lie on a path through the SCC condensation.
 
-    Every call rebuilds the SCC partition.  The condensation is a DAG and
+    Every pass rebuilds the SCC partition.  The condensation is a DAG and
     its blocks come in topological order, so a Hamiltonian path through
     the blocks exists iff each block has an arc into the next one, and
     then follows that order.  Per consecutive pair the arcs out of a block
     that skip the next block die, an empty cut fails, a mandatory witness
     evicts the other witnesses and a lone witness is enforced.  The door
     rules then prune inside blocks with a single entry or exit node.
+    They alone remove arcs inside a block, so they alone can split one:
+    a call repeats its pass until they remove nothing.
 
     `blocks` and `cuts` keep the block order and the witness arcs of every
-    cut from the last complete call, and `epoch` the gv.pop_epoch it ran
-    in.  The tree oracle reads them until the next backtrack: only arcs
-    can go before then, so every path left still runs through the blocks
-    in that order.
+    cut from the last pass of the last complete call, and `epoch` the
+    gv.pop_epoch it ran in.  The tree oracle reads them until the next
+    backtrack: only arcs can go before then, so every path left still runs
+    through the blocks in that order.
     """
 
     def __init__(self, gv):
@@ -494,33 +499,37 @@ class ReducedPathPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        st = self.state.rebuild()
-        blocks = st.members
-        scc_of = st.scc_of
-        cuts = []
-        for k in range(len(blocks) - 1):
-            # arcs out of block k run forward; all but those into k + 1
-            # skip a block, and the path leaves k into k + 1 exactly once
-            cut = []
-            for u in blocks[k]:
-                for v in sorted(gv.succ[u]):
-                    y = scc_of[v]
-                    if y == k + 1:
-                        cut.append((u, v))
-                    elif y != k:
-                        self.remove(u, v)
-            if not cut:
-                self.fail("cut between consecutive blocks is empty")
-            forced = [a for a in cut if gv.has_mandatory(*a)]
-            if forced:
-                for a in cut:
-                    if a != forced[0]:
-                        self.remove(*a)     # raises on a second mandatory
-                cut = forced
-            elif len(cut) == 1:
-                self.enforce(*cut[0])
-            cuts.append(cut)
-        self._apply_doors(cuts)
+        while True:
+            st = self.state.rebuild()
+            blocks = st.members
+            scc_of = st.scc_of
+            cuts = []
+            for k in range(len(blocks) - 1):
+                # arcs out of block k run forward; all but those into k + 1
+                # skip a block, and the path leaves k into k + 1 exactly once
+                cut = []
+                for u in blocks[k]:
+                    for v in sorted(gv.succ[u]):
+                        y = scc_of[v]
+                        if y == k + 1:
+                            cut.append((u, v))
+                        elif y != k:
+                            self.remove(u, v)
+                if not cut:
+                    self.fail("cut between consecutive blocks is empty")
+                forced = [a for a in cut if gv.has_mandatory(*a)]
+                if forced:
+                    for a in cut:
+                        if a != forced[0]:
+                            self.remove(*a)     # raises on a second mandatory
+                    cut = forced
+                elif len(cut) == 1:
+                    self.enforce(*cut[0])
+                cuts.append(cut)
+            removed = self.stats["removed"]
+            self._apply_doors(cuts)
+            if self.stats["removed"] == removed:
+                break
         self.blocks = blocks
         self.cuts = cuts
         self.epoch = gv.pop_epoch

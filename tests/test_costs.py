@@ -417,7 +417,6 @@ def test_subgradient_survives_backtracking():
         except Contradiction:
             pass
         gv.pop_world()
-        sched.clear()
         assert obj.lb == lb_root   # the floor is trailed
         sched.schedule_all()
         sched.run_fixpoint()       # multipliers persist, bound stays sound

@@ -82,10 +82,11 @@ def test_instantiation_flag():
 
 def test_events_exactly_once_fifo():
     gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    sched = Scheduler(gv)
     a = Recorder(gv)
     b = Recorder(gv)
-    gv.subscribe(a)
-    gv.subscribe(b)
+    sched.register(a)
+    sched.register(b)
     gv.remove_arc(1, 2)
     gv.enforce_arc(1, 3)
     gv.remove_arc(1, 2)  # no-op, must not log
@@ -102,11 +103,12 @@ def test_events_exactly_once_fifo():
 
 def test_late_subscriber_reads_only_later_changes():
     gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    sched = Scheduler(gv)
     early = Recorder(gv)
-    gv.subscribe(early)
+    sched.register(early)
     gv.remove_arc(1, 2)
     late = Recorder(gv)
-    gv.subscribe(late)
+    sched.register(late)
     gv.enforce_arc(1, 3)
     assert early.unread() == [(ARC_REMOVED, 1, 2), (ARC_ENFORCED, 1, 3)]
     assert late.unread() == [(ARC_ENFORCED, 1, 3)]
@@ -237,6 +239,28 @@ def test_lagrangian_runs_only_when_queue_otherwise_empty():
     assert all(name == "cheap" for name in log[:-1])
 
 
+def test_own_changes_do_not_requeue_a_propagator():
+    gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    sched = Scheduler(gv)
+
+    class Cutter(Recorder):
+        def propagate(self):
+            super().propagate()
+            self.remove(1, 2)
+
+    cutter = Cutter(gv)
+    other = Recorder(gv)
+    sched.register(cutter)
+    sched.register(other)
+    sched.schedule(cutter)
+    sched.run_fixpoint()
+    # the removal wakes only the other propagator
+    assert cutter.stats["invocations"] == 1
+    assert other.stats["invocations"] == 1
+    assert other.seen == [(ARC_REMOVED, 1, 2)]
+    assert not cutter.scheduled and not other.scheduled
+
+
 def test_contradiction_escapes_fixpoint():
     gv = GraphVar(3, 0, 2, [(0, 1), (1, 2)])
     sched = Scheduler(gv)
@@ -247,7 +271,9 @@ def test_contradiction_escapes_fixpoint():
         def propagate(self):
             self.fail("nope")
 
-    sched.register(Moody(gv))
+    moody = Moody(gv)
+    sched.register(moody)
     gv.remove_arc(0, 1)
     with pytest.raises(Contradiction):
         sched.run_fixpoint()
+    assert not moody.scheduled

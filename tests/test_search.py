@@ -3,11 +3,13 @@ prove-mode semantics, determinism, and limit handling."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from hampath.gen import gen_random
+from hampath.kernel import UNDO, Contradiction
 from hampath.oracle import dp_oracle
 from hampath.search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
 from hampath.tsplib import circuit_to_path, parse_tsplib
@@ -289,3 +291,60 @@ def test_each_configuration_registers_its_propagators(model, relax):
     names = [p.name for p in m.scheduler.props]
     want = ["degree"] + MODEL_PROPS[model] + RELAX_PROPS[relax]
     assert sorted(names) == sorted(want)
+
+
+@pytest.fixture(scope="module")
+def capped_instances():
+    """(C, s, e, optimum) of four clustered random graphs and br17."""
+    out = [gen_random(12, seed=seed, density=0.6, clusters=2)
+           for seed in range(4)]
+    out.append(circuit_to_path(parse_tsplib("instances/br17.atsp").matrix, 0))
+    return [(C, s, e, dp_oracle(C, s, e)[0]) for C, s, e in out]
+
+
+@pytest.mark.parametrize("relax", RELAXATIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_each_propagator_leaves_its_own_fixpoint(model, relax,
+                                                 capped_instances):
+    # a propagator is not woken by its own changes, so a second call right
+    # after a fixpoint must find nothing to do
+    rng = random.Random(f"{model}/{relax}")
+    checks = 0
+    for C, s, e, opt in capped_instances:
+        m = fresh(C, s, e, model=model, relax=relax)
+        m.obj.ub = opt + rng.randint(0, 2)
+        gv = m.gv
+
+        def fixpoint_holds():
+            try:
+                m.scheduler.run_fixpoint()
+                return True
+            except Contradiction:
+                return False
+
+        m.scheduler.schedule_all()
+        consistent = holds = fixpoint_holds()
+        for _ in range(40):
+            if holds:
+                for p in m.scheduler.props:
+                    mark = len(gv.log)
+                    p.propagate()
+                    assert all(r[0] == UNDO for r in gv.log[mark:]), p.name
+                checks += 1
+            live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
+            if not consistent or not live or gv.depth and rng.random() < 0.2:
+                if not gv.depth:
+                    break
+                # back to a world whose fixpoint held; no fixpoint has run
+                # since the pop, so nothing is checked until the next one
+                gv.pop_world()
+                consistent, holds = True, False
+                continue
+            gv.push_world()
+            arc = live[rng.randrange(len(live))]
+            if rng.random() < 0.5:
+                gv.enforce_arc(*arc)
+            else:
+                gv.remove_arc(*arc)
+            consistent = holds = fixpoint_holds()
+    assert checks >= 20

@@ -525,6 +525,16 @@ def test_positions_channeling_removes_impossible_arcs():
     assert gv.has_arc(3, 4)
 
 
+def test_positions_repeat_their_pass_until_it_removes_nothing():
+    # the first pass removes (1, 2), (2, 5), (4, 1) and (4, 2); only then is
+    # node 1 three steps from e and pinned to position 2, which pushes node
+    # 3 to position 3 and rules out (2, 3)
+    gv = GraphVar(6, 0, 5, [(0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (2, 5),
+                            (3, 4), (4, 1), (4, 2), (4, 5)])
+    PositionPropagator(gv).propagate()
+    assert gv.arcs() == [(0, 2), (1, 3), (2, 1), (3, 4), (4, 5)]
+
+
 def _position_bounds_fixpoint(lb, ub):
     """Iterate the positions propagator's bounds routine until it settles;
     (lb, ub), or None when it fails."""
@@ -686,7 +696,6 @@ def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
                 sched.run_fixpoint()
             except Contradiction:
                 gv.pop_world()
-                sched.clear()
                 continue
             assert check_against_fresh(gv, trial) == _block_order(rp)
             grew += len(rp.state.members) > sizes[-1]
@@ -694,7 +703,6 @@ def test_incremental_walk_equals_fresh(propagator, graphs, steps, seed):
             if rng.random() < 0.3:
                 # back out the most recent decision again
                 gv.pop_world()
-                sched.clear()
                 sizes.pop()
         check_against_fresh(gv, trial)
     if graphs is _clustered_graphs:
