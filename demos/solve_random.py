@@ -20,7 +20,7 @@ def main():
           ("model", "relax", "heuristic", "cost", "nodes", "time"))
     for model in ("BASIC", "ALL"):
         for relax in ("tree", "map", "both"):
-            for heuristic in ("enforceSparse", "removeMaxMC"):
+            for heuristic in ("enforceSparse", "enforceMaxRC"):
                 m = Model(N, s, e, C, model=model, relax=relax)
                 res = solve(m, heuristic=heuristic)
                 assert res.best_cost == want

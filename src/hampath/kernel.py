@@ -18,6 +18,7 @@ the others re-read the domain when woken.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 
 import numpy as np
@@ -43,8 +44,13 @@ class GraphVar:
     """
 
     def __init__(self, n, s, e, arcs):
-        if not (0 <= s < n and 0 <= e < n) or s == e:
-            raise PreconditionViolation("endpoints must be distinct nodes in range")
+        # a float or bool endpoint would index the node lists wrongly
+        if s == e or not all(isinstance(v, numbers.Integral) and
+                             not isinstance(v, bool) and 0 <= v < n
+                             for v in (s, e)):
+            raise PreconditionViolation(
+                f"endpoints must be distinct integer nodes in 0..{n - 1}, "
+                f"not {s!r} and {e!r}")
         self.n = n
         self.s = s
         self.e = e

@@ -1,7 +1,7 @@
 """Model assembly and depth-first branch and bound.
 
 A model wires the propagators for one of the named configurations over a
-cost matrix; solve() drives binary decisions from one of five branching
+cost matrix; solve() drives binary decisions from one of three branching
 heuristics, either proving a bound or optimizing by tightening the cap
 after every improving path.
 """
@@ -16,15 +16,15 @@ import numpy as np
 
 from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
-from .kernel import Contradiction, GraphVar, Scheduler
+from .kernel import (Contradiction, GraphVar, PreconditionViolation,
+                     Scheduler)
 from .structural import (AllDifferentPropagator, ArborescencePropagator,
                          DegreePropagator, PositionPropagator,
                          ReducedPathPropagator)
 
 MODELS = ("BASIC", "ARB", "POS", "AD", "BST", "ALL")
 RELAXATIONS = ("tree", "map", "both")
-HEURISTICS = ("removeMaxRC", "enforceMaxRC", "removeMaxMC",
-              "sparse", "enforceSparse")
+HEURISTICS = ("enforceMaxRC", "sparse", "enforceSparse")
 
 
 class Model:
@@ -53,7 +53,11 @@ class Model:
             raise ValueError("finite arc costs must be integers")
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and np.isfinite(self.C[u, v])]
-        self.gv = GraphVar(n, s, e, arcs)
+        try:
+            self.gv = GraphVar(n, s, e, arcs)
+        except PreconditionViolation as exc:
+            # here the endpoints are the caller's input
+            raise ValueError(str(exc)) from None
         # solve() sets it: a search leaves the root's changes and the cap
         # in place, so a model serves one search
         self.searched = False
@@ -124,29 +128,15 @@ def _apply_decision(gv, dec):
 
 
 def _negate(dec):
-    kind = dec[0]
-    if kind == "enforce":
+    # a branch enforces an arc or restricts a row; only the alternative of
+    # an enforce removes
+    if dec[0] == "enforce":
         return ("remove", dec[1], dec[2])
-    if kind == "remove":
-        return ("enforce", dec[1], dec[2])
     _, u, drop, keep = dec
     return ("restrict", u, keep, drop)
 
 
 # -- branching heuristics -----------------------------------------------------------
-
-
-def _tree_arc_scores(m):
-    """(tree_arcs, marginals) from the last Lagrangian filtering pass:
-    replacement costs on undecided realized tree arcs and insertion
-    marginals on the rest."""
-    hk = m.hk
-    if hk is None or hk.last_swaps is None:
-        return None, None
-    gv = m.gv
-    arcs = {a: c for a, c in hk.last_swaps.items()
-            if gv.has_arc(*a) and not gv.has_mandatory(*a)}
-    return arcs, hk.last_marginals
 
 
 def _sparse_pick(m, always_enforce):
@@ -195,21 +185,15 @@ def _sparse_pick(m, always_enforce):
 def choose_decision(m, heuristic):
     gv = m.gv
     dec = None
-    if heuristic in ("removeMaxRC", "enforceMaxRC"):
-        arcs, _ = _tree_arc_scores(m)
-        if arcs:
-            (u, v), _ = max(arcs.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-            dec = ("remove", u, v) if heuristic == "removeMaxRC" \
-                else ("enforce", u, v)
-    elif heuristic == "removeMaxMC":
-        _, marg = _tree_arc_scores(m)
-        if marg:
-            live = {a: c for a, c in marg.items()
-                    if gv.has_arc(*a) and not gv.has_mandatory(*a)}
-            if live:
-                (u, v), _ = max(live.items(),
-                                key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-                dec = ("remove", u, v)
+    if heuristic == "enforceMaxRC":
+        # the undecided realized tree arc with the largest replacement cost
+        # in the last Lagrangian filtering pass
+        swaps = m.hk.last_swaps if m.hk is not None else None
+        live = {a: c for a, c in (swaps or {}).items()
+                if gv.has_arc(*a) and not gv.has_mandatory(*a)}
+        if live:
+            # ties go to the smallest tail, then the smallest head
+            dec = ("enforce",) + max(live, key=lambda a: (live[a], -a[0], -a[1]))
     elif heuristic == "sparse":
         dec = _sparse_pick(m, always_enforce=False)
     elif heuristic == "enforceSparse":

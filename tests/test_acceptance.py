@@ -123,10 +123,10 @@ def test_criterion_3_optimizer_matches_oracle_everywhere():
     t0 = time.perf_counter()
     combos = list(itertools.product(HEURISTICS, ("BASIC", "ALL"),
                                     ("tree", "map", "both")))
-    assert len(combos) == 30
+    assert len(combos) == 18
     hits = {c: 0 for c in combos}
     for i in range(560):
-        h, mdl, rlx = combos[i % 30]
+        h, mdl, rlx = combos[i % 18]
         n = 5 + i % 6
         # past the first 500, arc costs take both signs
         mixed = i >= 500
@@ -151,11 +151,11 @@ def test_criterion_3_optimizer_matches_oracle_everywhere():
                 res = solve(m, heuristic=h, time_limit=2,
                             clock=lambda: m.gv.pop_epoch)
                 assert isinstance(res.lb, int) and res.lb <= want, (i, res.lb)
-        hits[combos[i % 30]] += 1
-    assert min(hits.values()) >= 16
+        hits[combos[i % 18]] += 1
+    assert min(hits.values()) >= 31
     dt = time.perf_counter() - t0
     assert dt < 60.0, dt
-    _report(3, "560 instances, 60 of mixed sign, across 30 configurations "
+    _report(3, "560 instances, 60 of mixed sign, across 18 configurations "
             "agree with the oracle, %.1fs" % dt)
 
 
@@ -313,8 +313,12 @@ def test_criterion_7_br17_proved_at_its_documented_optimum():
 
 
 def test_criterion_8_guided_enforcement_needs_fewer_nodes():
+    """enforceSparse against the unguided order every heuristic falls back
+    on: enforce the first undecided arc.  Under BASIC/map there is no tree
+    relaxation, so enforceMaxRC has no replacement costs to read and
+    branches in exactly that order."""
     t0 = time.perf_counter()
-    nodes = {"enforceSparse": [], "removeMaxMC": []}
+    nodes = {"enforceSparse": [], "enforceMaxRC": []}
     made, i = 0, 0
     while made < 45:
         n = 9 + i % 3
@@ -327,17 +331,18 @@ def test_criterion_8_guided_enforcement_needs_fewer_nodes():
             continue
         made += 1
         for h in nodes:
-            m = Model(n, s, e, C, model="BASIC", relax="tree")
-            r = solve(m, heuristic=h, prove_ub=int(want))
-            assert r.status == "proven", (i, h, r.status)
+            m = Model(n, s, e, C, model="BASIC", relax="map")
+            r = solve(m, heuristic=h)
+            assert r.status == "optimal", (i, h, r.status)
+            assert r.best_cost == want, (i, h, r.best_cost, want)
             nodes[h].append(r.nodes)
     med_es = statistics.median(nodes["enforceSparse"])
-    med_mc = statistics.median(nodes["removeMaxMC"])
-    assert med_es <= med_mc, (med_es, med_mc)
+    med_fb = statistics.median(nodes["enforceMaxRC"])
+    assert med_es < med_fb, (med_es, med_fb)
     dt = time.perf_counter() - t0
     assert dt < 120.0, dt
-    _report(8, "median nodes %.0f (enforceSparse) vs %.0f (removeMaxMC), %.1fs"
-            % (med_es, med_mc, dt))
+    _report(8, "median nodes %.0f (enforceSparse) vs %.0f (first undecided "
+            "arc), %.1fs" % (med_es, med_fb, dt))
 
 
 def test_criterion_9_runs_are_reproducible(capsys, tmp_path):
@@ -368,7 +373,7 @@ def test_criterion_9_runs_are_reproducible(capsys, tmp_path):
     docs = []
     for _ in range(2):
         rows = bench.bench_grid([("g7", C, s, e)],
-                                ["enforceSparse", "removeMaxMC"],
+                                ["enforceSparse", "enforceMaxRC"],
                                 ["BASIC", "ALL"], relax="both",
                                 clock=lambda: 0.0)
         buf = io.StringIO()

@@ -138,7 +138,7 @@ def test_usage_errors_exit_one():
 def test_time_limit_exit_code(capsys):
     ticker = itertools.count()
     code = run_cli(["--instance", "random:12", "--seed", "77",
-                    "--model", "BASIC", "--heuristic", "removeMaxMC",
+                    "--model", "BASIC", "--heuristic", "enforceMaxRC",
                     "--time-limit", "0.5"],
                    clock=lambda: float(next(ticker)))
     assert code == cli.EXIT_LIMIT
@@ -192,7 +192,7 @@ def test_csv_bytes_stable_under_fixed_clock():
 
     def render():
         buf = io.StringIO()
-        rows = bench.bench_grid(insts, ["removeMaxRC"], ["BASIC", "ALL"],
+        rows = bench.bench_grid(insts, ["enforceMaxRC"], ["BASIC", "ALL"],
                                 clock=lambda: 0.0)
         bench.write_csv(rows, buf)
         return buf.getvalue()

@@ -493,8 +493,8 @@ def test_tree_branching_scores_the_block_analysis():
                 for tree in trees for a, c in tree}
     realized |= set(connectors)
     fallback = next(a for a in m.gv.arcs() if not m.gv.has_mandatory(*a))
-    kind, u, v = choose_decision(m, "removeMaxRC")
-    assert kind == "remove" and (u, v) != fallback
+    kind, u, v = choose_decision(m, "enforceMaxRC")
+    assert kind == "enforce" and (u, v) != fallback
     assert (u, v) in realized
     assert m.hk.last_swaps[(u, v)] == max(
         c for a, c in m.hk.last_swaps.items()

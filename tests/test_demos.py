@@ -1,13 +1,18 @@
-"""Smoke tests: the demos run and the kernel microbenchmarks import
-against the current library."""
+"""Smoke tests: the demos and README's command examples run, and the
+kernel microbenchmarks import against the current library."""
 
 import importlib
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hampath import bench, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
@@ -40,3 +45,43 @@ def test_kernel_microbenchmarks_import():
     # the default collection skips bench_kernels.py, so a name it imports
     # from the library could vanish unnoticed
     assert importlib.import_module("bench_kernels").test_kernel_round_bays29
+
+
+def readme_commands():
+    """The `hampath` and `python3 -m hampath.bench` lines of README's
+    fenced blocks, with backslash continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    cmds = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = " ".join(line.split())
+            if re.match(r"(cat \S+ \| )?hampath |python3 -m hampath\.bench ",
+                        line):
+                cmds.append(line)
+    return cmds
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    cmds = readme_commands()
+    assert len(cmds) >= 5, cmds
+    ran = set()
+    for line in cmds:
+        stdin = None
+        if line.startswith("cat "):
+            source, line = (part.strip() for part in line.split("|", 1))
+            stdin = Path(shlex.split(source)[1]).read_text()
+        argv = shlex.split(line)
+        if argv[0] == "hampath":
+            main, argv = cli.main, argv[1:]
+        else:
+            main, argv = bench.main, argv[3:]    # python3 -m hampath.bench
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / Path(argv[k]).name)
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv) == 0, line
+        assert capsys.readouterr().out or "--out" in argv, line
+        ran.add(main)
+    assert ran == {cli.main, bench.main}

@@ -94,7 +94,7 @@ def test_time_limit_reports_limit_status():
     C, s, e = gen_random(12, seed=77, density=1.0)
     ticker = itertools.count()
     r = solve(fresh(C, s, e, model="BASIC"),
-              heuristic="removeMaxMC",
+              heuristic="enforceMaxRC",
               time_limit=0.5,
               clock=lambda: float(next(ticker)))
     assert r.status == "limit"
@@ -174,6 +174,13 @@ def test_configuration_validation():
         Model(fig.N, fig.S, fig.E, C, relax="cone")
     with pytest.raises(ValueError):
         solve(fresh(C, fig.S, fig.E), heuristic="coinflip")
+    # endpoints must be distinct integer nodes
+    C3 = np.ones((3, 3))
+    for s, e in [(0.0, 1), (np.float64(0), 2), (True, 2), (0, 0), (-1, 2),
+                 (0, 3)]:
+        with pytest.raises(ValueError, match="endpoint"):
+            Model(3, s, e, C3)
+    assert solve(Model(3, np.int64(0), np.int64(2), C3)).best_cost == 2
 
 
 def test_unreachable_bound_fails_fast():
