@@ -9,17 +9,17 @@ One list, the change log, records every change in order: an
 (ARC_REMOVED or ARC_ENFORCED, u, v) record per domain mutation and an
 (UNDO, fn, None) record per piece of propagator state to restore.  A world
 is a mark into the log; popping it undoes the records past the mark, last
-in first out.  The log is also the event stream: every mutation wakes each
-registered propagator but the one making it (Schulte & Stuckey, TOPLAS
-31(1), 2008), so a call of `propagate` must end at its own fixpoint.  The
-one that reads the changes themselves (degree) keeps a cursor into the log;
-the others re-read the domain when woken.
+in first out.  The log is also the event stream: every mutation sets the
+`scheduled` flag of each registered propagator, and the fixpoint loop
+clears a flag when its propagator returns, so a propagator's own changes
+never wake it and a call of `propagate` must end at its own fixpoint.  The
+one that reads the changes themselves (degree) keeps a cursor into the
+log; the others re-read the domain when woken.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections import deque
 
 import numpy as np
 
@@ -44,10 +44,14 @@ class GraphVar:
     """
 
     def __init__(self, n, s, e, arcs):
-        # a float or bool endpoint would index the node lists wrongly
-        if s == e or not all(isinstance(v, numbers.Integral) and
-                             not isinstance(v, bool) and 0 <= v < n
-                             for v in (s, e)):
+        # a float or bool node count or endpoint would size or index the
+        # node lists wrongly
+        def whole(x):
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+        if not whole(n):
+            raise PreconditionViolation(
+                f"node count must be an integer, not {n!r}")
+        if s == e or not all(whole(v) and 0 <= v < n for v in (s, e)):
             raise PreconditionViolation(
                 f"endpoints must be distinct integer nodes in 0..{n - 1}, "
                 f"not {s!r} and {e!r}")
@@ -108,8 +112,7 @@ class GraphVar:
         sched = self.scheduler
         if sched is not None:
             for p in sched.props:
-                if not p.scheduled:
-                    sched.schedule(p)
+                p.scheduled = True
 
     def remove_arc(self, u, v):
         """Drop (u,v) from the potential graph.  False if already absent."""
@@ -140,13 +143,12 @@ class GraphVar:
 
     def push_world(self):
         self._marks.append(len(self.log))
-        return len(self._marks)
 
     def pop_world(self):
         """Undo every change since the matching push, last first.
 
         Every registered propagator's cursor moves to the mark, which
-        discards the events it had not read, and the queue empties; state
+        discards the events it had not read, and its flag clears; state
         kept from the abandoned world is recognised by the epoch bump.
         """
         if not self._marks:
@@ -174,15 +176,13 @@ class GraphVar:
             for p in sched.props:
                 p.scheduled = False
                 p.read = mark
-            sched.clear()
-        return len(self._marks)
 
 
 class Propagator:
     """Base class: a filtering routine woken by domain changes.
 
-    Every mutation wakes every registered propagator but the one making it,
-    so `propagate` repeats its work until a second call would change nothing.
+    Every mutation but its own sets the `scheduled` flag that wakes it, so
+    `propagate` repeats its work until a second call would change nothing.
     One that reads the changes themselves takes them from `unread()`, FIFO,
     its own cascade included; the others ignore the cursor and re-read the
     domain.
@@ -226,55 +226,39 @@ class Propagator:
 
 
 class Scheduler:
-    """Priority-bucketed propagation queue.
+    """The registered propagators, lowest priority first; the pending ones
+    are those flagged `scheduled`.
 
-    Buckets drain lowest priority first, FIFO within a bucket, and a
-    propagator sits in the queue at most once.  Cost relaxations carry the
-    highest priority numbers, so the Lagrangian propagators only run when
-    nothing else is pending.  A propagator stays flagged `scheduled` while it
-    runs, so only the changes made by others queue it again.
+    The fixpoint loop runs the first flagged propagator, so registration
+    order breaks ties between equal priorities.  Cost relaxations carry the
+    highest priority numbers, so they only run when nothing else is
+    pending.  A propagator's flag stays set while it runs and clears when
+    it returns, so only the changes made by others wake it again.
     """
 
     def __init__(self, gv):
         self.gv = gv
         gv.scheduler = self
-        self._buckets = {}
-        self._order = []
         self.props = []
 
     def register(self, propagator):
         """Wake propagator on, and let it read, every later mutation."""
         propagator.read = len(self.gv.log)
         self.props.append(propagator)
-        if propagator.priority not in self._buckets:
-            self._buckets[propagator.priority] = deque()
-            self._order = sorted(self._buckets)
-
-    def schedule(self, propagator):
-        if not propagator.scheduled:
-            propagator.scheduled = True
-            self._buckets[propagator.priority].append(propagator)
+        self.props.sort(key=lambda p: p.priority)     # stable
 
     def schedule_all(self):
         for p in self.props:
-            self.schedule(p)
-
-    def clear(self):
-        for q in self._buckets.values():
-            q.clear()
+            p.scheduled = True
 
     def run_fixpoint(self):
         """Propagate to quiescence.  Raises Contradiction on failure."""
-        buckets = self._buckets
-        order = self._order
+        props = self.props
         while True:
-            prop = None
-            for pr in order:
-                q = buckets[pr]
-                if q:
-                    prop = q.popleft()
+            for prop in props:
+                if prop.scheduled:
                     break
-            if prop is None:
+            else:
                 return
             prop.stats["invocations"] += 1
             try:

@@ -3,7 +3,10 @@
 A model wires the propagators for one of the named configurations over a
 cost matrix; solve() drives binary decisions from one of three branching
 heuristics, either proving a bound or optimizing by tightening the cap
-after every improving path.
+after every improving path.  A decision (u, keep, drop) splits the
+successors of one node u: the branch removes drop, its alternative removes
+keep.  Keeping one successor is how an arc is enforced, since degree then
+takes the lone arc.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ class Model:
         finite = self.C[np.isfinite(self.C)]
         if not np.array_equal(finite, np.round(finite)):
             raise ValueError("finite arc costs must be integers")
-        arcs = [(u, v) for u in range(n) for v in range(n)
-                if u != v and np.isfinite(self.C[u, v])]
+        # nothing here calls range(n), so a node count that is not an
+        # integer reaches GraphVar's check
+        arcs = np.argwhere(np.isfinite(self.C)).tolist()
         try:
             self.gv = GraphVar(n, s, e, arcs)
         except PreconditionViolation as exc:
-            # here the endpoints are the caller's input
+            # here the node count and the endpoints are the caller's input
             raise ValueError(str(exc)) from None
         # solve() sets it: a search leaves the root's changes and the cap
         # in place, so a model serves one search
@@ -115,25 +119,10 @@ class Model:
 # -- decisions -------------------------------------------------------------------
 
 
-def _apply_decision(gv, dec):
-    kind = dec[0]
-    if kind == "enforce":
-        gv.enforce_arc(dec[1], dec[2])
-    elif kind == "remove":
-        gv.remove_arc(dec[1], dec[2])
-    else:
-        u, drop = dec[1], dec[2]
-        for v in drop:
-            gv.remove_arc(u, v)
-
-
-def _negate(dec):
-    # a branch enforces an arc or restricts a row; only the alternative of
-    # an enforce removes
-    if dec[0] == "enforce":
-        return ("remove", dec[1], dec[2])
-    _, u, drop, keep = dec
-    return ("restrict", u, keep, drop)
+def _enforce(gv, u, v):
+    # u has no mandatory successor, so the lone arc left is enforced by
+    # degree at the same fixpoint as enforcing (u, v) itself
+    return (u, [v], sorted(w for w in gv.succ[u] if w != v))
 
 
 # -- branching heuristics -----------------------------------------------------------
@@ -175,11 +164,9 @@ def _sparse_pick(m, always_enforce):
     u = best_u
     succs = sorted(gv.succ[u], key=lambda v: (best_sc[v], v))
     if always_enforce or len(succs) <= 2:
-        return ("enforce", u, succs[0])
+        return _enforce(gv, u, succs[0])
     half = math.ceil(len(succs) / 2)
-    keep = succs[:half]
-    drop = sorted(v for v in succs[half:])
-    return ("restrict", u, drop, sorted(keep))
+    return (u, sorted(succs[:half]), sorted(succs[half:]))
 
 
 def choose_decision(m, heuristic):
@@ -193,7 +180,8 @@ def choose_decision(m, heuristic):
                 if gv.has_arc(*a) and not gv.has_mandatory(*a)}
         if live:
             # ties go to the smallest tail, then the smallest head
-            dec = ("enforce",) + max(live, key=lambda a: (live[a], -a[0], -a[1]))
+            dec = _enforce(gv, *max(
+                live, key=lambda a: (live[a], -a[0], -a[1])))
     elif heuristic == "sparse":
         dec = _sparse_pick(m, always_enforce=False)
     elif heuristic == "enforceSparse":
@@ -204,7 +192,7 @@ def choose_decision(m, heuristic):
         # fall back on the first undecided arc
         for u, v in gv.arcs():
             if not gv.has_mandatory(u, v):
-                return ("enforce", u, v)
+                return _enforce(gv, u, v)
         return None
     return dec
 
@@ -263,8 +251,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     if prove_ub is not None:
         # costs are integers of either sign, so the cap rounds down
         m.obj.ub = math.floor(prove_ub)
-    # pending alternative per open level with the floor of the node that
-    # branched, or None once the alternative is spent
+    # per open level the decision whose alternative is pending, with the
+    # floor of the node that branched, or None once the alternative is spent
     stack = []
     advance = True
 
@@ -310,14 +298,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
             if dec is None:
                 advance = False
                 continue
-            stack.append((_negate(dec), m.obj.lb))
-            gv.push_world()
-            nodes += 1
-            try:
-                _apply_decision(gv, dec)
-                m.scheduler.run_fixpoint()
-            except Contradiction:
-                advance = False
+            stack.append((dec, m.obj.lb))
+            u, _, row = dec
         else:
             while stack and stack[-1] is None:
                 stack.pop()
@@ -326,14 +308,16 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 if best_cost is not None:
                     return finish("optimal")
                 return finish("infeasible")
-            alt, _ = stack.pop()
+            (u, row, _), _ = stack.pop()
             gv.pop_world()
             stack.append(None)
-            gv.push_world()
-            nodes += 1
-            try:
-                _apply_decision(gv, alt)
-                m.scheduler.run_fixpoint()
-                advance = True
-            except Contradiction:
-                advance = False
+        # the branch removes the decision's drop, the alternative its keep
+        gv.push_world()
+        nodes += 1
+        try:
+            for v in row:
+                gv.remove_arc(u, v)
+            m.scheduler.run_fixpoint()
+            advance = True
+        except Contradiction:
+            advance = False

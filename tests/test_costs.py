@@ -493,8 +493,9 @@ def test_tree_branching_scores_the_block_analysis():
                 for tree in trees for a, c in tree}
     realized |= set(connectors)
     fallback = next(a for a in m.gv.arcs() if not m.gv.has_mandatory(*a))
-    kind, u, v = choose_decision(m, "enforceMaxRC")
-    assert kind == "enforce" and (u, v) != fallback
+    u, keep, drop = choose_decision(m, "enforceMaxRC")
+    (v,) = keep
+    assert drop == sorted(m.gv.succ[u] - {v}) and (u, v) != fallback
     assert (u, v) in realized
     assert m.hk.last_swaps[(u, v)] == max(
         c for a, c in m.hk.last_swaps.items()

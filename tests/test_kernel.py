@@ -208,10 +208,37 @@ def test_scheduler_priority_and_single_pending():
     sched.register(cheap)
     gv.remove_arc(1, 2)
     gv.remove_arc(2, 1)
-    assert sum(1 for p in sched._buckets[5] if p is lagr) == 1
+    assert lagr.scheduled and cheap.scheduled
     sched.run_fixpoint()
     assert log == ["cheap", "lagrangian"]
     assert cheap.seen == [(ARC_REMOVED, 1, 2), (ARC_REMOVED, 2, 1)]
+
+
+def test_equal_priorities_run_in_registration_order():
+    gv = GraphVar(4, 0, 3, full_arcs(4, 0, 3))
+    sched = Scheduler(gv)
+    log = []
+
+    class Cutter(Recorder):
+        def propagate(self):
+            super().propagate()
+            self.remove(2, 1)
+
+    first = Recorder(gv, priority=3, log=log)
+    first.name = "first"
+    second = Cutter(gv, priority=3, log=log)
+    second.name = "second"
+    low = Recorder(gv, priority=0, log=log)
+    low.name = "low"
+    for p in (first, second, low):
+        sched.register(p)
+    assert sched.props == [low, first, second]
+    # flagging second before first does not run it first
+    second.scheduled = True
+    first.scheduled = True
+    sched.run_fixpoint()
+    # the cut wakes the other two, which run lowest priority first
+    assert log == ["first", "second", "low", "first"]
 
 
 def test_lagrangian_runs_only_when_queue_otherwise_empty():
@@ -252,7 +279,7 @@ def test_own_changes_do_not_requeue_a_propagator():
     other = Recorder(gv)
     sched.register(cutter)
     sched.register(other)
-    sched.schedule(cutter)
+    cutter.scheduled = True
     sched.run_fixpoint()
     # the removal wakes only the other propagator
     assert cutter.stats["invocations"] == 1

@@ -181,6 +181,11 @@ def test_configuration_validation():
         with pytest.raises(ValueError, match="endpoint"):
             Model(3, s, e, C3)
     assert solve(Model(3, np.int64(0), np.int64(2), C3)).best_cost == 2
+    # so must the node count, also where the matrix shape equals it
+    for n, C in [(3.0, C3), (np.float64(3), C3), (True, np.ones((1, 1)))]:
+        with pytest.raises(ValueError, match="node count"):
+            Model(n, 0, 2, C)
+    assert solve(Model(np.int64(3), 0, 2, C3)).best_cost == 2
 
 
 def test_unreachable_bound_fails_fast():
@@ -229,6 +234,38 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
     if status == "proven":
         check_path(C, s, e, r.best_path, r.best_cost)
         assert r.best_cost <= prove_ub
+
+
+# nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
+# per configuration in HEURISTICS order: enforceMaxRC, sparse, enforceSparse
+SHAPE20 = {
+    ("BASIC", "tree"): (27, 131, 113), ("BASIC", "map"): (45, 111, 99),
+    ("BASIC", "both"): (25, 95, 83),
+    ("ARB", "tree"): (27, 131, 113), ("ARB", "map"): (45, 109, 99),
+    ("ARB", "both"): (25, 95, 81),
+    ("POS", "tree"): (27, 121, 101), ("POS", "map"): (45, 111, 99),
+    ("POS", "both"): (25, 91, 107),
+    ("AD", "tree"): (27, 119, 107), ("AD", "map"): (35, 105, 103),
+    ("AD", "both"): (25, 101, 91),
+    ("BST", "tree"): (27, 79, 77), ("BST", "map"): (33, 73, 63),
+    ("BST", "both"): (27, 67, 63),
+    ("ALL", "tree"): (27, 77, 77), ("ALL", "map"): (33, 73, 63),
+    ("ALL", "both"): (27, 65, 63),
+}
+
+
+@pytest.mark.parametrize("relax", RELAXATIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_search_shape_of_every_configuration(model, relax):
+    # a change to the kernel, a propagator or the branching that keeps the
+    # fixpoints and the decisions keeps every one of these trees
+    C, s, e = gen_random(20, seed=0, density=0.5, clusters=3)
+    got = []
+    for he in HEURISTICS:
+        r = solve(fresh(C, s, e, model=model, relax=relax), heuristic=he)
+        assert (r.status, r.best_cost) == ("optimal", 572), he
+        got.append(r.nodes)
+    assert tuple(got) == SHAPE20[model, relax]
 
 
 def test_model_rejects_fractional_costs():

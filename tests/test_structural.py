@@ -124,7 +124,7 @@ def test_degree_fails_on_empty_row():
     d = DegreePropagator(gv)
     sched.register(d)
     gv.remove_arc(1, 2)
-    sched.schedule(d)
+    d.scheduled = True
     with pytest.raises(Contradiction):
         sched.run_fixpoint()
 
