@@ -8,7 +8,8 @@ into the tree.  Once the reduced graph is a known path of blocks, the
 oracle spans every block on its own and joins consecutive blocks with
 their cheapest cut arc; until then it spans all nodes at once.  One swap
 filter prunes against whichever tree it built.  The assignment propagator
-bounds through the successor matching instead.
+bounds through the successor matching instead; it reads the present arcs
+only, from the domain's successor and predecessor sets, with no matrix.
 
 The tree has one format from oracle to filter: the reduced-path
 propagator's block and cut lists as they are, per block the (parent,
@@ -449,9 +450,12 @@ class HeldKarpPropagator(Propagator):
 class HungarianPropagator(Propagator):
     """Successor-assignment bound via shortest augmenting paths.
 
-    Duals and the matching persist across calls.  Backtracking can revive
-    arcs that break dual feasibility, so every call first clamps the column
-    duals, drops stale or non-tight matches, then re-augments.
+    Rows are the nodes but e, columns the nodes but s, and all state is
+    indexed by node.  Every call reads the present arcs only, from the
+    domain's successor and predecessor sets: no matrix.  Duals and the
+    matching persist across calls.  Backtracking can revive arcs that
+    break dual feasibility, so every call first clamps the column duals,
+    drops stale or non-tight matches, then re-augments.
     """
 
     def __init__(self, gv, C, obj):
@@ -460,89 +464,104 @@ class HungarianPropagator(Propagator):
         self.priority = 4
         self.obj = obj
         self.rows = [u for u in range(gv.n) if u != gv.e]
-        self.cols = [v for v in range(gv.n) if v != gv.s]
-        # flat positions of the rows x cols block, for ndarray.take
-        self._flat = np.add.outer(np.array(self.rows) * gv.n, self.cols)
-        # inf marks an absent arc
-        self.Cbase = np.asarray(C, dtype=float).take(self._flat)
-        # plain lists: the augmenting loops read them one entry at a time
-        self.du = [0.0] * len(self.rows)
-        self.dv = [0.0] * len(self.cols)
-        self.row_match = [-1] * len(self.rows)
-        self.col_match = [-1] * len(self.cols)
+        # plain lists: the loops read them one entry at a time
+        self.C = np.asarray(C, dtype=float).tolist()
+        self.du = [0.0] * gv.n
+        self.dv = [0.0] * gv.n
+        self.row_match = [-1] * gv.n
+        self.col_match = [-1] * gv.n
 
-    def _augment(self, i0, Cm):
-        du, dv = self.du, self.dv
-        m = len(self.cols)
-        dist = [Cm[i0][j] - du[i0] - dv[j] for j in range(m)]
-        par = [i0] * m
-        done = [False] * m
+    def _augment(self, r0):
+        """Match row r0 along a shortest augmenting path of reduced costs."""
+        succ = self.gv.succ
+        C, du, dv = self.C, self.du, self.dv
+        col_match = self.col_match
+        n = self.gv.n
+        dist = [INF] * n
+        par = [r0] * n
+        done = [False] * n
+        Cr, dur = C[r0], du[r0]
+        reached = list(succ[r0])        # finite distance, not yet scanned
+        for v in reached:
+            dist[v] = Cr[v] - dur - dv[v]
+        scanned = []
         while True:
-            j_best = -1
+            # the closest reached column, ties to the smallest node
+            j = -1
             d_best = INF
-            for j in range(m):
-                if not done[j] and dist[j] < d_best:
-                    d_best = dist[j]
-                    j_best = j
-            if j_best == -1:
+            for v in reached:
+                d = dist[v]
+                if d < d_best or d == d_best and v < j:
+                    d_best = d
+                    j = v
+            if j == -1:
                 self.fail("no successor assignment within the domain")
-            j = j_best
+            reached.remove(j)
             done[j] = True
-            i = self.col_match[j]
+            scanned.append(j)
+            i = col_match[j]
             if i == -1:
                 break
-            Ci, dui = Cm[i], du[i]
+            Ci, dui = C[i], du[i]
             base = dist[j] - (Ci[j] - dui - dv[j])
-            for k in range(m):
+            for k in succ[i]:
                 if not done[k]:
                     nd = base + Ci[k] - dui - dv[k]
                     if nd < dist[k]:
+                        if dist[k] == INF:
+                            reached.append(k)
                         dist[k] = nd
                         par[k] = i
         D = dist[j]
         # dual update keeps feasibility and tightens the tree edges
-        for k in range(m):
-            if done[k] and k != j:
-                i = self.col_match[k]
-                dv[k] += dist[k] - D
-                du[i] += D - dist[k]
-        du[i0] += D
+        for k in scanned[:-1]:
+            i = col_match[k]
+            dv[k] += dist[k] - D
+            du[i] += D - dist[k]
+        du[r0] += D
         # flip the matching along the alternating path
+        row_match = self.row_match
         while True:
             i = par[j]
-            self.col_match[j] = i
-            self.row_match[i], j = j, self.row_match[i]
-            if i == i0:
+            col_match[j] = i
+            row_match[i], j = j, row_match[i]
+            if i == r0:
                 break
 
     def propagate(self):
         gv = self.gv
-        A = gv.pmask.take(self._flat)
-        Cm = np.where(A, self.Cbase, INF)
+        succ, pred = gv.succ, gv.pred
+        C, du, dv = self.C, self.du, self.dv
+        rows, row_match = self.rows, self.row_match
         # revived arcs may undercut the duals: clamp columns down
-        colmin = (Cm - np.array(self.du)[:, None]).min(axis=0)
-        self.dv = np.minimum(self.dv, colmin).tolist()
-        du, dv = self.du, self.dv
-        Cl = Cm.tolist()
-        rows, cols = self.rows, self.cols
-        succ = gv.succ
-        row_match = self.row_match
-        for i, j in enumerate(row_match):
-            if j != -1:
-                if cols[j] not in succ[rows[i]] or \
-                        Cl[i][j] - du[i] - dv[j] > 1e-9:
-                    row_match[i] = -1
-                    self.col_match[j] = -1
-        for i in range(len(self.rows)):
-            if row_match[i] == -1:
-                self._augment(i, Cl)
-        cost = float(sum(Cl[i][j] for i, j in enumerate(row_match)))
+        for v in range(gv.n):
+            d = dv[v]
+            for u in pred[v]:
+                r = C[u][v] - du[u]
+                if r < d:
+                    d = r
+            dv[v] = d
+        for u in rows:
+            v = row_match[u]
+            if v != -1:
+                if v not in succ[u] or C[u][v] - du[u] - dv[v] > 1e-9:
+                    row_match[u] = -1
+                    self.col_match[v] = -1
+        for u in rows:
+            if row_match[u] == -1:
+                self._augment(u)
+        cost = float(sum(C[u][row_match[u]] for u in rows))
         self.obj.tighten_lb(int(math.ceil(cost - CEIL_EPS)))
         ub = self.obj.ub
         if ub is not None:
-            rc = Cm - np.array(du)[:, None] - np.array(dv)[None, :]
-            slack = float(ub) - cost
-            bad = A & (rc > slack + PRUNE_EPS)
-            for i, j in zip(*(ix.tolist() for ix in np.nonzero(bad))):
-                if row_match[i] != j:
-                    self.remove(rows[i], cols[j])
+            lim = float(ub) - cost + PRUNE_EPS
+            bad = []
+            for u in rows:
+                Cu, duu, mu = C[u], du[u], row_match[u]
+                for v in succ[u]:
+                    if Cu[v] - duu - dv[v] > lim and v != mu:
+                        bad.append((u, v))
+            # ascending (u, v): degree reads the removals in log order
+            bad.sort()
+            for u, v in bad:
+                self.remove(u, v)

@@ -189,11 +189,10 @@ def choose_decision(m, heuristic):
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     if dec is None:
-        # fall back on the first undecided arc
-        for u, v in gv.arcs():
-            if not gv.has_mandatory(u, v):
-                return _enforce(gv, u, v)
-        return None
+        # fall back on the first undecided arc; solve asks for a decision
+        # only while the graph is not instantiated, so there is one
+        u, v = next(a for a in gv.arcs() if not gv.has_mandatory(*a))
+        dec = _enforce(gv, u, v)
     return dec
 
 
@@ -295,9 +294,6 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 advance = False
                 continue
             dec = choose_decision(m, heuristic)
-            if dec is None:
-                advance = False
-                continue
             stack.append((dec, m.obj.lb))
             u, _, row = dec
         else:

@@ -116,9 +116,9 @@ def test_assignment_warm_bays29(benchmark):
         m.root_propagate()
         p = next(q for q in m.scheduler.props
                  if isinstance(q, HungarianPropagator))
-        i = next(i for i, u in enumerate(p.rows) if len(m.gv.succ[u]) > 1)
+        u = next(u for u in p.rows if len(m.gv.succ[u]) > 1)
         m.gv.push_world()
-        m.gv.remove_arc(p.rows[i], p.cols[p.row_match[i]])
+        m.gv.remove_arc(u, p.row_match[u])
         return (p,), {}
 
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)

@@ -545,6 +545,18 @@ def test_assignment_cost_matches_scipy_and_brute():
     assert checked >= 25
 
 
+def assert_assignment_duals(hp, gv):
+    """Dual feasibility: no present arc has a negative reduced cost, and
+    every matched arc is present and tight."""
+    for u in hp.rows:
+        for v in gv.succ[u]:
+            assert hp.C[u][v] - hp.du[u] - hp.dv[v] >= -1e-9, (u, v)
+        v = hp.row_match[u]
+        if v != -1:
+            assert gv.has_arc(u, v), (u, v)
+            assert abs(hp.C[u][v] - hp.du[u] - hp.dv[v]) <= 1e-9, (u, v)
+
+
 def test_assignment_repair_after_domain_churn():
     rng = random.Random(55)
     n = 7
@@ -553,6 +565,7 @@ def test_assignment_repair_after_domain_churn():
     obj = Objective(gv)
     hp = HungarianPropagator(gv, M, obj)
     hp.propagate()
+    assert_assignment_duals(hp, gv)
     for _ in range(40):
         live = [a for a in sorted(gv.arcs()) if not gv.has_mandatory(*a)]
         if not live:
@@ -567,14 +580,16 @@ def test_assignment_repair_after_domain_churn():
         except Contradiction:
             failed = True
         assert failed == (want is None)
+        assert_assignment_duals(hp, gv)
         if not failed:
-            cost = sum(hp.Cbase[i, j] for i, j in enumerate(hp.row_match))
+            cost = sum(hp.C[u][hp.row_match[u]] for u in hp.rows)
             assert abs(cost - want) < 1e-6
         if failed or rng.random() < 0.6:
             gv.pop_world()
             hp.propagate()     # revived arcs must not break the duals
+            assert_assignment_duals(hp, gv)
             back = _assignment_cost_scipy(gv, M)
-            cost = sum(hp.Cbase[i, j] for i, j in enumerate(hp.row_match))
+            cost = sum(hp.C[u][hp.row_match[u]] for u in hp.rows)
             assert abs(cost - back) < 1e-6
 
 

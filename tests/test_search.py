@@ -219,6 +219,8 @@ def test_limit_bound_covers_every_open_subtree():
 
 
 @pytest.mark.parametrize("name, prove_ub, status, nodes", [
+    ("ulysses16.tsp", 6858, "infeasible", 28717),
+    ("ulysses16.tsp", 6859, "proven", 3355),
     ("gr17.tsp", 2084, "infeasible", 361),
     ("gr17.tsp", 2085, "proven", 120),
     ("bays29.tsp", 2020, "proven", 45),
