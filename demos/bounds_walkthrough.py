@@ -10,7 +10,8 @@ plain bound cannot touch.  One swap filter serves both trees.
 
 import numpy as np
 
-from hampath.costs import effective_costs, span_blocks, tree_oracle, wst_filter
+from hampath.costs import (effective_costs, present_mask, span_blocks,
+                           tree_oracle, wst_filter)
 from hampath.kernel import GraphVar, Propagator, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.structural import ReducedPathPropagator
@@ -68,7 +69,7 @@ def main():
     print("block order:", rp.blocks)
 
     zero = np.zeros(N)
-    Ecost, Scost = effective_costs(gv, C, zero, zero)
+    Ecost, Scost = effective_costs(present_mask(gv), C, zero, zero)
     mst = span_blocks(Ecost, Scost, *tree_oracle(gv))[0]
     bst, trees, connectors = span_blocks(Ecost, Scost, *tree_oracle(gv, rp))
     print("plain spanning tree bound: %d" % mst)

@@ -83,13 +83,21 @@ class TrivialObjectivePropagator(Propagator):
 # -- the tree oracle -------------------------------------------------------------
 
 
-def effective_costs(gv, C, pi_out, pi_in):
+def present_mask(gv):
+    """The n x n boolean matrix that is True exactly on gv's present arcs."""
+    n = gv.n
+    mask = np.zeros(n * n, dtype=bool)
+    mask[[u * n + v for u, heads in enumerate(gv.succ) for v in heads]] = True
+    return mask.reshape(n, n)
+
+
+def effective_costs(mask, C, pi_out, pi_in):
     """(E, S): directed effective costs and their symmetrized minimum.
 
-    E[u, v] = C[u, v] + pi_out[u] + pi_in[v] on present arcs, inf elsewhere.
-    S is the elementwise minimum of E and its transpose.
+    E[u, v] = C[u, v] + pi_out[u] + pi_in[v] where `mask` holds, inf
+    elsewhere.  S is the elementwise minimum of E and its transpose.
     """
-    E = np.where(gv.pmask, C + pi_out[:, None] + pi_in[None, :], INF)
+    E = np.where(mask, C + pi_out[:, None] + pi_in[None, :], INF)
     return E, np.minimum(E, E.T)
 
 
@@ -331,12 +339,12 @@ class HeldKarpPropagator(Propagator):
 
     The tree comes from `tree_oracle`: the block tree while the
     reduced-path propagator `reduced` knows the block order, the plain
-    spanning tree otherwise.  Each call reads the oracle once; every
-    ascent step and the filtering pass span that same (blocks, cuts,
-    pins) through `span_blocks`.  Node multipliers price the out-degree of
-    every node but e and the in-degree of every node but s.  They persist
-    across calls and across backtracking; each run restarts the step
-    control, not the multipliers.
+    spanning tree otherwise.  Each call reads the oracle and the
+    present-arc mask once; every ascent step and the filtering pass span
+    that same (blocks, cuts, pins) through `span_blocks`.  Node
+    multipliers price the out-degree of every node but e and the in-degree
+    of every node but s.  They persist across calls and across
+    backtracking; each run restarts the step control, not the multipliers.
     """
 
     ITERS = 30
@@ -356,8 +364,8 @@ class HeldKarpPropagator(Propagator):
 
     # one relaxation evaluation at the current multipliers; returns the
     # tree total plus the realized arc endpoints as two index arrays
-    def _tree_at(self, blocks, cuts, pins):
-        E, S = effective_costs(self.gv, self.C, self.pi_out, self.pi_in)
+    def _tree_at(self, mask, blocks, cuts, pins):
+        E, S = effective_costs(mask, self.C, self.pi_out, self.pi_in)
         total, trees, connectors = span_blocks(E, S, blocks, cuts, pins)
         A = np.asarray([(a, c) if a < c else (c, a)
                         for tree in trees for a, c in tree],
@@ -369,7 +377,7 @@ class HeldKarpPropagator(Propagator):
         ys = np.concatenate([np.where(fwd, hi, lo), K[:, 1]])
         return total, xs, ys
 
-    def _run(self, ub_target, oracle):
+    def _run(self, ub_target, mask, oracle):
         gv = self.gv
         n = gv.n
         lam = 2.0
@@ -377,7 +385,7 @@ class HeldKarpPropagator(Propagator):
         best = -INF
         best_pi = (self.pi_out.copy(), self.pi_in.copy())
         for _ in range(self.ITERS):
-            total, xs, ys = self._tree_at(*oracle)
+            total, xs, ys = self._tree_at(mask, *oracle)
             lb = total - (self.pi_out.sum() + self.pi_in.sum())
             if lb > best + 1e-12:
                 best = lb
@@ -415,6 +423,7 @@ class HeldKarpPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
+        mask = present_mask(gv)
         oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
@@ -426,11 +435,11 @@ class HeldKarpPropagator(Propagator):
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)
             for _ in range(2 if gv.depth == 0 else 1):
-                self._run(ub_target, oracle)
+                self._run(ub_target, mask, oracle)
             self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the marginals and swap costs the branching reads
-        E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
+        E, S = effective_costs(mask, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
         tree = span_blocks(E, S, *oracle)
         self.obj.tighten_lb(int(math.ceil(tree[0] - offset - CEIL_EPS)))

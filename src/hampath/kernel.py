@@ -3,25 +3,24 @@
 The decision variable of the whole solver is a single graph variable over a
 fixed node set 0..n-1 with two nested arc sets: the potential graph (arcs that
 may still be part of the path) and the mandatory graph (arcs that must be).
-The variable is instantiated when both coincide.
+The variable is instantiated when both coincide.  Each is held once, as
+per-node successor and predecessor sets.
 
 One list, the change log, records every change in order: an
 (ARC_REMOVED or ARC_ENFORCED, u, v) record per domain mutation and an
 (UNDO, fn, None) record per piece of propagator state to restore.  A world
 is a mark into the log; popping it undoes the records past the mark, last
 in first out.  The log is also the event stream: every mutation sets the
-`scheduled` flag of each registered propagator, and the fixpoint loop
-clears a flag when its propagator returns, so a propagator's own changes
-never wake it and a call of `propagate` must end at its own fixpoint.  The
-one that reads the changes themselves (degree) keeps a cursor into the
-log; the others re-read the domain when woken.
+`scheduled` flag of each propagator on the variable's `props` list, and
+the fixpoint loop clears a flag when its propagator returns, so a
+propagator's own changes never wake it and a call of `propagate` must end
+at its own fixpoint.  The one that reads the changes themselves (degree)
+keeps a cursor into the log; the others re-read the domain when woken.
 """
 
 from __future__ import annotations
 
 import numbers
-
-import numpy as np
 
 ARC_REMOVED = 0
 ARC_ENFORCED = 1
@@ -39,6 +38,7 @@ class PreconditionViolation(Exception):
 class GraphVar:
     """Potential/mandatory digraph pair with its change log.
 
+    `props` lists the propagators a mutation wakes; a Scheduler fills it.
     The initial domain already encodes the path endpoints: no arc enters s,
     no arc leaves e, and self loops are dropped.
     """
@@ -62,13 +62,12 @@ class GraphVar:
         self.pred = [set() for _ in range(n)]
         self.msucc = [set() for _ in range(n)]
         self.mpred = [set() for _ in range(n)]
-        self.pmask = np.zeros((n, n), dtype=bool)
         self.n_potential = 0
         self.n_mandatory = 0
         self.log = []
         self._marks = []            # log length at each open world's push
         self.pop_epoch = 0
-        self.scheduler = None
+        self.props = []
         for (u, v) in arcs:
             if u == v or v == s or u == e:
                 continue
@@ -76,7 +75,6 @@ class GraphVar:
                 continue
             self.succ[u].add(v)
             self.pred[v].add(u)
-            self.pmask[u, v] = True
             self.n_potential += 1
 
     # -- queries ---------------------------------------------------------
@@ -109,10 +107,8 @@ class GraphVar:
 
     def _emit(self, kind, u, v):
         self.log.append((kind, u, v))
-        sched = self.scheduler
-        if sched is not None:
-            for p in sched.props:
-                p.scheduled = True
+        for p in self.props:
+            p.scheduled = True
 
     def remove_arc(self, u, v):
         """Drop (u,v) from the potential graph.  False if already absent."""
@@ -122,7 +118,6 @@ class GraphVar:
             return False
         self.succ[u].discard(v)
         self.pred[v].discard(u)
-        self.pmask[u, v] = False
         self.n_potential -= 1
         self._emit(ARC_REMOVED, u, v)
         return True
@@ -156,12 +151,10 @@ class GraphVar:
         mark = self._marks.pop()
         log = self.log
         succ, pred, msucc, mpred = self.succ, self.pred, self.msucc, self.mpred
-        pmask = self.pmask
         for kind, u, v in reversed(log[mark:]):
             if kind == ARC_REMOVED:
                 succ[u].add(v)
                 pred[v].add(u)
-                pmask[u, v] = True
                 self.n_potential += 1
             elif kind == ARC_ENFORCED:
                 msucc[u].discard(v)
@@ -171,11 +164,9 @@ class GraphVar:
                 u()
         del log[mark:]
         self.pop_epoch += 1
-        sched = self.scheduler
-        if sched is not None:
-            for p in sched.props:
-                p.scheduled = False
-                p.read = mark
+        for p in self.props:
+            p.scheduled = False
+            p.read = mark
 
 
 class Propagator:
@@ -227,7 +218,8 @@ class Propagator:
 
 class Scheduler:
     """The registered propagators, lowest priority first; the pending ones
-    are those flagged `scheduled`.
+    are those flagged `scheduled`.  The list is the graph variable's
+    `props`, the one a mutation wakes.
 
     The fixpoint loop runs the first flagged propagator, so registration
     order breaks ties between equal priorities.  Cost relaxations carry the
@@ -237,13 +229,11 @@ class Scheduler:
     """
 
     def __init__(self, gv):
-        self.gv = gv
-        gv.scheduler = self
-        self.props = []
+        self.props = gv.props
 
     def register(self, propagator):
         """Wake propagator on, and let it read, every later mutation."""
-        propagator.read = len(self.gv.log)
+        propagator.read = len(propagator.gv.log)
         self.props.append(propagator)
         self.props.sort(key=lambda p: p.priority)     # stable
 

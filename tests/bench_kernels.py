@@ -14,7 +14,7 @@ import pytest
 
 from hampath import Model, circuit_to_path, parse_tsplib
 from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
-                           span_blocks, tree_oracle, wst_filter)
+                           present_mask, span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
 from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
@@ -43,7 +43,7 @@ def test_prim_pairs(benchmark, name):
     C, s, e = circuit_to_path(parse_tsplib(str(INSTANCES / name)).matrix, 0)
     m = Model(len(C), s, e, C, model="BASIC", relax="tree")
     zero = np.zeros(len(C))
-    _, S = effective_costs(m.gv, C, zero, zero)
+    _, S = effective_costs(present_mask(m.gv), C, zero, zero)
     members, _, pins = tree_oracle(m.gv)
     benchmark(_prim_pairs, S.tolist(), members[0], pins)
 
@@ -63,7 +63,7 @@ def test_wst_filter_ftv33(benchmark):
     oracle = tree_oracle(gv, hk.reduced)
     blocks, cuts, _ = oracle
     assert len(blocks) > 1      # the block order is established
-    E, S = effective_costs(gv, hk.C, hk.pi_out, hk.pi_in)
+    E, S = effective_costs(present_mask(gv), hk.C, hk.pi_out, hk.pi_in)
     tree = span_blocks(E, S, *oracle)
     offset = float(hk.pi_out.sum() + hk.pi_in.sum())
 

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from hampath import bench, cli
-from hampath.costs import effective_costs, lb_trivial, span_blocks, tree_oracle
+from hampath.costs import (effective_costs, lb_trivial, present_mask,
+                           span_blocks, tree_oracle)
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
@@ -45,7 +46,8 @@ def _ordered(arcs):
 
 def _costs(gv, C):
     """Effective costs at zero multipliers."""
-    return effective_costs(gv, C, np.zeros(gv.n), np.zeros(gv.n))
+    return effective_costs(present_mask(gv), C, np.zeros(gv.n),
+                           np.zeros(gv.n))
 
 
 def _path_cost(C, path):

@@ -15,6 +15,7 @@ from hampath.costs import (
     Objective,
     effective_costs,
     lb_trivial,
+    present_mask,
     span_blocks,
     tree_oracle,
 )
@@ -48,7 +49,8 @@ def with_order(arcs):
 
 def plain_costs(gv, C):
     """Effective costs at zero multipliers."""
-    return effective_costs(gv, C, np.zeros(gv.n), np.zeros(gv.n))
+    return effective_costs(present_mask(gv), C, np.zeros(gv.n),
+                           np.zeros(gv.n))
 
 
 def plain_total(gv, E, S):
@@ -156,6 +158,44 @@ def test_optimum_of_base_graph():
 
 
 # -- randomized tree equivalences --------------------------------------------------
+
+
+def test_effective_costs_follow_the_domain_through_churn():
+    # the costs are finite exactly on the present arcs after every removal,
+    # enforcement and pop, so an arc a backtrack restores is priced again;
+    # changes happen inside worlds only, so the pops keep the domain full
+    rng = random.Random(17)
+    n = 9
+    C, s, e = gen_random(n, seed=17, density=0.7)
+    gv = GraphVar(n, s, e, [(u, v) for u in range(n) for v in range(n)
+                            if C[u, v] < math.inf])
+    root = gv.arcs()
+    pi_out = np.array([rng.uniform(-5, 5) for _ in range(n)])
+    pi_in = np.array([rng.uniform(-5, 5) for _ in range(n)])
+    pops = 0
+    for _ in range(300):
+        op = rng.random()
+        if gv.depth == 0 or op < 0.15 and gv.depth < 6:
+            gv.push_world()
+        elif op < 0.3:
+            gv.pop_world()
+            pops += 1
+        elif gv.n_potential:
+            u, v = rng.choice(gv.arcs())
+            try:
+                if op < 0.85:
+                    gv.remove_arc(u, v)
+                else:
+                    gv.enforce_arc(u, v)
+            except Contradiction:
+                pass
+        E, _ = effective_costs(present_mask(gv), C, pi_out, pi_in)
+        finite = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.isfinite(E)))]
+        assert finite == gv.arcs()
+    assert pops >= 20
+    while gv.depth:
+        gv.pop_world()
+    assert gv.arcs() == root
 
 
 def test_prim_equals_kruskal_equals_brute():
@@ -306,7 +346,7 @@ def test_swap_filter_matches_kruskal_exactly():
                     continue
             oracle = tree_oracle(gv, rp)
             blocks, cuts, _ = oracle
-            E, S = effective_costs(gv, M, pi_out, pi_in)
+            E, S = effective_costs(present_mask(gv), M, pi_out, pi_in)
             tree, removed, enforced, marg, swaps = filter_diff(
                 gv, E, S, oracle, math.inf, offset)
             # without a cap only the reverse of a mandatory arc goes
@@ -475,7 +515,8 @@ def test_propagator_tree_follows_the_block_order(model, want):
         hk.reduced.propagate()      # establish the block order only
         assert len(hk.reduced.blocks) == len(fig.BASE7_BLOCKS)
     assert not hk.pi_out.any() and not hk.pi_in.any()
-    total, xs, ys = hk._tree_at(*tree_oracle(m.gv, hk.reduced))
+    total, xs, ys = hk._tree_at(present_mask(m.gv),
+                                *tree_oracle(m.gv, hk.reduced))
     assert total == want
     assert len(xs) == len(ys) == fig.N - 1
 
@@ -485,7 +526,7 @@ def test_tree_branching_scores_the_block_analysis():
     m = Model(len(C), s, e, C, model="ALL", relax="tree")
     m.root_propagate()
     hk = m.hk
-    E, S = effective_costs(m.gv, hk.C, hk.pi_out, hk.pi_in)
+    E, S = effective_costs(present_mask(m.gv), hk.C, hk.pi_out, hk.pi_in)
     _, trees, connectors = span_blocks(E, S, *tree_oracle(m.gv, hk.reduced))
     assert len(trees) > 1 and connectors     # a block tree, not the MST
     # a tree edge realizes its cheaper direction, the smaller tail on a tie

@@ -22,10 +22,11 @@ def full_arcs(n, s, e):
 def snapshot(gv):
     return (
         tuple(frozenset(x) for x in gv.succ),
+        tuple(frozenset(x) for x in gv.pred),
         tuple(frozenset(x) for x in gv.msucc),
+        tuple(frozenset(x) for x in gv.mpred),
         gv.n_potential,
         gv.n_mandatory,
-        gv.pmask.tobytes(),
     )
 
 
