@@ -10,8 +10,7 @@ plain bound cannot touch.  One swap filter serves both trees.
 
 import numpy as np
 
-from hampath.costs import (effective_costs, present_mask, span_blocks,
-                           tree_oracle, wst_filter)
+from hampath.costs import effective_costs, span_blocks, tree_oracle, wst_filter
 from hampath.kernel import GraphVar, Propagator, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.structural import ReducedPathPropagator
@@ -69,13 +68,13 @@ def main():
     print("block order:", rp.blocks)
 
     zero = np.zeros(N)
-    Ecost, Scost = effective_costs(present_mask(gv), C, zero, zero)
+    Ecost, Scost = effective_costs(gv, C.tolist(), zero, zero)
     mst = span_blocks(Ecost, Scost, *tree_oracle(gv))[0]
     bst, trees, connectors = span_blocks(Ecost, Scost, *tree_oracle(gv, rp))
     print("plain spanning tree bound: %d" % mst)
     print("block spanning tree bound: %d  (per block %s, connectors %s)"
-          % (bst, [int(sum(Scost[a, c] for a, c in t)) for t in trees],
-             sorted(float(Ecost[a]) for a in connectors)))
+          % (bst, [int(sum(Scost[a][c] for a, c in t)) for t in trees],
+             sorted(Ecost[u][v] for u, v in connectors)))
 
     removed, enforced = filtered(gv, Ecost, Scost, tree_oracle(gv, rp), opt)
     print("block filter at ub=%d removes %s, enforces %s"

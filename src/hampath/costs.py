@@ -1,15 +1,15 @@
 """Cost reasoning: relaxation bounds and the filters they power.
 
-All bounds speak about the fixed-endpoints Hamiltonian path.  The
-Lagrangian propagator prices node degrees with multipliers and bounds
-through one spanning tree oracle: arc costs are symmetrized by keeping the
-cheaper present direction of each node pair, and mandatory arcs are seeded
-into the tree.  Once the reduced graph is a known path of blocks, the
-oracle spans every block on its own and joins consecutive blocks with
-their cheapest cut arc; until then it spans all nodes at once.  One swap
-filter prunes against whichever tree it built.  The assignment propagator
-bounds through the successor matching instead; it reads the present arcs
-only, from the domain's successor and predecessor sets, with no matrix.
+All bounds speak about the fixed-endpoints Hamiltonian path and read the
+model's nested cost list C on the present arcs only.  The Lagrangian
+propagator prices node degrees with multipliers, numpy vectors whose
+pairwise sums fix its bounds, and bounds through one spanning tree oracle:
+arc costs are symmetrized by keeping the cheaper present direction of each
+node pair, and mandatory arcs are seeded into the tree.  Once the reduced
+graph is a known path of blocks, the oracle spans every block on its own
+and joins consecutive blocks with their cheapest cut arc; until then it
+spans all nodes at once.  One swap filter prunes against whichever tree it
+built.  The assignment propagator bounds through the successor matching.
 
 The tree has one format from oracle to filter: the reduced-path
 propagator's block and cut lists as they are, per block the (parent,
@@ -83,22 +83,32 @@ class TrivialObjectivePropagator(Propagator):
 # -- the tree oracle -------------------------------------------------------------
 
 
-def present_mask(gv):
-    """The n x n boolean matrix that is True exactly on gv's present arcs."""
-    n = gv.n
-    mask = np.zeros(n * n, dtype=bool)
-    mask[[u * n + v for u, heads in enumerate(gv.succ) for v in heads]] = True
-    return mask.reshape(n, n)
-
-
-def effective_costs(mask, C, pi_out, pi_in):
+def effective_costs(gv, C, pi_out, pi_in):
     """(E, S): directed effective costs and their symmetrized minimum.
 
-    E[u, v] = C[u, v] + pi_out[u] + pi_in[v] where `mask` holds, inf
-    elsewhere.  S is the elementwise minimum of E and its transpose.
+    Nested lists: E[u][v] = C[u][v] + pi_out[u] + pi_in[v] on gv's present
+    arcs, inf elsewhere, and S[u][v] = min(E[u][v], E[v][u]).
     """
-    E = np.where(mask, C + pi_out[:, None] + pi_in[None, :], INF)
-    return E, np.minimum(E, E.T)
+    pin = pi_in.tolist()
+    E = [[INF] * gv.n for _ in pin]
+    for u, po in enumerate(pi_out.tolist()):
+        Eu, Cu = E[u], C[u]
+        for v in gv.succ[u]:
+            Eu[v] = Cu[v] + po + pin[v]
+    S = [row[:] for row in E]
+    for u, heads in enumerate(gv.succ):
+        Eu = E[u]
+        for v in heads:
+            if Eu[v] < S[v][u]:
+                S[v][u] = Eu[v]
+    return E, S
+
+
+def realized_arc(E, a, c):
+    """The arc tree edge {a, c} stands for at directed costs E: the
+    cheaper direction, the smaller tail on a tie."""
+    x, y = E[a][c], E[c][a]
+    return (a, c) if x < y or x == y and a < c else (c, a)
 
 
 def tree_oracle(gv, reduced=None):
@@ -178,22 +188,21 @@ def span_blocks(E, S, blocks, cuts, pins):
     lone arc of a one-arc cut and the cheapest arc otherwise.  Block
     totals are summed in block order, then the connectors in cut order.
     """
-    Sw = S.tolist()
     total = 0.0
     trees = []
     for members in blocks:
         if len(members) < 2:
             trees.append([])
             continue
-        t, pairs = _prim_pairs(Sw, members, pins)
+        t, pairs = _prim_pairs(S, members, pins)
         total += t
         trees.append(pairs)
     connectors = []
     for cut in cuts:
         # the cut is sorted, so min breaks ties towards the smallest arc
-        arc = cut[0] if len(cut) == 1 else min(cut, key=E.__getitem__)
-        total += float(E[arc])
-        connectors.append(arc)
+        u, v = min(cut, key=lambda a: E[a[0]][a[1]])
+        total += E[u][v]
+        connectors.append((u, v))
     return total, trees, connectors
 
 
@@ -236,31 +245,29 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
     """
     gv = p.gv
     B, trees, connectors = tree
-    Ew = E.tolist()
     marginals = {}
     swaps = {}
     for cut, (su, sv) in zip(cuts, connectors):
         if len(cut) == 1:
             continue            # its lone arc is mandatory
-        csel = Ew[su][sv]
+        csel = E[su][sv]
         alive = []
         best = INF
         for (u, v) in cut:
             if (u, v) != (su, sv):
-                marginal = B - csel + Ew[u][v] - offset
+                marginal = B - csel + E[u][v] - offset
                 marginals[(u, v)] = marginal
                 if marginal > ub + PRUNE_EPS:
                     p.remove(u, v)
                     continue
-                best = min(best, Ew[u][v])
+                best = min(best, E[u][v])
             alive.append((u, v))
         swaps[(su, sv)] = best - csel
         if len(alive) == 1:
             p.enforce(*alive[0])
     # every block tree at once, indexed by the child node c of each edge
-    # {parent[c], c}: its depth, its realized arc (the cheaper direction,
-    # the smaller tail on a tie) and its weight, None on a mandatory pair
-    Sw = S.tolist()
+    # {parent[c], c}: its depth, its realized arc and its weight, None on a
+    # mandatory pair
     msucc = gv.msucc
     n = gv.n
     parent = [-1] * n
@@ -272,9 +279,9 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
         for a, c in pairs:
             parent[c] = a
             depth[c] = depth[a] + 1
-            arc[c] = (a, c) if (Ew[a][c], a) <= (Ew[c][a], c) else (c, a)
+            arc[c] = realized_arc(E, a, c)
             if c not in msucc[a] and a not in msucc[c]:
-                weight[c] = Sw[a][c]
+                weight[c] = S[a][c]
     for members, pairs in zip(blocks, trees):
         if not pairs:
             continue
@@ -282,7 +289,7 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
         # path, -inf when every edge there is mandatory
         maxpath = {}
         for i, a in enumerate(members):
-            row = Sw[a]
+            row = S[a]
             for b in members[i + 1:]:
                 w = row[b]
                 if w == INF or parent[a] == b or parent[b] == a:
@@ -315,7 +322,7 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
                     mx = weight[c]
                 else:
                     mx = maxpath[(u, v) if u < v else (v, u)]
-                marginal = B - mx + Ew[u][v] - offset
+                marginal = B - mx + E[u][v] - offset
                 marginals[(u, v)] = marginal
                 if marginal > ub + PRUNE_EPS:
                     p.remove(u, v)
@@ -339,12 +346,12 @@ class HeldKarpPropagator(Propagator):
 
     The tree comes from `tree_oracle`: the block tree while the
     reduced-path propagator `reduced` knows the block order, the plain
-    spanning tree otherwise.  Each call reads the oracle and the
-    present-arc mask once; every ascent step and the filtering pass span
-    that same (blocks, cuts, pins) through `span_blocks`.  Node
-    multipliers price the out-degree of every node but e and the in-degree
-    of every node but s.  They persist across calls and across
-    backtracking; each run restarts the step control, not the multipliers.
+    spanning tree otherwise.  Each call reads the oracle once; every
+    ascent step and the filtering pass price the present arcs through
+    `effective_costs` and span that same (blocks, cuts, pins) through
+    `span_blocks`.  Node multipliers price the out-degree of every node
+    but e and the in-degree of every node but s.  They persist across
+    calls and across backtracking; each run restarts the step control.
     """
 
     ITERS = 30
@@ -353,7 +360,7 @@ class HeldKarpPropagator(Propagator):
         super().__init__(gv)
         self.name = "hk"
         self.priority = 5
-        self.C = np.asarray(C, dtype=float)
+        self.C = C
         self.obj = obj
         self.reduced = reduced
         self.pi_out = np.zeros(gv.n)
@@ -363,21 +370,15 @@ class HeldKarpPropagator(Propagator):
         self._full_key = None
 
     # one relaxation evaluation at the current multipliers; returns the
-    # tree total plus the realized arc endpoints as two index arrays
-    def _tree_at(self, mask, blocks, cuts, pins):
-        E, S = effective_costs(mask, self.C, self.pi_out, self.pi_in)
+    # tree total plus the tails and the heads of the realized arcs
+    def _tree_at(self, blocks, cuts, pins):
+        E, S = effective_costs(self.gv, self.C, self.pi_out, self.pi_in)
         total, trees, connectors = span_blocks(E, S, blocks, cuts, pins)
-        A = np.asarray([(a, c) if a < c else (c, a)
-                        for tree in trees for a, c in tree],
-                       dtype=np.int64).reshape(-1, 2)
-        lo, hi = A[:, 0], A[:, 1]
-        fwd = E[lo, hi] <= E[hi, lo]
-        K = np.asarray(connectors, dtype=np.int64).reshape(-1, 2)
-        xs = np.concatenate([np.where(fwd, lo, hi), K[:, 0]])
-        ys = np.concatenate([np.where(fwd, hi, lo), K[:, 1]])
-        return total, xs, ys
+        arcs = [realized_arc(E, a, c) for tree in trees for a, c in tree]
+        arcs += connectors
+        return total, [u for u, _ in arcs], [v for _, v in arcs]
 
-    def _run(self, ub_target, mask, oracle):
+    def _run(self, ub_target, oracle):
         gv = self.gv
         n = gv.n
         lam = 2.0
@@ -385,7 +386,7 @@ class HeldKarpPropagator(Propagator):
         best = -INF
         best_pi = (self.pi_out.copy(), self.pi_in.copy())
         for _ in range(self.ITERS):
-            total, xs, ys = self._tree_at(mask, *oracle)
+            total, xs, ys = self._tree_at(*oracle)
             lb = total - (self.pi_out.sum() + self.pi_in.sum())
             if lb > best + 1e-12:
                 best = lb
@@ -423,7 +424,6 @@ class HeldKarpPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
-        mask = present_mask(gv)
         oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
@@ -435,11 +435,11 @@ class HeldKarpPropagator(Propagator):
             ub_target = float(ub) if ub is not None \
                 else 2.0 * lb_trivial(gv, self.C)
             for _ in range(2 if gv.depth == 0 else 1):
-                self._run(ub_target, mask, oracle)
+                self._run(ub_target, oracle)
             self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the marginals and swap costs the branching reads
-        E, S = effective_costs(mask, self.C, self.pi_out, self.pi_in)
+        E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
         tree = span_blocks(E, S, *oracle)
         self.obj.tighten_lb(int(math.ceil(tree[0] - offset - CEIL_EPS)))
@@ -473,8 +473,7 @@ class HungarianPropagator(Propagator):
         self.priority = 4
         self.obj = obj
         self.rows = [u for u in range(gv.n) if u != gv.e]
-        # plain lists: the loops read them one entry at a time
-        self.C = np.asarray(C, dtype=float).tolist()
+        self.C = C
         self.du = [0.0] * gv.n
         self.dv = [0.0] * gv.n
         self.row_match = [-1] * gv.n

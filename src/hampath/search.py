@@ -40,23 +40,24 @@ class Model:
         if relax not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {relax!r}")
         self.relax = relax
-        self.C = np.asarray(C, dtype=float)
-        if self.C.shape != (n, n):
-            raise ValueError(f"cost matrix must be {n}x{n}, not {self.C.shape}")
+        C = np.asarray(C, dtype=float)
+        if C.shape != (n, n):
+            raise ValueError(f"cost matrix must be {n}x{n}, not {C.shape}")
         # NaN and -inf are not +inf, so either would silently become an
         # absent arc
-        if np.isnan(self.C).any():
+        if np.isnan(C).any():
             raise ValueError("arc costs must not be NaN")
-        if np.isneginf(self.C).any():
+        if np.isneginf(C).any():
             raise ValueError("arc costs must not be -inf")
         # bounds are rounded up and the optimizing cap is cost - 1, both of
         # which are only sound on integer costs
-        finite = self.C[np.isfinite(self.C)]
+        finite = C[np.isfinite(C)]
         if not np.array_equal(finite, np.round(finite)):
             raise ValueError("finite arc costs must be integers")
+        self.C = C.tolist()     # the one cost format every reader shares
         # nothing here calls range(n), so a node count that is not an
         # integer reaches GraphVar's check
-        arcs = np.argwhere(np.isfinite(self.C)).tolist()
+        arcs = np.argwhere(np.isfinite(C)).tolist()
         try:
             self.gv = GraphVar(n, s, e, arcs)
         except PreconditionViolation as exc:
@@ -98,7 +99,7 @@ class Model:
         self.scheduler.run_fixpoint()
 
     def path_cost(self, path):
-        return int(round(sum(self.C[u, v] for u, v in zip(path, path[1:]))))
+        return int(round(sum(self.C[u][v] for u, v in zip(path, path[1:]))))
 
     def extract_path(self):
         gv = self.gv
@@ -139,8 +140,8 @@ def _sparse_pick(m, always_enforce):
         # realized tree arcs carry no marginal and count as free
         row = gv.succ[u]
         if marg is not None:
-            return {v: float(marg.get((u, v), lb)) - float(lb) for v in row}
-        cost = m.C[u].tolist()
+            return {v: marg.get((u, v), lb) - lb for v in row}
+        cost = m.C[u]
         cheapest = min(cost[w] for w in row)
         return {v: cost[v] - cheapest for v in row}
 

@@ -14,7 +14,7 @@ import pytest
 
 from hampath import Model, circuit_to_path, parse_tsplib
 from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
-                           present_mask, span_blocks, tree_oracle, wst_filter)
+                           span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
 from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
@@ -43,9 +43,9 @@ def test_prim_pairs(benchmark, name):
     C, s, e = circuit_to_path(parse_tsplib(str(INSTANCES / name)).matrix, 0)
     m = Model(len(C), s, e, C, model="BASIC", relax="tree")
     zero = np.zeros(len(C))
-    _, S = effective_costs(present_mask(m.gv), C, zero, zero)
+    _, S = effective_costs(m.gv, m.C, zero, zero)
     members, _, pins = tree_oracle(m.gv)
-    benchmark(_prim_pairs, S.tolist(), members[0], pins)
+    benchmark(_prim_pairs, S, members[0], pins)
 
 
 def test_wst_filter_ftv33(benchmark):
@@ -63,7 +63,7 @@ def test_wst_filter_ftv33(benchmark):
     oracle = tree_oracle(gv, hk.reduced)
     blocks, cuts, _ = oracle
     assert len(blocks) > 1      # the block order is established
-    E, S = effective_costs(present_mask(gv), hk.C, hk.pi_out, hk.pi_in)
+    E, S = effective_costs(gv, hk.C, hk.pi_out, hk.pi_in)
     tree = span_blocks(E, S, *oracle)
     offset = float(hk.pi_out.sum() + hk.pi_in.sum())
 
@@ -73,6 +73,24 @@ def test_wst_filter_ftv33(benchmark):
         gv.pop_world()
 
     benchmark(once)
+
+
+def test_tree_at_ftv33(benchmark):
+    """One Lagrangian evaluation on the ftv33 ALL/both root state under the
+    cap 1286 (n = 34): effective costs on the present arcs at the warmed
+    multipliers, the block tree over the established block order, and its
+    realized arcs.  The evaluation only reads the domain."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.obj.ub = 1286
+    m.root_propagate()
+    hk = m.hk
+    oracle = tree_oracle(m.gv, hk.reduced)
+    assert len(oracle[0]) > 1 and hk.pi_out.any()
+    _, xs, ys = hk._tree_at(*oracle)
+    assert len(xs) == len(ys) == m.gv.n - 1
+    benchmark(hk._tree_at, *oracle)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["arbo", "arbo-rev"])

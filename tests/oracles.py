@@ -3,7 +3,8 @@
 Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
 instead of DP, combination scans instead of greedy tree builders, a scan of
-every interval instead of union-find Hall detection.  The tests keep the
+every interval instead of union-find Hall detection, whole-matrix numpy
+arithmetic instead of per-arc effective costs.  The tests keep the
 enumerations tiny.  `mutual_reachability` defines the SCC partition by a
 reachability closure.  The last helpers read a library ReducedState
 (its `members` and `scc_of`, plus the graph's `succ`): snapshots of its
@@ -14,6 +15,8 @@ which only the tests need.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from hampath.kernel import PreconditionViolation
 
@@ -199,6 +202,17 @@ def min_spanning_tree_kruskal(n, edges, forced=()):
             total += w
             used += 1
     return total if used == n - 1 else None
+
+
+def dense_effective_costs(n, arcs, C, pi_out, pi_in):
+    """(E, S) as n x n arrays, by whole-matrix arithmetic: C plus the
+    multipliers on the listed arcs, inf elsewhere, and the elementwise
+    minimum of E and its transpose."""
+    mask = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        mask[u, v] = True
+    E = np.where(mask, C + pi_out[:, None] + pi_in[None, :], np.inf)
+    return E, np.minimum(E, E.T)
 
 
 def dominators_brute(n, root, adj):

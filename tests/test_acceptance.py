@@ -14,8 +14,7 @@ import time
 import numpy as np
 
 from hampath import bench, cli
-from hampath.costs import (effective_costs, lb_trivial, present_mask,
-                           span_blocks, tree_oracle)
+from hampath.costs import effective_costs, lb_trivial, span_blocks, tree_oracle
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
@@ -46,8 +45,8 @@ def _ordered(arcs):
 
 def _costs(gv, C):
     """Effective costs at zero multipliers."""
-    return effective_costs(present_mask(gv), C, np.zeros(gv.n),
-                           np.zeros(gv.n))
+    return effective_costs(gv, np.asarray(C, dtype=float).tolist(),
+                           np.zeros(gv.n), np.zeros(gv.n))
 
 
 def _path_cost(C, path):
@@ -66,9 +65,9 @@ def test_criterion_1_block_tree_bounds_regression():
 
     bst, trees, connectors = span_blocks(E, S, *tree_oracle(gv, rp))
     assert bst == fig.BASE7_BST == 27
-    per_block = [sum(S[a, c] for a, c in tree) for tree in trees]
+    per_block = [sum(S[a][c] for a, c in tree) for tree in trees]
     assert per_block == [0, 10, 10, 0]
-    assert sorted(E[a] for a in connectors) == [2, 2, 3]
+    assert sorted(E[u][v] for u, v in connectors) == [2, 2, 3]
 
     opt, path = dp_oracle(C, fig.S, fig.E)
     assert opt == fig.BASE7_OPT == 28

@@ -15,7 +15,6 @@ from hampath.costs import (
     Objective,
     effective_costs,
     lb_trivial,
-    present_mask,
     span_blocks,
     tree_oracle,
 )
@@ -49,8 +48,8 @@ def with_order(arcs):
 
 def plain_costs(gv, C):
     """Effective costs at zero multipliers."""
-    return effective_costs(present_mask(gv), C, np.zeros(gv.n),
-                           np.zeros(gv.n))
+    return effective_costs(gv, np.asarray(C, dtype=float).tolist(),
+                           np.zeros(gv.n), np.zeros(gv.n))
 
 
 def plain_total(gv, E, S):
@@ -71,9 +70,9 @@ def random_instance(rng, n, density=0.75):
     spine = [s] + mid + [e]
     for a, b in zip(spine, spine[1:]):
         C.setdefault((a, b), rng.randint(1, 30))
-    M = np.full((n, n), float("inf"))
+    M = [[math.inf] * n for _ in range(n)]
     for (u, v), w in C.items():
-        M[u, v] = float(w)
+        M[u][v] = float(w)
     return C, M, s, e
 
 
@@ -85,8 +84,8 @@ def test_mst_totals_match_on_base_graph():
     C = fig.cost_matrix(fig.BASE7)
     E, S = plain_costs(gv, C)
     tp = plain_total(gv, E, S)
-    edges = [(a, b, S[a, b]) for a in range(fig.N) for b in range(a + 1, fig.N)
-             if np.isfinite(S[a, b])]
+    edges = [(a, b, S[a][b]) for a in range(fig.N) for b in range(a + 1, fig.N)
+             if S[a][b] < math.inf]
     tk = oracles.min_spanning_tree_kruskal(fig.N, edges)
     assert tp == tk == fig.BASE7_MST
     assert oracles.min_spanning_tree_brute(fig.N, edges) == fig.BASE7_MST
@@ -98,9 +97,9 @@ def test_block_tree_reproduces_stated_numbers():
     E, S = plain_costs(gv, C)
     total, trees, connectors = span_blocks(E, S, *tree_oracle(gv, rp))
     assert total == fig.BASE7_BST
-    per_block = [sum(S[a, c] for a, c in tree) for tree in trees]
+    per_block = [sum(S[a][c] for a, c in tree) for tree in trees]
     assert per_block == [0.0, 10.0, 10.0, 0.0]
-    assert [(E[a], *a) for a in connectors] == \
+    assert [(E[u][v], u, v) for u, v in connectors] == \
         [(2.0, 0, 1), (3.0, 2, 3), (2.0, 5, 6)]
     # the straight tree bound is weaker on this graph
     assert fig.BASE7_MST <= fig.BASE7_BST
@@ -162,11 +161,13 @@ def test_optimum_of_base_graph():
 
 def test_effective_costs_follow_the_domain_through_churn():
     # the costs are finite exactly on the present arcs after every removal,
-    # enforcement and pop, so an arc a backtrack restores is priced again;
-    # changes happen inside worlds only, so the pops keep the domain full
+    # enforcement and pop, so an arc a backtrack restores is priced again,
+    # and they equal the dense reference entry for entry; changes happen
+    # inside worlds only, so the pops keep the domain full
     rng = random.Random(17)
     n = 9
     C, s, e = gen_random(n, seed=17, density=0.7)
+    Cl = C.tolist()
     gv = GraphVar(n, s, e, [(u, v) for u in range(n) for v in range(n)
                             if C[u, v] < math.inf])
     root = gv.arcs()
@@ -189,9 +190,12 @@ def test_effective_costs_follow_the_domain_through_churn():
                     gv.enforce_arc(u, v)
             except Contradiction:
                 pass
-        E, _ = effective_costs(present_mask(gv), C, pi_out, pi_in)
+        E, S = effective_costs(gv, Cl, pi_out, pi_in)
         finite = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.isfinite(E)))]
         assert finite == gv.arcs()
+        E_ref, S_ref = oracles.dense_effective_costs(n, gv.arcs(), C, pi_out,
+                                                     pi_in)
+        assert E == E_ref.tolist() and S == S_ref.tolist()
     assert pops >= 20
     while gv.depth:
         gv.pop_world()
@@ -206,7 +210,7 @@ def test_prim_equals_kruskal_equals_brute():
         _, M, s, e = random_instance(rng, n, density=0.8)
         gv = GraphVar(n, s, e,
                       [(u, v) for u in range(n) for v in range(n)
-                       if np.isfinite(M[u, v])])
+                       if M[u][v] < math.inf])
         # force a couple of mandatory arcs, keeping them a matching
         live = sorted(gv.arcs())
         picked = []
@@ -220,8 +224,8 @@ def test_prim_equals_kruskal_equals_brute():
         except Contradiction:
             tp = None
         forced = [(min(u, v), max(u, v)) for (u, v) in gv.mandatory_arcs()]
-        edges = [(a, b, S[a, b]) for a in range(n) for b in range(a + 1, n)
-                 if np.isfinite(S[a, b])]
+        edges = [(a, b, S[a][b]) for a in range(n) for b in range(a + 1, n)
+                 if S[a][b] < math.inf]
         tk = oracles.min_spanning_tree_kruskal(n, edges, forced=forced)
         tb = oracles.min_spanning_tree_brute(n, edges, forced=forced)
         assert (tp is None) == (tb is None) == (tk is None)
@@ -302,7 +306,7 @@ def _best_block_tree(S, members, forced, pair=None, weight=None, drop=None):
     at = {u: i for i, u in enumerate(members)}
     edges = []
     for a, b in itertools.combinations(members, 2):
-        w = weight if (a, b) == pair else S[a, b]
+        w = weight if (a, b) == pair else S[a][b]
         if (a, b) != drop and np.isfinite(w):
             edges.append((at[a], at[b], w))
     t = oracles.min_spanning_tree_kruskal(
@@ -346,7 +350,7 @@ def test_swap_filter_matches_kruskal_exactly():
                     continue
             oracle = tree_oracle(gv, rp)
             blocks, cuts, _ = oracle
-            E, S = effective_costs(present_mask(gv), M, pi_out, pi_in)
+            E, S = effective_costs(gv, M, pi_out, pi_in)
             tree, removed, enforced, marg, swaps = filter_diff(
                 gv, E, S, oracle, math.inf, offset)
             # without a cap only the reverse of a mandatory arc goes
@@ -360,27 +364,28 @@ def test_swap_filter_matches_kruskal_exactly():
                       for b in map(set, blocks)]
             best = [_best_block_tree(S, members, f)
                     for members, f in zip(blocks, forced)]
-            assert [E[a] for a in connectors] == \
-                [min(E[a] for a in cut) for cut in cuts]
-            assert _same(bound, sum(best) + sum(E[a] for a in connectors)
+            assert [E[u][v] for u, v in connectors] == \
+                [min(E[u][v] for u, v in cut) for cut in cuts]
+            assert _same(bound, sum(best) + sum(E[u][v] for u, v in connectors)
                          - offset)
             where = {u: k for k, members in enumerate(blocks) for u in members}
             for (u, v), got in marg.items():
                 k = where[u]
                 if where[v] != k:
                     # a cut arc stands in for its connector
-                    assert _same(got, bound - E[connectors[k]] + E[u, v])
+                    su, sv = connectors[k]
+                    assert _same(got, bound - E[su][sv] + E[u][v])
                     continue
                 pair = (min(u, v), max(u, v))
                 forced_tree = _best_block_tree(S, blocks[k], forced[k] + [pair],
-                                               pair=pair, weight=E[u, v])
+                                               pair=pair, weight=E[u][v])
                 assert _same(got, bound - best[k] + forced_tree), (u, v)
             for (u, v), got in swaps.items():
                 k = where[u]
                 if where[v] != k:
-                    alt = min((E[a] for a in cuts[k] if a != (u, v)),
-                              default=math.inf)
-                    assert _same(got, alt - E[u, v])
+                    alt = min((E[a][b] for a, b in cuts[k]
+                               if (a, b) != (u, v)), default=math.inf)
+                    assert _same(got, alt - E[u][v])
                     continue
                 pair = (min(u, v), max(u, v))
                 assert pair not in mand
@@ -501,6 +506,10 @@ def test_model_registers_one_tree_relaxation(relax):
     hks = [p for p in m.scheduler.props if isinstance(p, HeldKarpPropagator)]
     assert hks == [m.hk]
     assert [p.name for p in m.scheduler.props].count("hk") == 1
+    # one cost format: every cost propagator reads the model's nested list
+    assert isinstance(m.C, list) and isinstance(m.C[0], list)
+    readers = [p for p in m.scheduler.props if hasattr(p, "C")]
+    assert len(readers) == 2 and all(p.C is m.C for p in readers)
 
 
 @pytest.mark.parametrize("model,want", [("ALL", fig.BASE7_BST),
@@ -515,8 +524,7 @@ def test_propagator_tree_follows_the_block_order(model, want):
         hk.reduced.propagate()      # establish the block order only
         assert len(hk.reduced.blocks) == len(fig.BASE7_BLOCKS)
     assert not hk.pi_out.any() and not hk.pi_in.any()
-    total, xs, ys = hk._tree_at(present_mask(m.gv),
-                                *tree_oracle(m.gv, hk.reduced))
+    total, xs, ys = hk._tree_at(*tree_oracle(m.gv, hk.reduced))
     assert total == want
     assert len(xs) == len(ys) == fig.N - 1
 
@@ -526,11 +534,11 @@ def test_tree_branching_scores_the_block_analysis():
     m = Model(len(C), s, e, C, model="ALL", relax="tree")
     m.root_propagate()
     hk = m.hk
-    E, S = effective_costs(present_mask(m.gv), hk.C, hk.pi_out, hk.pi_in)
+    E, S = effective_costs(m.gv, hk.C, hk.pi_out, hk.pi_in)
     _, trees, connectors = span_blocks(E, S, *tree_oracle(m.gv, hk.reduced))
     assert len(trees) > 1 and connectors     # a block tree, not the MST
     # a tree edge realizes its cheaper direction, the smaller tail on a tie
-    realized = {min((a, c), (c, a), key=lambda x: (E[x], x[0]))
+    realized = {min((a, c), (c, a), key=lambda x: (E[x[0]][x[1]], x[0]))
                 for tree in trees for a, c in tree}
     realized |= set(connectors)
     fallback = next(a for a in m.gv.arcs() if not m.gv.has_mandatory(*a))
@@ -554,7 +562,7 @@ def _assignment_cost_scipy(gv, M):
     for i, u in enumerate(rows):
         for j, v in enumerate(cols):
             if gv.has_arc(u, v):
-                Cm[i, j] = M[u, v]
+                Cm[i, j] = M[u][v]
     ri, ci = linear_sum_assignment(Cm)
     cost = Cm[ri, ci].sum()
     return None if cost >= big / 2 else float(cost)

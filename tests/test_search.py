@@ -238,6 +238,25 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
         assert r.best_cost <= prove_ub
 
 
+@pytest.mark.parametrize("name,model,relax,cost,nodes", [
+    ("ulysses16.tsp", "ALL", "both", 6859, 93),
+    ("gr17.tsp", "ALL", "both", 2085, 119),
+    ("br17.atsp", "ALL", "both", 39, 41),
+    ("ftv33.atsp", "ALL", "both", 1286, 213),
+    ("ftv33.atsp", "BASIC", "tree", 1286, 201),
+])
+def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
+    # optimizing runs as the tsplib-both benchmark makes them; the
+    # Lagrangian's bounds must stay bit for bit the same to keep these
+    # trees, down to the summation order of the multiplier offset
+    inst = parse_tsplib(f"instances/{name}")
+    C, s, e = circuit_to_path(inst.matrix, 0)
+    r = solve(fresh(C, s, e, model=model, relax=relax),
+              heuristic="enforceSparse")
+    assert (r.status, r.best_cost, r.nodes) == ("optimal", cost, nodes)
+    check_path(C, s, e, r.best_path, r.best_cost)
+
+
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
 # per configuration in HEURISTICS order: enforceMaxRC, sparse, enforceSparse
 SHAPE20 = {
