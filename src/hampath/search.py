@@ -21,11 +21,10 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
-from .structural import (AllDifferentPropagator, ArborescencePropagator,
-                         DegreePropagator, PositionPropagator,
+from .structural import (AllDifferentPropagator, DegreePropagator,
                          ReducedPathPropagator)
 
-MODELS = ("BASIC", "ARB", "POS", "AD", "BST", "ALL")
+MODELS = ("BASIC", "AD", "BST", "ALL")
 RELAXATIONS = ("tree", "map", "both")
 HEURISTICS = ("enforceMaxRC", "sparse", "enforceSparse")
 
@@ -80,13 +79,8 @@ class Model:
         if model in ("BST", "ALL"):
             self.rp = ReducedPathPropagator(gv)
             reg(self.rp)
-        if model == "ARB":
-            reg(ArborescencePropagator(gv, reverse=False))
-            reg(ArborescencePropagator(gv, reverse=True))
         if model in ("AD", "ALL"):
             reg(AllDifferentPropagator(gv))
-        if model == "POS":
-            reg(PositionPropagator(gv))
         self.hk = None
         if relax in ("tree", "both"):
             self.hk = HeldKarpPropagator(gv, self.C, self.obj, reduced=self.rp)

@@ -6,7 +6,6 @@ The file name keeps it out of the default test collection; saved runs go
 to .benchmarks/ and `pytest-benchmark compare` lists them side by side.
 """
 
-import random
 from pathlib import Path
 
 import numpy as np
@@ -17,24 +16,9 @@ from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
                            span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
-from hampath.structural import (AllDifferentPropagator, ArborescencePropagator,
-                                DegreePropagator, PositionPropagator)
+from hampath.structural import AllDifferentPropagator, DegreePropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def test_position_bounds_n45(benchmark):
-    """One bounds-consistency pass over 45 windows that hold a permutation
-    and contain Hall intervals, as the positions propagator sees them."""
-    rng = random.Random(45)
-    n = 45
-    perm = list(range(n))
-    rng.shuffle(perm)
-    lb = [max(0, p - rng.randint(0, 6)) for p in perm]
-    ub = [min(n - 1, p + rng.randint(0, 6)) for p in perm]
-    pp = PositionPropagator(GraphVar(2, 0, 1, [(0, 1)]))
-    assert pp._hall_sweep(lb[:], ub[:])
-    benchmark(lambda: pp._hall_sweep(lb[:], ub[:]))
 
 
 @pytest.mark.parametrize("name", ["br17.atsp", "att48.tsp"])
@@ -91,19 +75,6 @@ def test_tree_at_ftv33(benchmark):
     _, xs, ys = hk._tree_at(*oracle)
     assert len(xs) == len(ys) == m.gv.n - 1
     benchmark(hk._tree_at, *oracle)
-
-
-@pytest.mark.parametrize("reverse", [False, True], ids=["arbo", "arbo-rev"])
-def test_arborescence_n45(benchmark, reverse):
-    """One dominator pass over the whole potential graph of a clustered
-    45-node, density-0.5 instance; each round gets a fresh graph."""
-    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
-
-    def setup():
-        m = Model(len(C), s, e, C, model="BASIC", relax="map")
-        return (ArborescencePropagator(m.gv, reverse=reverse),), {}
-
-    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
 
 
 def test_assignment_cold_ftv33(benchmark):

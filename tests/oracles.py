@@ -2,11 +2,10 @@
 
 Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
-instead of DP, combination scans instead of greedy tree builders, a scan of
-every interval instead of union-find Hall detection, whole-matrix numpy
-arithmetic instead of per-arc effective costs.  The tests keep the
-enumerations tiny.  `mutual_reachability` defines the SCC partition by a
-reachability closure.  The last helpers read a library ReducedState
+instead of DP, combination scans instead of greedy tree builders,
+whole-matrix numpy arithmetic instead of per-arc effective costs.  The
+tests keep the enumerations tiny.  `mutual_reachability` defines the SCC
+partition by a reachability closure.  The last helpers read a library ReducedState
 (its `members` and `scc_of`, plus the graph's `succ`): snapshots of its
 partition and condensation, and a walk of the condensation as a path,
 which only the tests need.
@@ -215,62 +214,6 @@ def dense_effective_costs(n, arcs, C, pi_out, pi_in):
     return E, np.minimum(E, E.T)
 
 
-def dominators_brute(n, root, adj):
-    """Proper dominators of every node, by deletion: d properly dominates u
-    iff u is unreachable from `root` once d is deleted.  `adj[v]` lists the
-    successors of v.  Returns a list of sets; the root's set is empty."""
-    dom = [set() for _ in range(n)]
-    for d in range(n):
-        if d == root:
-            continue
-        seen = {root, d}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        for u in range(n):
-            if u not in seen:
-                dom[u].add(d)
-    return dom
-
-
-def arborescence_arc_support(n, root, arcs, reverse=False):
-    """The set of arcs lying on at least one spanning arborescence.
-
-    An arborescence rooted at `root` gives every other node exactly one
-    incoming arc (outgoing when `reverse`) and reaches all nodes.
-    """
-    if reverse:
-        flipped = arborescence_arc_support(n, root, [(v, u) for (u, v) in arcs])
-        return {(v, u) for (u, v) in flipped}
-    into = {v: [] for v in range(n)}
-    for (u, v) in arcs:
-        if v != root and u != v:
-            into[v].append(u)
-    others = [v for v in range(n) if v != root]
-    support = set()
-    for choice in itertools.product(*(into[v] for v in others)):
-        parent = dict(zip(others, choice))
-        ok = True
-        for v in others:
-            seen = {v}
-            cur = v
-            while cur != root:
-                cur = parent[cur]
-                if cur in seen:
-                    ok = False
-                    break
-                seen.add(cur)
-            if not ok:
-                break
-        if ok:
-            support.update((parent[v], v) for v in others)
-    return support
-
-
 def matching_arc_support(left, right, allowed):
     """Arcs (u, v) that belong to at least one perfect matching of the
     bipartite graph left x right with `allowed` as the edge predicate."""
@@ -299,85 +242,6 @@ def min_assignment_brute(left, right, cost):
         if ok and (best is None or total < best):
             best = total
     return best
-
-
-def alldiff_bounds_hull(lb, ub):
-    """Per-variable least and greatest value over every all-different
-    assignment with lb[i] <= x[i] <= ub[i], by enumeration.
-
-    This hull is the bounds-consistency closure of the boxes.  Returns the
-    pair (lows, highs) of lists, or None when no assignment exists.
-    """
-    n = len(lb)
-    lows = [None] * n
-    highs = [None] * n
-    x = [None] * n
-    used = set()
-
-    def extend(i):
-        if i == n:
-            for k, v in enumerate(x):
-                if lows[k] is None or v < lows[k]:
-                    lows[k] = v
-                if highs[k] is None or v > highs[k]:
-                    highs[k] = v
-            return
-        for v in range(lb[i], ub[i] + 1):
-            if v not in used:
-                used.add(v)
-                x[i] = v
-                extend(i + 1)
-                used.discard(v)
-
-    extend(0)
-    if n and lows[0] is None:
-        return None
-    return lows, highs
-
-
-def hall_interval_fixpoint(lb, ub):
-    """Shave Hall intervals until nothing changes, the O(n^3) textbook way.
-
-    The windows must lie in 0..n-1.  Every interval [a, b] that holds as many
-    whole windows as it has values is a Hall interval: no other window may
-    keep an end inside it.  Returns (lows, highs), or None on a contradiction
-    (an empty window or an interval holding more windows than values).
-    """
-    n = len(lb)
-    lb, ub = list(lb), list(ub)
-    changed = True
-    while changed:
-        changed = False
-        if any(lb[x] > ub[x] for x in range(n)):
-            return None
-        # inside[a][b] counts the windows contained in [a, b]
-        cnt = [[0] * n for _ in range(n)]
-        for x in range(n):
-            cnt[lb[x]][ub[x]] += 1
-        inside = [[0] * n for _ in range(n + 1)]
-        for a in range(n - 1, -1, -1):
-            run = 0
-            for b in range(n):
-                run += cnt[a][b]
-                inside[a][b] = inside[a + 1][b] + run
-        for a in range(n):
-            for b in range(a, n):
-                if inside[a][b] > b - a + 1:
-                    return None
-                if inside[a][b] < b - a + 1:
-                    continue
-                for x in range(n):
-                    if a <= lb[x] and ub[x] <= b:
-                        continue
-                    if a <= lb[x] <= b:
-                        lb[x] = b + 1
-                        changed = True
-                    if a <= ub[x] <= b:
-                        ub[x] = a - 1
-                        changed = True
-                    if lb[x] > ub[x]:
-                        return None
-    return lb, ub
 
 
 def degree_closure(n, s, e, arcs, mandatory):

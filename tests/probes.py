@@ -31,22 +31,6 @@ def record_runs(hk):
     return runs
 
 
-def record_windows(pp):
-    """Wrap a positions propagator's `_hall_sweep`; returns a list that
-    holds the (lb, ub) lists the sweep last received.  The sweep narrows
-    them in place and every fixpoint ends on a sweep, so after a call they
-    are the final windows."""
-    last = []
-    sweep = pp._hall_sweep
-
-    def recording(lb, ub):
-        last[:] = [lb, ub]
-        return sweep(lb, ub)
-
-    pp._hall_sweep = recording
-    return last
-
-
 def filter_diff(gv, E, S, oracle, ub, offset=0.0):
     """Span the oracle's tree at E, run the swap filter on it at cap ub.
 

@@ -170,6 +170,10 @@ def test_configuration_validation():
     C = fig.cost_matrix(fig.BASE7)
     with pytest.raises(ValueError):
         Model(fig.N, fig.S, fig.E, C, model="FANCY")
+    # no dominator (ARB) or position (POS) model: reduced-path does their job
+    for model in ("ARB", "POS"):
+        with pytest.raises(ValueError, match="unknown model"):
+            Model(fig.N, fig.S, fig.E, C, model=model)
     with pytest.raises(ValueError):
         Model(fig.N, fig.S, fig.E, C, relax="cone")
     with pytest.raises(ValueError):
@@ -262,10 +266,6 @@ def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
 SHAPE20 = {
     ("BASIC", "tree"): (27, 131, 113), ("BASIC", "map"): (45, 111, 99),
     ("BASIC", "both"): (25, 95, 83),
-    ("ARB", "tree"): (27, 131, 113), ("ARB", "map"): (45, 109, 99),
-    ("ARB", "both"): (25, 95, 81),
-    ("POS", "tree"): (27, 121, 101), ("POS", "map"): (45, 111, 99),
-    ("POS", "both"): (25, 91, 107),
     ("AD", "tree"): (27, 119, 107), ("AD", "map"): (35, 105, 103),
     ("AD", "both"): (25, 101, 91),
     ("BST", "tree"): (27, 79, 77), ("BST", "map"): (33, 73, 63),
@@ -341,8 +341,7 @@ def test_only_event_readers_read_the_log():
     assert [p.name for p in m.scheduler.props if p.read] == ["degree"]
 
 
-MODEL_PROPS = {"BASIC": [], "ARB": ["arbo", "arbo-rev"], "POS": ["positions"],
-               "AD": ["alldiff"], "BST": ["reduced-path"],
+MODEL_PROPS = {"BASIC": [], "AD": ["alldiff"], "BST": ["reduced-path"],
                "ALL": ["reduced-path", "alldiff"]}
 RELAX_PROPS = {"tree": ["trivial-lb", "hk"], "map": ["assignment"],
                "both": ["hk", "assignment"]}

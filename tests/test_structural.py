@@ -10,15 +10,13 @@ from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
 from hampath.structural import (
     AllDifferentPropagator,
-    ArborescencePropagator,
     DegreePropagator,
-    PositionPropagator,
     ReducedPathPropagator,
 )
 
 import figures as fig
 import oracles
-from probes import WalkOnlyReducedPath, record_windows
+from probes import WalkOnlyReducedPath
 
 
 def make(arcs, n=fig.N, s=fig.S, e=fig.E):
@@ -263,76 +261,6 @@ def test_degree_events_reach_the_full_scan_closure():
     assert checked > 1000 and 200 < failed < checked - 200
 
 
-# -- arborescence filtering vs brute force ---------------------------------------
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_arborescence_matches_brute_force(reverse):
-    rng = random.Random(20 + reverse)
-    for _ in range(60):
-        n = rng.randint(4, 6)
-        s, e = 0, n - 1
-        arcs = set()
-        for u in range(n):
-            for v in range(n):
-                if u != v and v != s and u != e and rng.random() < 0.5:
-                    arcs.add((u, v))
-        # make sure a skeleton path exists so the instance is not absurd
-        mid = list(range(1, n - 1))
-        rng.shuffle(mid)
-        spine = [s] + mid + [e]
-        arcs.update(zip(spine, spine[1:]))
-
-        root = s if not reverse else e
-        support = oracles.arborescence_arc_support(
-            n, root, sorted(arcs), reverse=reverse)
-        gv = GraphVar(n, s, e, sorted(arcs))
-        sched = Scheduler(gv)
-        run(gv, sched, [ArborescencePropagator(gv, reverse=reverse)])
-        kept = set(gv.arcs())
-        # the propagator removes arcs on no arborescence; it may keep more
-        # than the exact support only if they are on some arborescence too,
-        # so kept must equal the support exactly
-        assert kept == support
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_arborescence_removes_exactly_the_arcs_into_dominators(reverse):
-    rng = random.Random(40 + reverse)
-    total = 0
-    for _ in range(100):
-        n = rng.randint(10, 60)
-        density = rng.choice([0.01, 0.03, 0.08, 0.2, 0.5])
-        s, e = 0, n - 1
-        arcs = {(u, v) for u in range(n) for v in range(n)
-                if u != v and v != s and u != e and rng.random() < density}
-        mid = list(range(1, n - 1))
-        rng.shuffle(mid)
-        spine = [s] + mid + [e]
-        arcs.update(zip(spine, spine[1:]))
-        gv = GraphVar(n, s, e, sorted(arcs))
-        adj = gv.pred if reverse else gv.succ
-        dom = oracles.dominators_brute(n, e if reverse else s, adj)
-        want = {(d, u) if reverse else (u, d)
-                for u in range(n) for d in dom[u] if d in adj[u]}
-        ArborescencePropagator(gv, reverse=reverse).propagate()
-        assert arcs - set(gv.arcs()) == want
-        total += len(want)
-    assert total > 50       # the sample does exercise the filter
-
-
-@pytest.mark.parametrize("reverse,arcs", [
-    (False, [(0, 1), (1, 3), (2, 3)]),      # 2 is cut off from s
-    (True, [(0, 1), (1, 3), (0, 2)]),       # 2 is cut off from e
-])
-def test_arborescence_fails_on_a_cut_off_node(reverse, arcs):
-    ArborescencePropagator(GraphVar(4, 0, 3, arcs),
-                           reverse=not reverse).propagate()
-    with pytest.raises(Contradiction, match="unreachable node"):
-        ArborescencePropagator(GraphVar(4, 0, 3, arcs),
-                               reverse=reverse).propagate()
-
-
 # -- alldifferent GAC vs matching support ----------------------------------------
 
 
@@ -478,7 +406,32 @@ def test_alldifferent_kept_matching_agrees_with_a_fresh_one():
     assert checked > 450 and 30 < failed < checked - 300 and removed > 1500
 
 
-# -- positions -------------------------------------------------------------------
+# -- the block order as reachability and position windows -------------------------
+
+
+@pytest.mark.parametrize("reverse,arcs", [
+    (False, [(0, 1), (1, 3), (2, 3)]),      # 2 is cut off from s
+    (True, [(0, 1), (1, 3), (0, 2)]),       # 2 is cut off from e
+])
+def test_arborescence_fails_on_a_cut_off_node(reverse, arcs):
+    # a Hamiltonian path is a spanning arborescence from s and one into e;
+    # with a node cut off, no block order chains s to e
+    repair = (2, 1) if reverse else (1, 2)
+    ReducedPathPropagator(GraphVar(4, 0, 3, arcs + [repair])).propagate()
+    with pytest.raises(Contradiction, match="cut between consecutive blocks"):
+        ReducedPathPropagator(GraphVar(4, 0, 3, arcs)).propagate()
+
+
+def _block_windows(rp):
+    """Position windows (lb, ub) from the last block order: a node of block
+    k sits after every node of the blocks before it."""
+    lb, ub = {}, {}
+    start = 0
+    for members in rp.blocks:
+        for v in members:
+            lb[v], ub[v] = start, start + len(members) - 1
+        start += len(members)
+    return lb, ub
 
 
 def test_positions_sound_against_path_enumeration():
@@ -500,93 +453,41 @@ def test_positions_sound_against_path_enumeration():
 
         gv = GraphVar(n, s, e, sorted(arcs))
         sched = Scheduler(gv)
-        pp = PositionPropagator(gv)
-        windows = record_windows(pp)
-        run(gv, sched, [pp])
-        lb, ub = windows
+        rp = ReducedPathPropagator(gv)
+        run(gv, sched, [rp])
+        lb, ub = _block_windows(rp)
+        assert sorted(lb) == list(range(n))
         for v in range(n):
-            if positions[v]:
-                assert lb[v] <= min(positions[v])
-                assert ub[v] >= max(positions[v])
+            assert positions[v]             # the spine is a path
+            assert lb[v] <= min(positions[v])
+            assert ub[v] >= max(positions[v])
 
 
 def test_positions_channeling_removes_impossible_arcs():
-    # a chain with one shortcut; nodes 1 and 2 are pinned to positions 1
-    # and 2, the hall sweep then pins node 3, and channeling kills (0, 3)
+    # a chain with one shortcut; every block is one node, so node 3 is
+    # pinned to position 3 and (0, 3), which skips two blocks, dies
     arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)]
     gv = GraphVar(5, 0, 4, arcs)
     sched = Scheduler(gv)
-    pp = PositionPropagator(gv)
-    windows = record_windows(pp)
-    run(gv, sched, [pp])
-    lb, ub = windows
+    rp = ReducedPathPropagator(gv)
+    run(gv, sched, [rp])
+    lb, ub = _block_windows(rp)
     assert lb[3] == 3 and ub[3] == 3
     assert not gv.has_arc(0, 3)
     assert gv.has_arc(3, 4)
 
 
 def test_positions_repeat_their_pass_until_it_removes_nothing():
-    # the first pass removes (1, 2), (2, 5), (4, 1) and (4, 2); only then is
-    # node 1 three steps from e and pinned to position 2, which pushes node
-    # 3 to position 3 and rules out (2, 3)
+    # the first pass's door rules remove (1, 2) and (4, 2); only then does
+    # node 2 split off its block, the second pass removes (2, 5) and (4, 1),
+    # which splits {1, 3, 4}, and the third removes (2, 3) and pins every
+    # node to its position
     gv = GraphVar(6, 0, 5, [(0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (2, 5),
                             (3, 4), (4, 1), (4, 2), (4, 5)])
-    PositionPropagator(gv).propagate()
+    rp = ReducedPathPropagator(gv)
+    rp.propagate()
     assert gv.arcs() == [(0, 2), (1, 3), (2, 1), (3, 4), (4, 5)]
-
-
-def _position_bounds_fixpoint(lb, ub):
-    """Iterate the positions propagator's bounds routine until it settles;
-    (lb, ub), or None when it fails."""
-    pp = PositionPropagator(GraphVar(2, 0, 1, [(0, 1)]))
-    lb, ub = list(lb), list(ub)
-    # a call that reports a change narrows some window, so the total width
-    # bounds the number of calls
-    for _ in range(len(lb) ** 2 + 1):
-        try:
-            if not pp._hall_sweep(lb, ub):
-                return lb, ub
-        except Contradiction:
-            return None
-    pytest.fail("the bounds routine keeps reporting changes")
-
-
-def _windows_around_a_permutation(rng, n, spread, pins):
-    """Position windows in 0..n-1 that hold a random permutation, then a few
-    variables pinned to random values, which may collide."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    lb = [max(0, p - rng.randint(0, spread)) for p in perm]
-    ub = [min(n - 1, p + rng.randint(0, spread)) for p in perm]
-    for _ in range(pins):
-        x = rng.randrange(n)
-        lb[x] = ub[x] = rng.randrange(n)
-    return lb, ub
-
-
-def test_position_bounds_reach_the_alldiff_hull():
-    rng = random.Random(2003)
-    failed = 0
-    for _ in range(1500):
-        n = rng.randint(1, 7)
-        lb, ub = _windows_around_a_permutation(
-            rng, n, rng.randint(0, n), rng.randint(0, 2))
-        want = oracles.alldiff_bounds_hull(lb, ub)
-        assert _position_bounds_fixpoint(lb, ub) == want, (lb, ub)
-        failed += want is None
-    assert 0 < failed < 1500
-
-
-def test_position_bounds_match_the_hall_sweep_at_n45():
-    rng = random.Random(45)
-    failed = 0
-    for _ in range(150):
-        lb, ub = _windows_around_a_permutation(
-            rng, 45, rng.randint(0, 12), rng.randint(0, 3))
-        want = oracles.hall_interval_fixpoint(lb, ub)
-        assert _position_bounds_fixpoint(lb, ub) == want, (lb, ub)
-        failed += want is None
-    assert 0 < failed < 150
+    assert _block_windows(rp)[0] == {0: 0, 2: 1, 1: 2, 3: 3, 4: 4, 5: 5}
 
 
 # -- incremental equals from-scratch ----------------------------------------------
