@@ -125,3 +125,7 @@ def main(argv=None, clock=time.monotonic):
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

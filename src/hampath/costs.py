@@ -447,9 +447,11 @@ class HeldKarpPropagator(Propagator):
         marginals, self.last_swaps = wst_filter(
             self, E, S, tree, blocks, cuts, INF if ub is None else float(ub),
             offset)
-        # the sparse heuristics read marginals only under a cap; the dive to
-        # the first path goes by arc costs (ftv33 under ALL/both needs 183
-        # nodes that way, 1,088 when steered by the marginals)
+        # the sparse heuristics read marginals only under a cap.  With a root
+        # path that leaves only the root decision to arc costs (ALL/both:
+        # ftv33 119 nodes, bays29 111; 63 and 151 when the uncapped
+        # marginals steer it); without one, the whole dive to the first
+        # path (ftv33 213 nodes, 1,619 when steered by the marginals)
         self.last_marginals = marginals if ub is not None else None
 
 

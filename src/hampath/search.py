@@ -3,7 +3,8 @@
 A model wires the propagators for one of the named configurations over a
 cost matrix; solve() drives binary decisions from one of three branching
 heuristics, either proving a bound or optimizing by tightening the cap
-after every improving path.  A decision (u, keep, drop) splits the
+after every improving path, the first of which may be found before the
+search (rootpath.py).  A decision (u, keep, drop) splits the
 successors of one node u: the branch removes drop, its alternative removes
 keep.  Keeping one successor is how an arc is enforced, since degree then
 takes the lone arc.
@@ -21,6 +22,7 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
+from .rootpath import root_path
 from .structural import (AllDifferentPropagator, DegreePropagator,
                          ReducedPathPropagator)
 
@@ -212,7 +214,9 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     prove_ub switches to decision mode: stop at the first path of cost at
     most prove_ub ("proven"), or exhaust the tree ("infeasible").  Without
     it the search optimizes: each path caps the objective at cost - 1 and
-    the last path found is optimal.
+    the last path found is optimal.  Both modes first look for a path over
+    the root domain with `root_path`: when optimizing it is the first path
+    found, and in decision mode it counts only if it proves the bound.
 
     The result's lb is a proven bound on the optimum over the whole search
     space: the best cost when optimal, prove_ub + 1 when a decision run is
@@ -272,6 +276,22 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         m.root_propagate()
     except Contradiction:
         return finish("infeasible")
+    # in decision mode the root path only answers at once, so a refutation
+    # searches node for node as without it; when optimizing it is the first
+    # incumbent.  The root fixpoint is not rerun under its cap (ftv33 under
+    # ALL/both takes 437 nodes that way, 119 without), so the cap prunes
+    # from the first branch on
+    path = root_path(gv, m.C)
+    if path is not None:
+        cost = m.path_cost(path)
+        if prove_ub is None:
+            best_cost, best_path = cost, path
+            m.obj.ub = cost - 1
+            if m.obj.lb > m.obj.ub:
+                return finish("optimal")
+        elif cost <= m.obj.ub:
+            best_cost, best_path = cost, path
+            return finish("proven")
 
     while True:
         if deadline is not None and clock() > deadline:

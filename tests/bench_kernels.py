@@ -16,6 +16,7 @@ from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
                            span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
+from hampath.rootpath import root_path
 from hampath.structural import AllDifferentPropagator, DegreePropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -229,3 +230,17 @@ def test_kernel_round_bays29(benchmark):
     once()
     assert len(drop) == 30 and gv.arcs() == before
     benchmark(once)
+
+
+def test_root_path_att48(benchmark):
+    """The path found before the search (block-order dive, then Or-opt)
+    on the att48 ALL/both root domain (n = 49); it reads the domain and
+    changes nothing, so every round sees the same one."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "att48.tsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.root_propagate()
+    path = benchmark(root_path, m.gv, m.C)
+    assert path[0] == s and path[-1] == e
+    assert sorted(path) == list(range(len(C)))
+    assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))

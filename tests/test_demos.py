@@ -1,5 +1,6 @@
-"""Smoke tests: the demos, README's command examples and the kernel
-microbenchmarks run against the current library."""
+"""Smoke tests: the demos, README's command examples, `python -m
+hampath.cli` and the kernel microbenchmarks run against the current
+library."""
 
 import io
 import os
@@ -44,13 +45,26 @@ def test_bounds_walkthrough_prints_both_bounds():
     assert "block filter at ub=28 removes [(1, 4), (4, 6)]" in proc.stdout
 
 
+def test_module_entry_point_runs():
+    proc = run_python("-m", "hampath.cli", "--instance", "random:6",
+                      "--seed", "1")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert re.search(r"^status +optimal$", proc.stdout, re.M), proc.stdout
+    proc = run_python("-m", "hampath.cli", "--instance", "random:6",
+                      "--model", "ARB")
+    assert proc.returncode == cli.EXIT_ERROR
+    assert "invalid choice: 'ARB'" in proc.stderr
+
+
 def test_kernel_microbenchmarks_run():
     # the default collection skips bench_kernels.py, so a library name or
     # signature it uses could change unnoticed; each one runs once here
     proc = run_python("-m", "pytest", str(ROOT / "tests" / "bench_kernels.py"),
-                      "--benchmark-disable", "-q", "-p", "no:cacheprovider",
-                      timeout=300)
+                      "--benchmark-disable", "-q", "-rA", "-p",
+                      "no:cacheprovider", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASSED tests/bench_kernels.py::test_root_path_att48" \
+        in proc.stdout, proc.stdout
 
 
 def readme_commands():

@@ -1,0 +1,70 @@
+"""The path found before the search: Hamiltonian over the root domain,
+priced like any other path, deterministic, absent on graphs that have
+none, and optimal at once when the root floor meets it."""
+
+import pytest
+
+from hampath.gen import gen_random
+from hampath.oracle import dp_oracle
+from hampath.rootpath import root_path
+from hampath.search import Model, solve
+
+import pathological as pg
+
+
+def rooted(C, s, e, model="ALL", relax="both"):
+    m = Model(len(C), s, e, C, model=model, relax=relax)
+    m.root_propagate()
+    return m
+
+
+def test_root_path_is_hamiltonian_over_the_root_domain():
+    for i in range(50):
+        n = 6 + i % 9
+        C, s, e = gen_random(n, seed=5100 + i,
+                             density=(0.3, 0.6, 1.0)[i % 3],
+                             clusters=1 + i % 4,
+                             cost_range=((1, 100), (-50, 50))[i % 2])
+        m = rooted(C, s, e, relax=("tree", "map", "both")[i % 3])
+        before = (m.gv.arcs(), len(m.gv.log))
+        path = root_path(m.gv, m.C)
+        assert path is not None, i
+        assert (m.gv.arcs(), len(m.gv.log)) == before   # nothing changed
+        assert path[0] == s and path[-1] == e
+        assert sorted(path) == list(range(n))
+        assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
+        cost = sum(int(C[u, v]) for u, v in zip(path, path[1:]))
+        assert cost == m.path_cost(path)
+        assert cost >= dp_oracle(C, s, e)[0]
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("GP(5,2)", pg.generalized_petersen(5, 2)),
+    ("GP(17,2)", pg.generalized_petersen(17, 2)),
+    ("J7", pg.flower_snark(7)),
+])
+def test_no_root_path_on_non_hamiltonian_graphs(name, graph):
+    # none of them has a path; the step budget stops each dive early (an
+    # unbounded dive takes about 4 s on GP(17, 2))
+    C, s, e, _ = pg.cycle_to_path(*graph)
+    m = rooted(C, s, e, model="BASIC", relax="map")
+    assert root_path(m.gv, m.C) is None, name
+
+
+def test_root_path_is_deterministic():
+    C, s, e = gen_random(30, seed=7, density=0.5, clusters=3)
+    a = root_path(rooted(C, s, e).gv, C.tolist())
+    m = rooted(C, s, e)
+    assert root_path(m.gv, m.C) == root_path(m.gv, m.C) == a
+
+
+def test_root_floor_at_the_root_path_cost_ends_the_search():
+    # the root floor already reaches the root path's cost, so the path is
+    # optimal before any branch, on a domain that is not instantiated
+    C, s, e = gen_random(10, seed=2, density=0.8)
+    m = Model(10, s, e, C, model="ALL", relax="both")
+    r = solve(m)
+    assert (r.status, r.nodes, r.best_cost, r.lb) == ("optimal", 1, 242, 242)
+    assert not m.gv.is_instantiated()
+    assert r.best_path == root_path(rooted(C, s, e).gv, C.tolist())
+    assert dp_oracle(C, s, e)[0] == 242

@@ -226,7 +226,7 @@ def test_limit_bound_covers_every_open_subtree():
     ("ulysses16.tsp", 6858, "infeasible", 28717),
     ("ulysses16.tsp", 6859, "proven", 3355),
     ("gr17.tsp", 2084, "infeasible", 361),
-    ("gr17.tsp", 2085, "proven", 120),
+    ("gr17.tsp", 2085, "proven", 1),      # the root path costs 2085
     ("bays29.tsp", 2020, "proven", 45),
 ])
 def test_prove_map_search_shape(name, prove_ub, status, nodes):
@@ -243,11 +243,11 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
 
 
 @pytest.mark.parametrize("name,model,relax,cost,nodes", [
-    ("ulysses16.tsp", "ALL", "both", 6859, 93),
-    ("gr17.tsp", "ALL", "both", 2085, 119),
-    ("br17.atsp", "ALL", "both", 39, 41),
-    ("ftv33.atsp", "ALL", "both", 1286, 213),
-    ("ftv33.atsp", "BASIC", "tree", 1286, 201),
+    ("ulysses16.tsp", "ALL", "both", 6859, 21),
+    ("gr17.tsp", "ALL", "both", 2085, 5),
+    ("br17.atsp", "ALL", "both", 39, 25),
+    ("ftv33.atsp", "ALL", "both", 1286, 119),
+    ("ftv33.atsp", "BASIC", "tree", 1286, 161),
 ])
 def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
     # optimizing runs as the tsplib-both benchmark makes them; the
@@ -262,16 +262,17 @@ def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
 
 
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
-# per configuration in HEURISTICS order: enforceMaxRC, sparse, enforceSparse
+# per configuration in HEURISTICS order: enforceMaxRC, sparse, enforceSparse;
+# the root path already costs 572, so each search proves it
 SHAPE20 = {
-    ("BASIC", "tree"): (27, 131, 113), ("BASIC", "map"): (45, 111, 99),
-    ("BASIC", "both"): (25, 95, 83),
-    ("AD", "tree"): (27, 119, 107), ("AD", "map"): (35, 105, 103),
-    ("AD", "both"): (25, 101, 91),
-    ("BST", "tree"): (27, 79, 77), ("BST", "map"): (33, 73, 63),
-    ("BST", "both"): (27, 67, 63),
-    ("ALL", "tree"): (27, 77, 77), ("ALL", "map"): (33, 73, 63),
-    ("ALL", "both"): (27, 65, 63),
+    ("BASIC", "tree"): (9, 9, 7), ("BASIC", "map"): (5, 7, 7),
+    ("BASIC", "both"): (7, 7, 7),
+    ("AD", "tree"): (9, 9, 7), ("AD", "map"): (5, 7, 7),
+    ("AD", "both"): (7, 7, 7),
+    ("BST", "tree"): (7, 5, 5), ("BST", "map"): (5, 5, 5),
+    ("BST", "both"): (7, 5, 5),
+    ("ALL", "tree"): (7, 5, 5), ("ALL", "map"): (5, 5, 5),
+    ("ALL", "both"): (7, 5, 5),
 }
 
 
