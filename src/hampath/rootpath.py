@@ -1,18 +1,29 @@
 """A Hamiltonian path found before the search, to cap the objective at
-the root.
+the root, and the local search that polishes every path the search
+keeps.
 
 `root_path` dives from s to e over the present arcs, cheapest arc first,
 with a bounded backtrack.  The dive follows the block order of the
 reduced graph: every Hamiltonian path visits the strongly connected
 components in topological order, each in one stretch, so a node steps
-into the next block only once its own is used up.  Or-opt (I. Or, PhD
-thesis, Northwestern 1976) then moves segments of one to three nodes,
-orientation kept so that asymmetric costs are safe, to the first place
-that makes the path cheaper, until no move does.  Nothing in the domain
+into the next block only once its own is used up.  Nothing in the domain
 changes.
+
+`or_opt` (I. Or, PhD thesis, Northwestern 1976) moves segments of one to
+three nodes, orientation kept so that asymmetric costs are safe, to the
+first place that makes the path cheaper, until no move does.  It runs on
+the root path and on every leaf that improves the cap.  Any pair of
+finite cost counts as an arc: a move turns a Hamiltonian path into
+another one, and root propagation without a cap removes only arcs that
+no Hamiltonian path uses, so when optimizing the moves are the same as
+over the root domain.  In decision mode a move may take an arc that the
+cap removed; the path is still one of the instance, and it counts only
+if it proves the bound.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scc import ReducedState
 
@@ -25,8 +36,7 @@ def root_path(gv, C):
     None when the dive finds none within its budget."""
     path = _dive(gv, C)
     if path is not None:
-        while _or_opt_move(gv.succ, C, path):
-            pass
+        or_opt(C, path)
     return path
 
 
@@ -71,30 +81,34 @@ def _dive(gv, C):
     return None
 
 
-def _or_opt_move(succ, C, path):
-    """Make the first Or-opt move that lowers path's cost, in place, and
-    return True; return False when no move does.
+def or_opt(C, path):
+    """Lower path's cost by Or-opt moves, in place, until none pays.
 
-    Segments path[i..j] of one node come first, then of two and three,
-    each tried in every gap (path[k], path[k + 1]) outside it; s and e
-    stay at the ends."""
+    Each step makes the first move that pays: segments path[i..j] of one
+    node come first, then of two and three, each tried in every gap
+    (path[k], path[k + 1]) outside it; s and e stay at the ends.  An
+    absent arc costs inf, so no move that needs one pays."""
     n = len(path)
-    for size in range(1, SEGMENT + 1):
-        for i in range(1, n - size):
-            j = i + size - 1
-            a, f, l, b = path[i - 1], path[i], path[j], path[j + 1]
-            if b not in succ[a]:
-                continue
-            gain = C[a][f] + C[l][b] - C[a][b]
-            for k in range(n - 1):
-                if i - 1 <= k <= j:
-                    continue
-                x, y = path[k], path[k + 1]
-                if f in succ[x] and y in succ[l] \
-                        and C[x][f] + C[l][y] - C[x][y] < gain:
-                    seg = path[i:j + 1]
-                    del path[i:j + 1]
-                    at = k + 1 if k < i else k + 1 - size
-                    path[at:at] = seg
-                    return True
-    return False
+
+    def first_move():
+        for size in range(1, SEGMENT + 1):
+            for i in range(1, n - size):
+                j = i + size - 1
+                a, f, l, b = path[i - 1], path[i], path[j], path[j + 1]
+                if C[a][b] == math.inf:
+                    continue        # the segment's gap cannot close
+                gain = C[a][f] + C[l][b] - C[a][b]
+                for k in range(n - 1):
+                    if i - 1 <= k <= j:
+                        continue
+                    x, y = path[k], path[k + 1]
+                    if C[x][f] + C[l][y] - C[x][y] < gain:
+                        return i, j, k
+        return None
+
+    while (move := first_move()) is not None:
+        i, j, k = move
+        seg = path[i:j + 1]
+        del path[i:j + 1]
+        at = k + 1 if k < i else k - len(seg) + 1
+        path[at:at] = seg

@@ -4,7 +4,9 @@ A model wires the propagators for one of the named configurations over a
 cost matrix; solve() drives binary decisions from one of three branching
 heuristics, either proving a bound or optimizing by tightening the cap
 after every improving path, the first of which may be found before the
-search (rootpath.py).  A decision (u, keep, drop) splits the
+search (rootpath.py).  When optimizing, each such path is first polished
+by Or-opt, and an alternative whose stored floor a later cap has passed
+is never opened.  A decision (u, keep, drop) splits the
 successors of one node u: the branch removes drop, its alternative removes
 keep.  Keeping one successor is how an arc is enforced, since degree then
 takes the lone arc.
@@ -22,7 +24,7 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
-from .rootpath import root_path
+from .rootpath import or_opt, root_path
 from .structural import (AllDifferentPropagator, DegreePropagator,
                          ReducedPathPropagator)
 
@@ -213,10 +215,13 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
 
     prove_ub switches to decision mode: stop at the first path of cost at
     most prove_ub ("proven"), or exhaust the tree ("infeasible").  Without
-    it the search optimizes: each path caps the objective at cost - 1 and
-    the last path found is optimal.  Both modes first look for a path over
-    the root domain with `root_path`: when optimizing it is the first path
-    found, and in decision mode it counts only if it proves the bound.
+    it the search optimizes: each path found at a leaf is improved by
+    `or_opt`, caps the objective at its cost - 1, and the last one is
+    optimal; a pending alternative whose node's floor lies above the cap
+    holds no better path, so its level is closed unopened.  Both modes
+    first look for a path over the root domain with `root_path`: when
+    optimizing it is the first path found, and in decision mode it counts
+    only if it proves the bound.
 
     The result's lb is a proven bound on the optimum over the whole search
     space: the best cost when optimal, prove_ub + 1 when a decision run is
@@ -250,7 +255,9 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         # costs are integers of either sign, so the cap rounds down
         m.obj.ub = math.floor(prove_ub)
     # per open level the decision whose alternative is pending, with the
-    # floor of the node that branched, or None once the alternative is spent
+    # floor of the node that branched, or None once the alternative is
+    # spent; a backtrack that finds the floor above the cap closes the level
+    # instead of opening the alternative
     stack = []
     advance = True
 
@@ -299,13 +306,14 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         if advance:
             if gv.is_instantiated():
                 path = m.extract_path()
-                cost = m.path_cost(path)
-                best_cost, best_path = cost, path
+                if prove_ub is None:
+                    or_opt(m.C, path)   # a cheaper path is a tighter cap
+                best_cost, best_path = m.path_cost(path), path
                 if prove_ub is not None:
                     return finish("proven")
                 # cap future paths below this one; the current leaf is a
                 # dead end either way, so skip the consistency check
-                m.obj.ub = cost - 1
+                m.obj.ub = best_cost - 1
                 advance = False
                 continue
             dec = choose_decision(m, heuristic)
@@ -319,8 +327,12 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 if best_cost is not None:
                     return finish("optimal")
                 return finish("infeasible")
-            (u, row, _), _ = stack.pop()
+            (u, row, _), floor = stack.pop()
             gv.pop_world()
+            # a later path may have capped below the floor of the node
+            # that branched, and then the alternative holds no better path
+            if m.obj.ub is not None and floor > m.obj.ub:
+                continue
             stack.append(None)
         # the branch removes the decision's drop, the alternative its keep
         gv.push_world()

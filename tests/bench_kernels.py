@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hampath import Model, circuit_to_path, parse_tsplib
+from hampath import Model, circuit_to_path, parse_tsplib, rootpath
 from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
                            span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
-from hampath.rootpath import root_path
+from hampath.rootpath import or_opt, root_path
 from hampath.structural import AllDifferentPropagator, DegreePropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -244,3 +244,26 @@ def test_root_path_att48(benchmark):
     assert path[0] == s and path[-1] == e
     assert sorted(path) == list(range(len(C)))
     assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
+
+
+def test_or_opt_att48(benchmark):
+    """Or-opt from att48's unpolished dive path on the ALL/both root
+    domain (n = 49), the local search that the root path and every
+    improving leaf go through; each round polishes a fresh copy."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "att48.tsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.root_propagate()
+    dive = rootpath._dive(m.gv, m.C)
+
+    def polish():
+        path = list(dive)
+        or_opt(m.C, path)
+        return path
+
+    path = benchmark(polish)
+    assert path[0] == s and path[-1] == e
+    assert sorted(path) == list(range(len(C)))
+    # moves go by finite costs, yet stay inside the uncapped root domain
+    assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
+    assert m.path_cost(path) <= m.path_cost(dive)

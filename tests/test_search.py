@@ -222,6 +222,30 @@ def test_limit_bound_covers_every_open_subtree():
     assert r.lb <= r.best_cost
 
 
+@pytest.mark.parametrize("relax", RELAXATIONS)
+def test_bound_stays_sound_when_dead_alternatives_are_skipped(relax):
+    # each later path lowers the cap below some stored floors, and the
+    # search closes those levels unopened; stopped after 3, 10 and 30
+    # backtracks, the bound still covers every open subtree
+    stopped = 0
+    for i in range(8):
+        n = 12 + i % 3
+        C, s, e = gen_random(n, seed=2610 + i, density=(0.4, 1.0)[i % 2],
+                             cost_range=((1, 100), (-50, 50))[i // 2 % 2])
+        want, _ = dp_oracle(C, s, e)
+        model = ("ALL", "BASIC")[i // 4]
+        for stop in (3, 10, 30):
+            m = fresh(C, s, e, model=model, relax=relax)
+            r = solve(m, time_limit=stop, clock=lambda: m.gv.pop_epoch)
+            stopped += r.status == "limit"
+            if r.best_cost is not None:
+                assert r.lb <= want <= r.best_cost, (i, stop, r.status)
+        r = solve(fresh(C, s, e, model=model, relax=relax))
+        assert (r.status, r.best_cost, r.lb) == ("optimal", want, want), i
+        check_path(C, s, e, r.best_path, r.best_cost)
+    assert stopped >= 6     # the stops do cut searches short
+
+
 @pytest.mark.parametrize("name, prove_ub, status, nodes", [
     ("ulysses16.tsp", 6858, "infeasible", 28717),
     ("ulysses16.tsp", 6859, "proven", 3355),
@@ -242,23 +266,33 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
         assert r.best_cost <= prove_ub
 
 
+def optimal_search(name, model, relax, heuristic, cost, nodes):
+    inst = parse_tsplib(f"instances/{name}")
+    C, s, e = circuit_to_path(inst.matrix, 0)
+    r = solve(fresh(C, s, e, model=model, relax=relax), heuristic=heuristic)
+    assert (r.status, r.best_cost, r.nodes) == ("optimal", cost, nodes)
+    check_path(C, s, e, r.best_path, r.best_cost)
+
+
 @pytest.mark.parametrize("name,model,relax,cost,nodes", [
-    ("ulysses16.tsp", "ALL", "both", 6859, 21),
+    ("ulysses16.tsp", "ALL", "both", 6859, 18),
     ("gr17.tsp", "ALL", "both", 2085, 5),
-    ("br17.atsp", "ALL", "both", 39, 25),
-    ("ftv33.atsp", "ALL", "both", 1286, 119),
-    ("ftv33.atsp", "BASIC", "tree", 1286, 161),
+    ("br17.atsp", "ALL", "both", 39, 18),
+    ("ftv33.atsp", "ALL", "both", 1286, 35),
+    ("ftv33.atsp", "BASIC", "tree", 1286, 40),
 ])
 def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
     # optimizing runs as the tsplib-both benchmark makes them; the
     # Lagrangian's bounds must stay bit for bit the same to keep these
     # trees, down to the summation order of the multiplier offset
-    inst = parse_tsplib(f"instances/{name}")
-    C, s, e = circuit_to_path(inst.matrix, 0)
-    r = solve(fresh(C, s, e, model=model, relax=relax),
-              heuristic="enforceSparse")
-    assert (r.status, r.best_cost, r.nodes) == ("optimal", cost, nodes)
-    check_path(C, s, e, r.best_path, r.best_cost)
+    optimal_search(name, model, relax, "enforceSparse", cost, nodes)
+
+
+def test_enforce_max_rc_search_shape():
+    # enforceMaxRC has a heavy tail under ALL/both: att48 took 89,611 nodes
+    # while leaves went unpolished and dead alternatives were opened, and
+    # takes 793 now; bays29 took 259 then
+    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 77)
 
 
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
