@@ -1,5 +1,6 @@
 """A Hamiltonian path found before the search, to cap the objective at
-the root, and the local search that polishes every path the search
+the root, paths patched from the assignment at every node of an
+optimizing run, and the local search that polishes every path the search
 keeps.
 
 `root_path` dives from s to e over the present arcs, cheapest arc first,
@@ -9,16 +10,23 @@ components in topological order, each in one stretch, so a node steps
 into the next block only once its own is used up.  Nothing in the domain
 changes.
 
+`patch` (R. M. Karp, SIAM J. Comput. 8, 1979) turns a successor
+matching, one s-e path plus cycles, into one path: each cycle, longest
+first, is spliced into the path at the cheapest exchange of a path arc
+and a cycle arc.  The exchange may use any arc of finite cost, so the
+path may leave the domain it was patched on; it is still a Hamiltonian
+path of the instance, the same argument as Or-opt's below.
+
 `or_opt` (I. Or, PhD thesis, Northwestern 1976) moves segments of one to
 three nodes, orientation kept so that asymmetric costs are safe, to the
 first place that makes the path cheaper, until no move does.  It runs on
-the root path and on every leaf that improves the cap.  Any pair of
-finite cost counts as an arc: a move turns a Hamiltonian path into
-another one, and root propagation without a cap removes only arcs that
-no Hamiltonian path uses, so when optimizing the moves are the same as
-over the root domain.  In decision mode a move may take an arc that the
-cap removed; the path is still one of the instance, and it counts only
-if it proves the bound.
+the root path and on every leaf or patched path that improves the cap.
+Any pair of finite cost counts as an arc: a move turns a Hamiltonian
+path into another one, and root propagation without a cap removes only
+arcs that no Hamiltonian path uses, so when optimizing the moves are the
+same as over the root domain.  In decision mode a move may take an arc
+that the cap removed; the path is still one of the instance, and it
+counts only if it proves the bound.
 """
 
 from __future__ import annotations
@@ -79,6 +87,67 @@ def _dive(gv, C):
             return path
         stack.append(visit(v))
     return None
+
+
+def patch(C, nxt, s, e):
+    """A Hamiltonian s-e path patched from the successor map nxt, or None.
+
+    nxt[u] is u's successor over arcs of finite cost (e's entry is not
+    read).  Following it from s must reach e, and the nodes it skips
+    must fall into cycles; otherwise the result is None.  Each cycle,
+    longest first, is spliced in where path arc (a, b) and cycle arc
+    (c, d) give way to (a, d) and (c, b) most cheaply; ties go to the
+    first path arc, then the first cycle arc from the cycle's smallest
+    node.  A cycle with no exchange over finite arcs gives None."""
+    n = len(nxt)
+    on = [False] * n
+    on[s] = True
+    path = [s]
+    u = s
+    while u != e:
+        u = nxt[u]
+        if u < 0 or on[u]:
+            return None
+        on[u] = True
+        path.append(u)
+    cycles = []
+    for v in range(n):
+        if on[v]:
+            continue
+        cyc = []
+        u = v
+        while not on[u]:
+            on[u] = True
+            cyc.append(u)
+            u = nxt[u]
+            if u < 0:
+                return None
+        if u != v:
+            return None     # the walk ran into the path or another cycle
+        cycles.append(cyc)
+    cycles.sort(key=len, reverse=True)      # stable: smallest node first
+    for cyc in cycles:
+        # (k, d, C[c], C[c][d]) per cycle arc (c, d) = (cyc[k], cyc[k + 1])
+        arcs = [(k, d, C[c], C[c][d])
+                for k, (c, d) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))]
+        best, at, cut = math.inf, -1, -1
+        for i in range(len(path) - 1):
+            Ca, b = C[path[i]], path[i + 1]
+            # the exchange costs C[a][d] + C[c][b] - C[c][d] - C[a][b]; the
+            # last term is the same for every cycle arc, so it moves into
+            # the limit
+            lim = best + Ca[b]
+            for k, d, Cc, ccd in arcs:
+                x = Ca[d] + Cc[b] - ccd
+                if x < lim:
+                    lim = x
+                    best, at, cut = x - Ca[b], i, k
+        if at < 0:
+            return None
+        # a -> d ... c -> b: the cycle opened at its arc (c, d)
+        k = cut + 1
+        path[at + 1:at + 1] = cyc[k:] + cyc[:k]
+    return path
 
 
 def or_opt(C, path):

@@ -4,9 +4,11 @@ A model wires the propagators for one of the named configurations over a
 cost matrix; solve() drives binary decisions from one of three branching
 heuristics, either proving a bound or optimizing by tightening the cap
 after every improving path, the first of which may be found before the
-search (rootpath.py).  When optimizing, each such path is first polished
-by Or-opt, and an alternative whose stored floor a later cap has passed
-is never opened.  A decision (u, keep, drop) splits the
+search (rootpath.py).  When optimizing under `map` or `both`, every
+inner node also patches the assignment's successor matching into a path,
+and each path that beats the cap, patched or found at a leaf, is first
+polished by Or-opt; an alternative whose stored floor a later cap has
+passed is never opened.  A decision (u, keep, drop) splits the
 successors of one node u: the branch removes drop, its alternative removes
 keep.  Keeping one successor is how an arc is enforced, since degree then
 takes the lone arc.
@@ -24,7 +26,7 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
                     TrivialObjectivePropagator)
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
-from .rootpath import or_opt, root_path
+from .rootpath import or_opt, patch, root_path
 from .structural import (AllDifferentPropagator, DegreePropagator,
                          ReducedPathPropagator)
 
@@ -89,8 +91,10 @@ class Model:
         if relax in ("tree", "both"):
             self.hk = HeldKarpPropagator(gv, self.C, self.obj, reduced=self.rp)
             reg(self.hk)
+        self.ap = None
         if relax in ("map", "both"):
-            reg(HungarianPropagator(gv, self.C, self.obj))
+            self.ap = HungarianPropagator(gv, self.C, self.obj)
+            reg(self.ap)
 
     def root_propagate(self):
         self.scheduler.schedule_all()
@@ -217,11 +221,13 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     most prove_ub ("proven"), or exhaust the tree ("infeasible").  Without
     it the search optimizes: each path found at a leaf is improved by
     `or_opt`, caps the objective at its cost - 1, and the last one is
-    optimal; a pending alternative whose node's floor lies above the cap
-    holds no better path, so its level is closed unopened.  Both modes
-    first look for a path over the root domain with `root_path`: when
-    optimizing it is the first path found, and in decision mode it counts
-    only if it proves the bound.
+    optimal; under `map` and `both` every inner node also patches the
+    assignment matching into a path, which is polished and kept the same
+    way when it beats the cap.  A pending alternative whose node's floor
+    lies above the cap holds no better path, so its level is closed
+    unopened.  Both modes first look for a path over the root domain with
+    `root_path`: when optimizing it is the first path found, and in
+    decision mode it counts only if it proves the bound.
 
     The result's lb is a proven bound on the optimum over the whole search
     space: the best cost when optimal, prove_ub + 1 when a decision run is
@@ -260,6 +266,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     # instead of opening the alternative
     stack = []
     advance = True
+    # the matching patched last: the same one gives the same path again
+    patched = None
 
     def global_lb(st):
         cap = best_cost
@@ -316,6 +324,22 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 m.obj.ub = best_cost - 1
                 advance = False
                 continue
+            # at a fixpoint the assignment ran after every other change,
+            # so its matching is one s-e path plus cycles in the domain;
+            # the patched path may use arcs this subtree removed, but it
+            # is a path of the instance and the cap is global
+            if prove_ub is None and m.ap is not None \
+                    and m.ap.row_match != patched:
+                patched = list(m.ap.row_match)
+                path = patch(m.C, patched, gv.s, gv.e)
+                if path is not None and (best_cost is None or
+                                         m.path_cost(path) < best_cost):
+                    or_opt(m.C, path)
+                    best_cost, best_path = m.path_cost(path), path
+                    m.obj.ub = best_cost - 1
+                    if m.obj.lb > m.obj.ub:
+                        advance = False
+                        continue
             dec = choose_decision(m, heuristic)
             stack.append((dec, m.obj.lb))
             u, _, row = dec

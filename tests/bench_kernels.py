@@ -16,7 +16,7 @@ from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
                            span_blocks, tree_oracle, wst_filter)
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
-from hampath.rootpath import or_opt, root_path
+from hampath.rootpath import or_opt, patch, root_path
 from hampath.structural import AllDifferentPropagator, DegreePropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -248,8 +248,9 @@ def test_root_path_att48(benchmark):
 
 def test_or_opt_att48(benchmark):
     """Or-opt from att48's unpolished dive path on the ALL/both root
-    domain (n = 49), the local search that the root path and every
-    improving leaf go through; each round polishes a fresh copy."""
+    domain (n = 49), the local search that the root path, every
+    improving leaf and every improving patched path go through; each
+    round polishes a fresh copy."""
     C, s, e = circuit_to_path(
         parse_tsplib(str(INSTANCES / "att48.tsp")).matrix, 0)
     m = Model(len(C), s, e, C, model="ALL", relax="both")
@@ -267,3 +268,17 @@ def test_or_opt_att48(benchmark):
     # moves go by finite costs, yet stay inside the uncapped root domain
     assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
     assert m.path_cost(path) <= m.path_cost(dive)
+
+
+def test_patch_gen45(benchmark):
+    """Patching the assignment's root matching of a clustered n = 45
+    instance under ALL/map into one path, the call every inner node of an
+    optimizing map or both run makes when its matching changed."""
+    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
+    m = Model(len(C), s, e, C, model="ALL", relax="map")
+    m.root_propagate()
+    nxt = list(m.ap.row_match)
+    path = benchmark(patch, m.C, nxt, s, e)
+    assert path[0] == s and path[-1] == e
+    assert sorted(path) == list(range(len(C)))
+    assert all(m.C[u][v] < np.inf for u, v in zip(path, path[1:]))

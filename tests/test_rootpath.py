@@ -1,7 +1,9 @@
 """The path found before the search: Hamiltonian over the root domain,
 priced like any other path, deterministic, absent on graphs that have
-none, and optimal at once when the root floor meets it.  Or-opt, which
-polishes it and every improving leaf, ends at a local optimum."""
+none, and optimal at once when the root floor meets it.  Patching splices
+an assignment's cycles into its path at the cheapest exchange.  Or-opt,
+which polishes the root path and every improving leaf or patched path,
+ends at a local optimum."""
 
 import math
 import random
@@ -10,7 +12,7 @@ import pytest
 
 from hampath.gen import gen_random
 from hampath.oracle import dp_oracle
-from hampath.rootpath import SEGMENT, or_opt, root_path
+from hampath.rootpath import SEGMENT, or_opt, patch, root_path
 from hampath.search import Model, solve
 
 import pathological as pg
@@ -130,3 +132,67 @@ def test_or_opt_reaches_a_local_optimum():
         # no single move lowers the cost any further
         for other in or_opt_moves(path):
             assert not cost_of(C, other) < cost, (i, path, other)
+
+
+def costs(n, arcs):
+    """An n x n nested cost list with the given {(u, v): cost} arcs."""
+    C = [[math.inf] * n for _ in range(n)]
+    for (u, v), c in arcs.items():
+        C[u][v] = c
+    return C
+
+
+def test_patch_returns_a_lone_path_unchanged():
+    C = costs(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (0, 1): 5})
+    assert patch(C, [2, 3, 1, -1], 0, 3) == [0, 2, 1, 3]
+
+
+def test_patch_splices_a_two_cycle_at_the_cheapest_exchange():
+    # path 0 -> 1 -> 4 and cycle 2 <-> 3; by hand, the exchanges are
+    #   (0,1) with (2,3): C[0][3] + C[2][1] - C[0][1] - C[2][3] = 4+2-1-1 = 4
+    #   (0,1) with (3,2): C[0][2] + C[3][1] - 1 - 1          = 9+9-2 = 16
+    #   (1,4) with (2,3): C[1][3] + C[2][4] - C[1][4] - 1     = 1+1-1-1 = 0
+    #   (1,4) with (3,2): C[1][2] + C[3][4] - 1 - 1          = 3+3-2 = 4
+    # so (1, 4) and (2, 3) give way to (1, 3) and (2, 4)
+    C = costs(5, {(0, 1): 1, (1, 4): 1, (2, 3): 1, (3, 2): 1,
+                  (0, 3): 4, (2, 1): 2, (0, 2): 9, (3, 1): 9,
+                  (1, 3): 1, (2, 4): 1, (1, 2): 3, (3, 4): 3})
+    assert patch(C, [1, 4, 3, 2, -1], 0, 4) == [0, 1, 3, 2, 4]
+
+
+def test_patch_gives_none_when_no_exchange_is_finite():
+    # only the path's and the cycle's own arcs are present
+    C = costs(5, {(0, 1): 1, (1, 4): 1, (2, 3): 1, (3, 2): 1})
+    assert patch(C, [1, 4, 3, 2, -1], 0, 4) is None
+
+
+def test_patch_gives_none_on_a_malformed_map():
+    C = costs(4, {(u, v): 1 for u in range(4) for v in range(4) if u != v})
+    assert patch(C, [1, -1, 3, -1], 0, 3) is None   # the path stops at 1
+    assert patch(C, [1, 2, 1, -1], 0, 3) is None    # it loops before 3
+    # node 2 leads into the path instead of closing a cycle
+    assert patch(C, [1, 3, 1, -1], 0, 3) is None
+
+
+def test_patched_assignment_is_a_hamiltonian_path():
+    spliced = 0
+    for i in range(40):
+        n = 5 + i % 10
+        C, s, e = gen_random(n, seed=2800 + i,
+                             density=(0.5, 0.7, 1.0)[i % 3],
+                             clusters=1 + i % 3,
+                             cost_range=((1, 100), (-50, 50))[i // 3 % 2])
+        m = rooted(C, s, e, relax="map")
+        nxt = list(m.ap.row_match)
+        path = patch(m.C, nxt, s, e)
+        if path is None:
+            continue
+        spliced += any(nxt[u] != v for u, v in zip(path, path[1:]))
+        assert path[0] == s and path[-1] == e, i
+        assert sorted(path) == list(range(n)), i
+        cost = cost_of(m.C, path)
+        assert math.isfinite(cost), i
+        assert cost >= m.obj.lb, i      # the assignment floor
+        if n <= 12:
+            assert cost >= dp_oracle(C, s, e)[0], i
+    assert spliced > 0      # some matchings held cycles

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from hampath import search
 from hampath.gen import gen_random
 from hampath.kernel import UNDO, Contradiction
 from hampath.oracle import dp_oracle
@@ -225,8 +226,9 @@ def test_limit_bound_covers_every_open_subtree():
 @pytest.mark.parametrize("relax", RELAXATIONS)
 def test_bound_stays_sound_when_dead_alternatives_are_skipped(relax):
     # each later path lowers the cap below some stored floors, and the
-    # search closes those levels unopened; stopped after 3, 10 and 30
-    # backtracks, the bound still covers every open subtree
+    # search closes those levels unopened; stopped after 1, 3, 10 and 30
+    # backtracks, the bound still covers every open subtree (patching
+    # finds most optima within 3 backtracks under map and both)
     stopped = 0
     for i in range(8):
         n = 12 + i % 3
@@ -234,7 +236,7 @@ def test_bound_stays_sound_when_dead_alternatives_are_skipped(relax):
                              cost_range=((1, 100), (-50, 50))[i // 2 % 2])
         want, _ = dp_oracle(C, s, e)
         model = ("ALL", "BASIC")[i // 4]
-        for stop in (3, 10, 30):
+        for stop in (1, 3, 10, 30):
             m = fresh(C, s, e, model=model, relax=relax)
             r = solve(m, time_limit=stop, clock=lambda: m.gv.pop_epoch)
             stopped += r.status == "limit"
@@ -244,6 +246,35 @@ def test_bound_stays_sound_when_dead_alternatives_are_skipped(relax):
         assert (r.status, r.best_cost, r.lb) == ("optimal", want, want), i
         check_path(C, s, e, r.best_path, r.best_cost)
     assert stopped >= 6     # the stops do cut searches short
+
+
+def test_patching_supplies_optimal_incumbents(monkeypatch):
+    # clustered instances small enough for the oracle: every run must
+    # stay exact whichever path set the cap, and in some of them the path
+    # patched at a node is the optimum
+    patched = []
+    original = search.patch
+
+    def counting(C, nxt, s, e):
+        path = original(C, nxt, s, e)
+        patched.append(path)
+        return path
+
+    monkeypatch.setattr(search, "patch", counting)
+    from_patch = 0
+    for i in range(20):
+        C, s, e = gen_random(14, seed=4000 + i, density=0.6, clusters=3)
+        want, _ = dp_oracle(C, s, e)
+        for model, relax in (("ALL", "map"), ("ALL", "both"),
+                             ("BASIC", "map")):
+            patched.clear()
+            r = solve(fresh(C, s, e, model=model, relax=relax))
+            assert (r.status, r.best_cost, r.lb) == ("optimal", want, want), \
+                (i, model, relax)
+            check_path(C, s, e, r.best_path, r.best_cost)
+            # the incumbent is the very list patch returned, then polished
+            from_patch += any(p is r.best_path for p in patched)
+    assert from_patch > 0
 
 
 @pytest.mark.parametrize("name, prove_ub, status, nodes", [
@@ -275,10 +306,10 @@ def optimal_search(name, model, relax, heuristic, cost, nodes):
 
 
 @pytest.mark.parametrize("name,model,relax,cost,nodes", [
-    ("ulysses16.tsp", "ALL", "both", 6859, 18),
+    ("ulysses16.tsp", "ALL", "both", 6859, 7),
     ("gr17.tsp", "ALL", "both", 2085, 5),
-    ("br17.atsp", "ALL", "both", 39, 18),
-    ("ftv33.atsp", "ALL", "both", 1286, 35),
+    ("br17.atsp", "ALL", "both", 39, 11),
+    ("ftv33.atsp", "ALL", "both", 1286, 29),
     ("ftv33.atsp", "BASIC", "tree", 1286, 40),
 ])
 def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
@@ -291,8 +322,8 @@ def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
 def test_enforce_max_rc_search_shape():
     # enforceMaxRC has a heavy tail under ALL/both: att48 took 89,611 nodes
     # while leaves went unpolished and dead alternatives were opened, and
-    # takes 793 now; bays29 took 259 then
-    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 77)
+    # 793 before every node patched the assignment; bays29 took 259 then
+    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 61)
 
 
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
