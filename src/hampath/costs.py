@@ -458,15 +458,29 @@ class HeldKarpPropagator(Propagator):
 # -- assignment propagator -------------------------------------------------------
 
 
+_STALE = object()       # no completed call to compare the cap with
+
+
 class HungarianPropagator(Propagator):
     """Successor-assignment bound via shortest augmenting paths.
 
     Rows are the nodes but e, columns the nodes but s, and all state is
     indexed by node.  Every call reads the present arcs only, from the
     domain's successor and predecessor sets: no matrix.  Duals and the
-    matching persist across calls.  Backtracking can revive arcs that
-    break dual feasibility, so every call first clamps the column duals,
-    drops stale or non-tight matches, then re-augments.
+    matching persist across calls and across backtracking.
+
+    A call works only where the domain can have moved since the last one.
+    After a backtrack, revived arcs may break dual feasibility, so the call
+    clamps the column duals down and drops stale or non-tight matches.
+    While `pop_epoch` is unchanged, arcs have only gone: every reduced cost
+    stays >= 0 and every present matched arc stays tight, so the call only
+    drops the matches whose arc is gone.  Either way it then re-augments
+    the unmatched rows and filters.  When no match dropped and the cap is
+    the one the last completed call filtered at, the filter would remove
+    nothing at the same duals and limit, and the call returns at once.
+    Costs are integers, so while the duals stay below 2**53 their
+    arithmetic is exact and both shortcuts leave the state a clamp and a
+    full re-check would.
     """
 
     def __init__(self, gv, C, obj):
@@ -480,6 +494,8 @@ class HungarianPropagator(Propagator):
         self.dv = [0.0] * gv.n
         self.row_match = [-1] * gv.n
         self.col_match = [-1] * gv.n
+        self.epoch = None       # gv.pop_epoch at the last call
+        self.capped = _STALE    # cap of the last completed call
 
     def _augment(self, r0):
         """Match row r0 along a shortest augmenting path of reduced costs."""
@@ -542,27 +558,42 @@ class HungarianPropagator(Propagator):
         gv = self.gv
         succ, pred = gv.succ, gv.pred
         C, du, dv = self.C, self.du, self.dv
-        rows, row_match = self.rows, self.row_match
-        # revived arcs may undercut the duals: clamp columns down
-        for v in range(gv.n):
-            d = dv[v]
-            for u in pred[v]:
-                r = C[u][v] - du[u]
-                if r < d:
-                    d = r
-            dv[v] = d
-        for u in rows:
-            v = row_match[u]
-            if v != -1:
-                if v not in succ[u] or C[u][v] - du[u] - dv[v] > 1e-9:
-                    row_match[u] = -1
-                    self.col_match[v] = -1
+        rows, row_match, col_match = self.rows, self.row_match, self.col_match
+        ub = self.obj.ub
+        if self.epoch == gv.pop_epoch:
+            # only arcs went: drop the matches whose arc is gone
+            whole = True
+            for u in rows:
+                v = row_match[u]
+                if v not in succ[u]:
+                    whole = False
+                    if v != -1:
+                        row_match[u] = -1
+                        col_match[v] = -1
+            if whole and ub == self.capped:
+                return
+        else:
+            self.epoch = gv.pop_epoch
+            # revived arcs may undercut the duals: clamp columns down
+            for v in range(gv.n):
+                d = dv[v]
+                for u in pred[v]:
+                    r = C[u][v] - du[u]
+                    if r < d:
+                        d = r
+                dv[v] = d
+            for u in rows:
+                v = row_match[u]
+                if v != -1:
+                    if v not in succ[u] or C[u][v] - du[u] - dv[v] > 1e-9:
+                        row_match[u] = -1
+                        col_match[v] = -1
+        self.capped = _STALE    # until this call completes
         for u in rows:
             if row_match[u] == -1:
                 self._augment(u)
         cost = float(sum(C[u][row_match[u]] for u in rows))
         self.obj.tighten_lb(int(math.ceil(cost - CEIL_EPS)))
-        ub = self.obj.ub
         if ub is not None:
             lim = float(ub) - cost + PRUNE_EPS
             bad = []
@@ -575,3 +606,4 @@ class HungarianPropagator(Propagator):
             bad.sort()
             for u, v in bad:
                 self.remove(u, v)
+        self.capped = ub

@@ -16,6 +16,9 @@ the fixpoint loop clears a flag when its propagator returns, so a
 propagator's own changes never wake it and a call of `propagate` must end
 at its own fixpoint.  The one that reads the changes themselves (degree)
 keeps a cursor into the log; the others re-read the domain when woken.
+Only a pop revives arcs, and it bumps `pop_epoch`: while the epoch a
+propagator saw at its last call stands, arcs have only gone since.  The
+hk, reduced-path and assignment propagators rely on this to reuse work.
 """
 
 from __future__ import annotations

@@ -92,23 +92,60 @@ def test_assignment_cold_ftv33(benchmark):
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=20)
 
 
+def warm_bays29():
+    """The bays29 BASIC/map root state under the cap 2020 (n = 29), its
+    assignment propagator, and the first row that has a choice left."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="BASIC", relax="map")
+    m.obj.ub = 2020
+    m.root_propagate()
+    p = next(q for q in m.scheduler.props
+             if isinstance(q, HungarianPropagator))
+    u = next(u for u in p.rows if len(m.gv.succ[u]) > 1)
+    return m, p, u
+
+
 def test_assignment_warm_bays29(benchmark):
     """One assignment bound after a single arc removal from a warm state
     (n = 29): the root fixpoint under the cap 2020 has set the duals and
     the matching, then the matched successor arc of the first row that has
     a choice left goes, so the call re-augments one row and filters."""
-    C, s, e = circuit_to_path(
-        parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
 
     def setup():
-        m = Model(len(C), s, e, C, model="BASIC", relax="map")
-        m.obj.ub = 2020
-        m.root_propagate()
-        p = next(q for q in m.scheduler.props
-                 if isinstance(q, HungarianPropagator))
-        u = next(u for u in p.rows if len(m.gv.succ[u]) > 1)
+        m, p, u = warm_bays29()
         m.gv.push_world()
         m.gv.remove_arc(u, p.row_match[u])
+        return (p,), {}
+
+    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
+
+
+def test_assignment_repeat_bays29(benchmark):
+    """A second assignment call in the same world with its matching intact
+    (n = 29): from the warm bays29 state, an unmatched arc goes, so every
+    row keeps its match under the same cap and the call returns at once."""
+    m, p, u = warm_bays29()
+    m.gv.push_world()
+    m.gv.remove_arc(u, min(m.gv.succ[u] - {p.row_match[u]}))
+    arcs = m.gv.n_potential
+    benchmark(p.propagate)
+    assert m.gv.n_potential == arcs and p.capped == m.obj.ub
+
+
+def test_assignment_after_backtrack_bays29(benchmark):
+    """The first assignment call after a backtrack (n = 29): from the warm
+    bays29 state, a world drops the matched successor arc of the first row
+    that has a choice left, propagates and pops, so the call clamps the
+    column duals over every present arc, drops the matches that lost
+    tightness, re-augments and filters."""
+
+    def setup():
+        m, p, u = warm_bays29()
+        m.gv.push_world()
+        m.gv.remove_arc(u, p.row_match[u])
+        p.propagate()
+        m.gv.pop_world()
         return (p,), {}
 
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)

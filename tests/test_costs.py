@@ -19,7 +19,7 @@ from hampath.costs import (
     tree_oracle,
 )
 from hampath.gen import gen_random
-from hampath.kernel import Contradiction, GraphVar, Scheduler
+from hampath.kernel import UNDO, Contradiction, GraphVar, Scheduler
 from hampath.oracle import dp_oracle
 from hampath.search import Model, choose_decision, solve
 from hampath.structural import DegreePropagator
@@ -640,6 +640,100 @@ def test_assignment_repair_after_domain_churn():
             back = _assignment_cost_scipy(gv, M)
             cost = sum(hp.C[u][hp.row_match[u]] for u in hp.rows)
             assert abs(cost - back) < 1e-6
+
+
+def _assignment_call(hp, full):
+    """One propagate call on hp, forced down the after-backtrack path when
+    full.  Returns what a call can change: the duals bit for bit, the
+    matching, the floor, the failure and the logged records in order."""
+    gv = hp.gv
+    if full:
+        hp.epoch = None
+        hp.capped = object()        # a marker no cap equals
+    mark = len(gv.log)
+    try:
+        hp.propagate()
+        failed = None
+    except Contradiction as exc:
+        failed = str(exc)
+    return ([x.hex() for x in hp.du], [x.hex() for x in hp.dv],
+            hp.row_match[:], hp.col_match[:], hp.obj.lb, failed,
+            [r if r[0] != UNDO else UNDO for r in gv.log[mark:]])
+
+
+def _assignment_walk(M, s, e, rng, caps, steps=150):
+    """Seeded walk of push, remove or enforce, propagate and pop on two
+    propagators over twin domains; the twin goes down the full path on
+    every call.  caps[step] is the cap at that step.  Returns how many
+    calls skipped the clamp and how many of those returned at once."""
+    n = len(M)
+    arcs = [(u, v) for u in range(n) for v in range(n) if M[u][v] < math.inf]
+    fast, full = (HungarianPropagator(gv, M, Objective(gv))
+                  for gv in (GraphVar(n, s, e, arcs), GraphVar(n, s, e, arcs)))
+    skipped = early = 0
+    for step in range(steps):
+        fast.obj.ub = full.obj.ub = caps[step]
+        gv = fast.gv
+        op = rng.random()
+        if op < 0.2 and gv.depth:
+            for p in (fast, full):
+                p.gv.pop_world()
+        elif op < 0.45 or gv.depth == 0:
+            for p in (fast, full):
+                p.gv.push_world()
+        elif op < 0.9:
+            live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
+            if live:
+                u, v = live[rng.randrange(len(live))]
+                for p in (fast, full):
+                    p.gv.remove_arc(u, v)
+        else:
+            u, v = rng.choice(gv.arcs())
+            for p in (fast, full):
+                p.gv.enforce_arc(u, v)
+        # call again with nothing changed: always after a failure, whose
+        # world still stands, and at times after a success
+        for again in (False, True):
+            if fast.epoch == gv.pop_epoch:
+                skipped += 1
+                early += fast.obj.ub == fast.capped and all(
+                    fast.row_match[u] in gv.succ[u] for u in fast.rows)
+            got = _assignment_call(fast, False)
+            assert got == _assignment_call(full, True), (step, again)
+            assert gv.arcs() == full.gv.arcs()
+            assert gv.mandatory_arcs() == full.gv.mandatory_arcs()
+            if again or got[5] is None and rng.random() >= 0.3:
+                break
+        if got[5] is not None and gv.depth:
+            for p in (fast, full):
+                p.gv.pop_world()
+    return skipped, early
+
+
+@pytest.mark.parametrize("seed,n,scale", [
+    (0, 9, 1), (1, 10, 1), (2, 11, 1), (3, 10, 10 ** 13)])
+def test_assignment_skips_match_the_full_path(seed, n, scale):
+    # only a backtrack can revive arcs, so a call made while pop_epoch
+    # stands must leave the same state as one that clamps and re-checks
+    # every match: with no cap, a fixed cap and a cap lowered partway
+    C, s, e = gen_random(n, seed=seed, density=0.6)
+    C = C * scale
+    opt, _ = dp_oracle(C, s, e)
+    M = C.tolist()
+    steps = 150
+    half = steps // 2
+    skipped = early = 0
+    for k, caps in enumerate((
+            [None] * steps,
+            [opt] * steps,
+            [None] * (half // 2) + [opt + opt // 5] * (half - half // 2)
+            + [opt] * (steps - half))):
+        got = _assignment_walk(M, s, e, random.Random(100 * seed + k), caps,
+                               steps)
+        skipped += got[0]
+        early += got[1]
+    # the walks do reach both shortcuts
+    assert skipped > early > 0
 
 
 def test_assignment_filter_soundness():

@@ -282,6 +282,7 @@ def test_patching_supplies_optimal_incumbents(monkeypatch):
     ("ulysses16.tsp", 6859, "proven", 3355),
     ("gr17.tsp", 2084, "infeasible", 361),
     ("gr17.tsp", 2085, "proven", 1),      # the root path costs 2085
+    ("bays29.tsp", 2019, "infeasible", 3263),
     ("bays29.tsp", 2020, "proven", 45),
 ])
 def test_prove_map_search_shape(name, prove_ub, status, nodes):
@@ -295,6 +296,21 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
     if status == "proven":
         check_path(C, s, e, r.best_path, r.best_cost)
         assert r.best_cost <= prove_ub
+
+
+@pytest.mark.parametrize("seed, cost, nodes", [
+    (0, 837, 229),
+    (1, 884, 43),
+    (2, 751, 201),
+])
+def test_clustered_map_search_shape(seed, cost, nodes):
+    # ALL/map optimizing runs as the clustered-map benchmark makes them; a
+    # faster structural or assignment layer must keep the same search tree
+    C, s, e = gen_random(45, seed=seed, density=0.5, clusters=3)
+    r = solve(fresh(C, s, e, model="ALL", relax="map"),
+              heuristic="enforceSparse")
+    assert (r.status, r.best_cost, r.nodes) == ("optimal", cost, nodes)
+    check_path(C, s, e, r.best_path, r.best_cost)
 
 
 def optimal_search(name, model, relax, heuristic, cost, nodes):
