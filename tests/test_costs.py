@@ -661,18 +661,19 @@ def _assignment_call(hp, full):
             [r if r[0] != UNDO else UNDO for r in gv.log[mark:]])
 
 
-def _assignment_walk(M, s, e, rng, caps, steps=150):
+def _assignment_walk(M, s, e, rng, caps):
     """Seeded walk of push, remove or enforce, propagate and pop on two
     propagators over twin domains; the twin goes down the full path on
-    every call.  caps[step] is the cap at that step.  Returns how many
-    calls skipped the clamp and how many of those returned at once."""
+    every call.  One step per entry of caps, the cap at that step.
+    Returns how many calls skipped the clamp and how many of those
+    returned at once."""
     n = len(M)
     arcs = [(u, v) for u in range(n) for v in range(n) if M[u][v] < math.inf]
     fast, full = (HungarianPropagator(gv, M, Objective(gv))
                   for gv in (GraphVar(n, s, e, arcs), GraphVar(n, s, e, arcs)))
     skipped = early = 0
-    for step in range(steps):
-        fast.obj.ub = full.obj.ub = caps[step]
+    for step, cap in enumerate(caps):
+        fast.obj.ub = full.obj.ub = cap
         gv = fast.gv
         op = rng.random()
         if op < 0.2 and gv.depth:
@@ -720,16 +721,12 @@ def test_assignment_skips_match_the_full_path(seed, n, scale):
     C = C * scale
     opt, _ = dp_oracle(C, s, e)
     M = C.tolist()
-    steps = 150
-    half = steps // 2
     skipped = early = 0
     for k, caps in enumerate((
-            [None] * steps,
-            [opt] * steps,
-            [None] * (half // 2) + [opt + opt // 5] * (half - half // 2)
-            + [opt] * (steps - half))):
-        got = _assignment_walk(M, s, e, random.Random(100 * seed + k), caps,
-                               steps)
+            [None] * 150,
+            [opt] * 150,
+            [None] * 40 + [opt + opt // 5] * 40 + [opt] * 70)):
+        got = _assignment_walk(M, s, e, random.Random(100 * seed + k), caps)
         skipped += got[0]
         early += got[1]
     # the walks do reach both shortcuts
