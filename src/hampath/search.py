@@ -226,8 +226,10 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     way when it beats the cap.  A pending alternative whose node's floor
     lies above the cap holds no better path, so its level is closed
     unopened.  Both modes first look for a path over the root domain with
-    `root_path`: when optimizing it is the first path found, and in
-    decision mode it counts only if it proves the bound.
+    `root_path`, a dive polished by an iterated local search that stops
+    early once the path is optimal at the root floor or proves the bound,
+    and at the deadline: when optimizing it is the first path found, and
+    in decision mode it counts only if it proves the bound.
 
     The result's lb is a proven bound on the optimum over the whole search
     space: the best cost when optimal, prove_ub + 1 when a decision run is
@@ -293,10 +295,13 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         return finish("infeasible")
     # in decision mode the root path only answers at once, so a refutation
     # searches node for node as without it; when optimizing it is the first
-    # incumbent.  The root fixpoint is not rerun under its cap (ftv33 under
-    # ALL/both takes 437 nodes that way, 119 without), so the cap prunes
-    # from the first branch on
-    path = root_path(gv, m.C)
+    # incumbent.  Its local search stops once the path ends the run: at the
+    # root floor when optimizing, at the cap in decision mode.  The root
+    # fixpoint is not rerun under the path's cap (under ALL/both, bays29
+    # takes 45 nodes that way, 33 without, and att48 187 against 103;
+    # ftv33 takes 5 either way), so the cap prunes from the first branch on
+    enough = m.obj.lb if prove_ub is None else m.obj.ub
+    path = root_path(gv, m.C, enough, clock, deadline)
     if path is not None:
         cost = m.path_cost(path)
         if prove_ub is None:

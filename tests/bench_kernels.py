@@ -6,6 +6,7 @@ The file name keeps it out of the default test collection; saved runs go
 to .benchmarks/ and `pytest-benchmark compare` lists them side by side.
 """
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -270,8 +271,9 @@ def test_kernel_round_bays29(benchmark):
 
 
 def test_root_path_att48(benchmark):
-    """The path found before the search (block-order dive, then Or-opt)
-    on the att48 ALL/both root domain (n = 49); it reads the domain and
+    """The path found before the search (block-order dive, Or-opt, then
+    the iterated local search of 98 kicks and a closing Or-opt sweep) on
+    the att48 ALL/both root domain (n = 49); it reads the domain and
     changes nothing, so every round sees the same one."""
     C, s, e = circuit_to_path(
         parse_tsplib(str(INSTANCES / "att48.tsp")).matrix, 0)
@@ -281,6 +283,31 @@ def test_root_path_att48(benchmark):
     assert path[0] == s and path[-1] == e
     assert sorted(path) == list(range(len(C)))
     assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
+
+
+def test_kick_ftv33(benchmark):
+    """One kick of the root local search and the cheap Or-opt after it,
+    on ftv33's root path on the ALL/both root domain (n = 35): the first
+    kick of the search's seed, with every neighbour list it reads already
+    built; each round kicks the same path into a fresh copy."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.root_propagate()
+    path = root_path(m.gv, m.C)
+    cost = m.path_cost(path)
+    near = [None] * len(C), [None] * len(C)
+
+    def once():
+        return rootpath._kick(m.C, path, cost, random.Random(0), near)
+
+    kicked = once()
+    assert kicked is not None       # the kick's arcs are present
+    trial, new = kicked
+    assert new == m.path_cost(trial) >= cost   # the root path is optimal
+    assert trial[0] == s and trial[-1] == e
+    assert sorted(trial) == list(range(len(C)))
+    benchmark(once)
 
 
 def test_or_opt_att48(benchmark):

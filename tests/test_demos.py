@@ -63,8 +63,9 @@ def test_kernel_microbenchmarks_run():
                       "--benchmark-disable", "-q", "-rA", "-p",
                       "no:cacheprovider", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for name in ("test_root_path_att48", "test_or_opt_att48",
-                 "test_patch_gen45", "test_assignment_repeat_bays29",
+    for name in ("test_root_path_att48", "test_kick_ftv33",
+                 "test_or_opt_att48", "test_patch_gen45",
+                 "test_assignment_repeat_bays29",
                  "test_assignment_after_backtrack_bays29"):
         assert f"PASSED tests/bench_kernels.py::{name}" in proc.stdout, \
             proc.stdout

@@ -1,6 +1,8 @@
 """The path found before the search: Hamiltonian over the root domain,
 priced like any other path, deterministic, absent on graphs that have
-none, and optimal at once when the root floor meets it.  Patching splices
+none, and optimal at once when the root floor meets it.  Its iterated
+local search never loses to the dive it starts from, ends at an Or-opt
+local optimum, and stops once the path is good enough.  Patching splices
 an assignment's cycles into its path at the cheapest exchange.  Or-opt,
 which polishes the root path and every improving leaf or patched path,
 ends at a local optimum."""
@@ -12,8 +14,10 @@ import pytest
 
 from hampath.gen import gen_random
 from hampath.oracle import dp_oracle
+from hampath import rootpath
 from hampath.rootpath import SEGMENT, or_opt, patch, root_path
 from hampath.search import Model, solve
+from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import pathological as pg
 
@@ -196,3 +200,82 @@ def test_patched_assignment_is_a_hamiltonian_path():
         if n <= 12:
             assert cost >= dp_oracle(C, s, e)[0], i
     assert spliced > 0      # some matchings held cycles
+
+
+def dived(m):
+    """The dive's path on m's root domain, polished by Or-opt: where the
+    iterated local search starts."""
+    path = rootpath._dive(m.gv, m.C)
+    or_opt(m.C, path)
+    return path
+
+
+def tsplib_rooted(name):
+    C, s, e = circuit_to_path(parse_tsplib(f"instances/{name}").matrix, 0)
+    return C, rooted(C, s, e)
+
+
+def test_local_search_is_deterministic():
+    # ftv33's kicks improve the dive's 1,388 to the optimum 1,286
+    C, m = tsplib_rooted("ftv33.atsp")
+    path = root_path(m.gv, m.C)
+    assert m.path_cost(path) == 1286 < m.path_cost(dived(m)) == 1388
+    assert root_path(m.gv, m.C) == path
+    assert root_path(tsplib_rooted("ftv33.atsp")[1].gv, C.tolist()) == path
+
+
+def test_local_search_keeps_the_best_path_at_a_local_optimum():
+    improved = 0
+    for i in range(24):
+        n = 6 + i % 10
+        C, s, e = gen_random(n, seed=3100 + i,
+                             density=(0.4, 0.7, 1.0)[i % 3],
+                             clusters=1 + i % 3,
+                             cost_range=((1, 100), (-50, 50))[i // 3 % 2])
+        m = rooted(C, s, e)
+        start = dived(m)
+        path = root_path(m.gv, m.C)
+        cost = m.path_cost(path)
+        assert cost <= m.path_cost(start), i
+        improved += cost < m.path_cost(start)
+        assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:])), i
+        # the closing sweep leaves no move that pays
+        for other in or_opt_moves(path):
+            assert not cost_of(m.C, other) < cost, (i, path, other)
+    assert improved > 0
+
+
+def test_local_search_never_beats_the_optimum():
+    for i in range(24):
+        n = 5 + i % 8
+        C, s, e = gen_random(n, seed=3200 + i,
+                             density=(0.4, 0.7, 1.0)[i % 3],
+                             cost_range=((1, 100), (-50, 50))[i // 3 % 2])
+        m = rooted(C, s, e)
+        path = root_path(m.gv, m.C)
+        assert path[0] == s and path[-1] == e, i
+        assert sorted(path) == list(range(n)), i
+        assert math.isfinite(cost_of(m.C, path)), i
+        assert m.path_cost(path) >= dp_oracle(C, s, e)[0], i
+
+
+def test_local_search_stops_once_the_path_is_good_enough():
+    # a path at most enough ends the search before the first kick, so the
+    # dive's path comes back as it is
+    C, m = tsplib_rooted("ftv33.atsp")
+    start = dived(m)
+    assert root_path(m.gv, m.C, enough=m.path_cost(start)) == start
+    # and the first path at most enough ends it after the kicks so far
+    path = root_path(m.gv, m.C, enough=1300)
+    assert 1286 <= m.path_cost(path) <= 1300
+
+
+def test_decision_mode_proves_ulysses16_at_the_root():
+    # BASIC/map deciding cost <= 6859: on the capped root domain the dive
+    # and Or-opt reach 7,007, the kicks 6,859, which answers at the first
+    # node (3,355 nodes without them)
+    C, s, e = circuit_to_path(
+        parse_tsplib("instances/ulysses16.tsp").matrix, 0)
+    r = solve(Model(len(C), s, e, C, model="BASIC", relax="map"),
+              prove_ub=6859)
+    assert (r.status, r.nodes, r.best_cost) == ("proven", 1, 6859)

@@ -102,6 +102,23 @@ def test_time_limit_reports_limit_status():
     assert r.nodes <= 2         # the deadline is read on every pass
 
 
+def test_time_limit_stops_the_root_local_search():
+    # the clock ticks once per read and the deadline passes during the
+    # root path's kicks: the search stops there, before its 70 kicks on
+    # ftv33, and the limit holds from the first pass of the search on
+    C, s, e = circuit_to_path(
+        parse_tsplib("instances/ftv33.atsp").matrix, 0)
+    ticker = itertools.count()
+    r = solve(fresh(C, s, e, model="ALL", relax="both"), time_limit=10,
+              clock=lambda: float(next(ticker)))
+    assert r.status == "limit"
+    assert r.nodes <= 2
+    # t0, eleven reads between kicks, the search's first pass and finish
+    assert next(ticker) == 14
+    if r.best_path is not None:
+        check_path(C, s, e, r.best_path, r.best_cost)
+
+
 @pytest.mark.parametrize("limit", [float("nan"), -1.0, -1e-9])
 def test_bad_time_limit_is_rejected(limit):
     C = fig.cost_matrix(fig.BASE7)
@@ -227,12 +244,13 @@ def test_limit_bound_covers_every_open_subtree():
 def test_bound_stays_sound_when_dead_alternatives_are_skipped(relax):
     # each later path lowers the cap below some stored floors, and the
     # search closes those levels unopened; stopped after 1, 3, 10 and 30
-    # backtracks, the bound still covers every open subtree (patching
-    # finds most optima within 3 backtracks under map and both)
+    # backtracks, the bound still covers every open subtree (the root
+    # path's local search and patching find most optima of 12 to 14 nodes
+    # before the first stop, so these instances take 13 to 15)
     stopped = 0
     for i in range(8):
-        n = 12 + i % 3
-        C, s, e = gen_random(n, seed=2610 + i, density=(0.4, 1.0)[i % 2],
+        n = 13 + i % 3
+        C, s, e = gen_random(n, seed=2650 + i, density=(0.4, 1.0)[i % 2],
                              cost_range=((1, 100), (-50, 50))[i // 2 % 2])
         want, _ = dp_oracle(C, s, e)
         model = ("ALL", "BASIC")[i // 4]
@@ -279,11 +297,11 @@ def test_patching_supplies_optimal_incumbents(monkeypatch):
 
 @pytest.mark.parametrize("name, prove_ub, status, nodes", [
     ("ulysses16.tsp", 6858, "infeasible", 28717),
-    ("ulysses16.tsp", 6859, "proven", 3355),
+    ("ulysses16.tsp", 6859, "proven", 1),     # the root path costs 6859
     ("gr17.tsp", 2084, "infeasible", 361),
     ("gr17.tsp", 2085, "proven", 1),      # the root path costs 2085
     ("bays29.tsp", 2019, "infeasible", 3263),
-    ("bays29.tsp", 2020, "proven", 45),
+    ("bays29.tsp", 2020, "proven", 1),        # the root path costs 2020
 ])
 def test_prove_map_search_shape(name, prove_ub, status, nodes):
     # BASIC/map decision runs as the prove-map benchmark makes them; a
@@ -322,11 +340,11 @@ def optimal_search(name, model, relax, heuristic, cost, nodes):
 
 
 @pytest.mark.parametrize("name,model,relax,cost,nodes", [
-    ("ulysses16.tsp", "ALL", "both", 6859, 7),
+    ("ulysses16.tsp", "ALL", "both", 6859, 5),
     ("gr17.tsp", "ALL", "both", 2085, 5),
     ("br17.atsp", "ALL", "both", 39, 11),
-    ("ftv33.atsp", "ALL", "both", 1286, 29),
-    ("ftv33.atsp", "BASIC", "tree", 1286, 40),
+    ("ftv33.atsp", "ALL", "both", 1286, 5),
+    ("ftv33.atsp", "BASIC", "tree", 1286, 9),
 ])
 def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
     # optimizing runs as the tsplib-both benchmark makes them; the
@@ -338,8 +356,9 @@ def test_tsplib_both_search_shape(name, model, relax, cost, nodes):
 def test_enforce_max_rc_search_shape():
     # enforceMaxRC has a heavy tail under ALL/both: att48 took 89,611 nodes
     # while leaves went unpolished and dead alternatives were opened, and
-    # 793 before every node patched the assignment; bays29 took 259 then
-    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 61)
+    # 793 before every node patched the assignment; bays29 took 259 then,
+    # and 61 before the root path's local search
+    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 23)
 
 
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
