@@ -1,8 +1,7 @@
 """Strongly connected components and the reduced (condensed) graph.
 
-`tarjan_scc` is the package's one SCC routine: list-indexed, restricted to
-a node subset, and shared by the reduced state below and by alldiff's
-residual graph.
+`tarjan_scc` is the package's one SCC routine, list-indexed over every
+node; the reduced state below is its one caller.
 
 The reduced state is the SCC partition of a GraphVar's potential graph,
 recomputed from scratch by `rebuild`: `members` lists the components in
@@ -15,28 +14,24 @@ one.
 from __future__ import annotations
 
 
-def tarjan_scc(nodes, succ):
-    """Iterative Tarjan over `nodes`; `succ[u]` iterates u's successors.
+def tarjan_scc(succ):
+    """Iterative Tarjan over nodes 0..len(succ) - 1; `succ[u]` iterates u's
+    successors.
 
-    Only arcs whose head is in `nodes` are followed.  Roots are taken in
-    `nodes` order and successors in iteration order.  Returns (comps,
-    comp_of, joined): the components, each a sorted list of nodes, in
-    reverse topological discovery order; per node the index of its
-    component in comps (-1 off `nodes`); and whether a followed arc joins
-    two components.
+    Roots are taken in node order and successors in iteration order.
+    Returns (comps, comp_of): the components, each a sorted list of nodes,
+    in reverse topological discovery order, and per node the index of its
+    component in comps.
     """
     n = len(succ)
     done = n                # popped with its component
-    index = [n + 1] * n     # n + 1: not in nodes; -1: not visited yet
-    for v in nodes:
-        index[v] = -1
+    index = [-1] * n        # -1: not visited yet
     low = [0] * n
     comp_of = [-1] * n
     stack = []
     comps = []
-    joined = False
     count = 0
-    for root in nodes:
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
@@ -56,8 +51,6 @@ def tarjan_scc(nodes, succ):
                     break
                 if i < low[v]:          # on the stack: same component
                     low[v] = i
-                elif i == done:         # into a finished component
-                    joined = True
             else:
                 work.pop()
                 if low[v] == index[v]:
@@ -72,12 +65,11 @@ def tarjan_scc(nodes, succ):
                             break
                     comp.sort()
                     comps.append(comp)
-                    joined = joined or bool(work)   # the tree arc in
                 else:
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-    return comps, comp_of, joined
+    return comps, comp_of
 
 
 class ReducedState:
@@ -91,7 +83,7 @@ class ReducedState:
     def rebuild(self):
         """Full Tarjan pass over the current potential graph."""
         gv = self.gv
-        comps, comp_of, _ = tarjan_scc(range(gv.n), gv.succ)
+        comps, comp_of = tarjan_scc(gv.succ)
         comps.reverse()
         last = len(comps) - 1
         self.members = comps

@@ -27,10 +27,9 @@ from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
 from .rootpath import or_opt, patch, root_path
-from .structural import (AllDifferentPropagator, DegreePropagator,
-                         ReducedPathPropagator)
+from .structural import DegreePropagator, ReducedPathPropagator
 
-MODELS = ("BASIC", "AD", "BST", "ALL")
+MODELS = ("BASIC", "ALL")
 RELAXATIONS = ("tree", "map", "both")
 HEURISTICS = ("enforceMaxRC", "sparse", "enforceSparse")
 
@@ -82,11 +81,9 @@ class Model:
         if relax == "tree":
             reg(TrivialObjectivePropagator(gv, self.C, self.obj))
         self.rp = None
-        if model in ("BST", "ALL"):
+        if model == "ALL":
             self.rp = ReducedPathPropagator(gv)
             reg(self.rp)
-        if model in ("AD", "ALL"):
-            reg(AllDifferentPropagator(gv))
         self.hk = None
         if relax in ("tree", "both"):
             self.hk = HeldKarpPropagator(gv, self.C, self.obj, reduced=self.rp)
@@ -297,8 +294,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     # searches node for node as without it; when optimizing it is the first
     # incumbent.  Its local search stops once the path ends the run: at the
     # root floor when optimizing, at the cap in decision mode.  The root
-    # fixpoint is not rerun under the path's cap (under ALL/both, bays29
-    # takes 45 nodes that way, 33 without, and att48 187 against 103;
+    # fixpoint is not rerun under the path's cap (under ALL/both, att48
+    # takes 187 nodes that way, 148 without, and bays29 29 against 33;
     # ftv33 takes 5 either way), so the cap prunes from the first branch on
     enough = m.obj.lb if prove_ub is None else m.obj.ub
     path = root_path(gv, m.C, enough, clock, deadline)

@@ -4,8 +4,8 @@ Everything in here prunes the graph variable through combinatorial
 arguments only; cost reasoning lives in costs.py.  The reduced-path
 propagator is the workhorse: it recomputes the SCC condensation on every
 call, reads the block order off it and prunes arcs that cross the cuts
-between blocks the wrong way.  Degree runs under every model, alldifferent
-under AD and ALL.  Filtering from the endpoints alone (dominators, position
+between blocks the wrong way.  Degree runs under every model, reduced-path
+under ALL.  Filtering from the endpoints alone (dominators, position
 windows) is left out: on non-Hamiltonian cubic graphs the block order
 prunes about as much, in less time.
 """
@@ -13,7 +13,7 @@ prunes about as much, in less time.
 from __future__ import annotations
 
 from .kernel import ARC_ENFORCED, UNDO, Propagator
-from .scc import ReducedState, tarjan_scc
+from .scc import ReducedState
 
 
 class DegreePropagator(Propagator):
@@ -111,93 +111,6 @@ class DegreePropagator(Propagator):
                     self._fuse(u, v)
                 self._row(u)
                 self._col(v)
-
-
-class AllDifferentPropagator(Propagator):
-    """GAC on the successor assignment via matching plus residual SCCs.
-
-    Variables are the nodes with a successor (all but e), values the nodes
-    with a predecessor (all but s).  A potential arc survives iff it lies
-    in some perfect matching: matched, or inside one SCC of the residual
-    digraph with unmatched arcs oriented var to value and matched ones
-    value to var (Régin, AAAI 1994).
-
-    The matching is kept across calls in `mate_var`/`mate_val`.  Each call
-    drops the pairs whose arc is gone and re-augments only the variables
-    left free.  It logs no undo: backtracking only puts arcs back, so a
-    stored pair stays valid until its arc dies.  A perfect matching covers
-    every value, so the residual digraph folds onto the variables, with
-    u -> mate_val[v] for each unmatched v in succ[u]; an unmatched arc
-    (u, v) survives iff u and mate_val[v] share an SCC there.  The shared
-    `tarjan_scc` finds those SCCs, and a call where no arc joins two of
-    them stops there.
-    """
-
-    def __init__(self, gv):
-        super().__init__(gv)
-        self.name = "alldiff"
-        self.priority = 3
-        self.mate_var = [-1] * gv.n     # value matched to each variable
-        self.mate_val = [-1] * gv.n     # variable matched to each value
-
-    def _augment(self, root):
-        """Match the free variable root along an alternating path to a
-        free value, iteratively; False when no such path exists."""
-        succ = self.gv.succ
-        mate_var = self.mate_var
-        mate_val = self.mate_val
-        seen = set()
-        path = [root]
-        its = [iter(succ[root])]
-        while its:
-            for v in its[-1]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                w = mate_val[v]
-                if w < 0:
-                    for u in reversed(path):
-                        mate_val[v] = u
-                        mate_var[u], v = v, mate_var[u]
-                    return True
-                path.append(w)
-                its.append(iter(succ[w]))
-                break
-            else:
-                its.pop()
-                path.pop()
-        return False
-
-    def propagate(self):
-        gv = self.gv
-        n = gv.n
-        succ = gv.succ
-        mate_var = self.mate_var
-        mate_val = self.mate_val
-        left = [u for u in range(n) if u != gv.e]
-        for u in left:
-            v = mate_var[u]
-            if v >= 0 and v not in succ[u]:
-                mate_var[u] = mate_val[v] = -1
-        for u in left:
-            if mate_var[u] < 0 and not self._augment(u):
-                self.fail("no successor assignment")
-        # the residual digraph folded onto the variables
-        adj = [None] * n
-        for u in left:
-            mu = mate_var[u]
-            adj[u] = [mate_val[v] for v in succ[u] if v != mu]
-        _, comp, joined = tarjan_scc(left, adj)
-        if not joined:          # no arc between two SCCs, none to remove
-            return
-        for u in left:
-            cu = comp[u]
-            mu = mate_var[u]
-            dead = [v for v in succ[u] if v != mu and comp[mate_val[v]] != cu]
-            if dead:
-                dead.sort()
-                for v in dead:
-                    self.remove(u, v)
 
 
 class ReducedPathPropagator(Propagator):

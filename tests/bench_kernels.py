@@ -18,7 +18,7 @@ from hampath.costs import (HungarianPropagator, _prim_pairs, effective_costs,
 from hampath.gen import gen_random
 from hampath.kernel import GraphVar, Scheduler
 from hampath.rootpath import or_opt, patch, root_path
-from hampath.structural import AllDifferentPropagator, DegreePropagator
+from hampath.structural import DegreePropagator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -147,27 +147,6 @@ def test_assignment_after_backtrack_bays29(benchmark):
         m.gv.remove_arc(u, p.row_match[u])
         p.propagate()
         m.gv.pop_world()
-        return (p,), {}
-
-    benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)
-
-
-def test_alldiff_warm_n45(benchmark):
-    """One alldiff call after a single arc removal from a warm state
-    (clustered n = 45, density 0.5, ALL/map): the root fixpoint has set the
-    matching, then the matched successor arc of the first variable that has
-    a choice left goes, so the call re-augments one variable and filters."""
-    C, s, e = gen_random(45, seed=0, density=0.5, clusters=3)
-
-    def setup():
-        m = Model(len(C), s, e, C, model="ALL", relax="map")
-        m.root_propagate()
-        p = next(q for q in m.scheduler.props
-                 if isinstance(q, AllDifferentPropagator))
-        u = next(u for u in range(m.gv.n)
-                 if u != m.gv.e and len(m.gv.succ[u]) > 1)
-        m.gv.push_world()
-        m.gv.remove_arc(u, p.mate_var[u])
         return (p,), {}
 
     benchmark.pedantic(lambda p: p.propagate(), setup=setup, rounds=50)

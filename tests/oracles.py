@@ -214,19 +214,6 @@ def dense_effective_costs(n, arcs, C, pi_out, pi_in):
     return E, np.minimum(E, E.T)
 
 
-def matching_arc_support(left, right, allowed):
-    """Arcs (u, v) that belong to at least one perfect matching of the
-    bipartite graph left x right with `allowed` as the edge predicate."""
-    support = set()
-    feasible = False
-    for perm in itertools.permutations(right):
-        pairs = list(zip(left, perm))
-        if all(allowed(u, v) for (u, v) in pairs):
-            feasible = True
-            support.update(pairs)
-    return feasible, support
-
-
 def min_assignment_brute(left, right, cost):
     """Cheapest perfect assignment by permutation scan; None if infeasible."""
     best = None

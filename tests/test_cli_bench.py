@@ -48,7 +48,7 @@ def test_json_output_reports_per_propagator_stats(capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["stats"]) == {
-        "degree", "reduced-path", "alldiff", "hk", "assignment"}
+        "degree", "reduced-path", "hk", "assignment"}
     for st in doc["stats"].values():
         assert set(st) == {"invocations", "removed", "enforced"}
         assert st["invocations"] >= 1

@@ -188,8 +188,9 @@ def test_configuration_validation():
     C = fig.cost_matrix(fig.BASE7)
     with pytest.raises(ValueError):
         Model(fig.N, fig.S, fig.E, C, model="FANCY")
-    # no dominator (ARB) or position (POS) model: reduced-path does their job
-    for model in ("ARB", "POS"):
+    # no dominator (ARB), position (POS) or alldiff (AD) model, and no
+    # separate reduced-path model (BST): ALL is that model
+    for model in ("ARB", "POS", "AD", "BST"):
         with pytest.raises(ValueError, match="unknown model"):
             Model(fig.N, fig.S, fig.E, C, model=model)
     with pytest.raises(ValueError):
@@ -317,9 +318,9 @@ def test_prove_map_search_shape(name, prove_ub, status, nodes):
 
 
 @pytest.mark.parametrize("seed, cost, nodes", [
-    (0, 837, 229),
+    (0, 837, 241),
     (1, 884, 43),
-    (2, 751, 201),
+    (2, 751, 195),
 ])
 def test_clustered_map_search_shape(seed, cost, nodes):
     # ALL/map optimizing runs as the clustered-map benchmark makes them; a
@@ -358,7 +359,7 @@ def test_enforce_max_rc_search_shape():
     # while leaves went unpolished and dead alternatives were opened, and
     # 793 before every node patched the assignment; bays29 took 259 then,
     # and 61 before the root path's local search
-    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 23)
+    optimal_search("bays29.tsp", "ALL", "both", "enforceMaxRC", 2020, 21)
 
 
 # nodes of gen_random(20, seed=0, density=0.5, clusters=3), optimum 572,
@@ -367,10 +368,6 @@ def test_enforce_max_rc_search_shape():
 SHAPE20 = {
     ("BASIC", "tree"): (9, 9, 7), ("BASIC", "map"): (5, 7, 7),
     ("BASIC", "both"): (7, 7, 7),
-    ("AD", "tree"): (9, 9, 7), ("AD", "map"): (5, 7, 7),
-    ("AD", "both"): (7, 7, 7),
-    ("BST", "tree"): (7, 5, 5), ("BST", "map"): (5, 5, 5),
-    ("BST", "both"): (7, 5, 5),
     ("ALL", "tree"): (7, 5, 5), ("ALL", "map"): (5, 5, 5),
     ("ALL", "both"): (7, 5, 5),
 }
@@ -435,15 +432,14 @@ def test_model_rejects_malformed_cost_matrix(n, C, relax):
 def test_only_event_readers_read_the_log():
     m = fresh(fig.cost_matrix(fig.BASE7), fig.S, fig.E, model="ALL",
               relax="both")
-    assert len(m.scheduler.props) == 5
+    assert len(m.scheduler.props) == 4
     m.root_propagate()
     assert m.gv.log     # the root fixpoint changed the domain
     # the others are only woken, so their cursors stay where they started
     assert [p.name for p in m.scheduler.props if p.read] == ["degree"]
 
 
-MODEL_PROPS = {"BASIC": [], "AD": ["alldiff"], "BST": ["reduced-path"],
-               "ALL": ["reduced-path", "alldiff"]}
+MODEL_PROPS = {"BASIC": [], "ALL": ["reduced-path"]}
 RELAX_PROPS = {"tree": ["trivial-lb", "hk"], "map": ["assignment"],
                "both": ["hk", "assignment"]}
 

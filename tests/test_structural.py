@@ -8,11 +8,7 @@ import pytest
 
 from hampath.gen import gen_random
 from hampath.kernel import Contradiction, GraphVar, Scheduler
-from hampath.structural import (
-    AllDifferentPropagator,
-    DegreePropagator,
-    ReducedPathPropagator,
-)
+from hampath.structural import DegreePropagator, ReducedPathPropagator
 
 import figures as fig
 import oracles
@@ -259,151 +255,6 @@ def test_degree_events_reach_the_full_scan_closure():
                 gv.pop_world()
                 assert _degree_state(gv) == before
     assert checked > 1000 and 200 < failed < checked - 200
-
-
-# -- alldifferent GAC vs matching support ----------------------------------------
-
-
-def test_alldifferent_matches_matching_support():
-    rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randint(4, 6)
-        s, e = 0, n - 1
-        arcs = {(u, v) for u in range(n) for v in range(n)
-                if u != v and v != s and u != e and rng.random() < 0.55}
-        mid = list(range(1, n - 1))
-        rng.shuffle(mid)
-        spine = [s] + mid + [e]
-        arcs.update(zip(spine, spine[1:]))
-
-        left = [u for u in range(n) if u != e]
-        right = [v for v in range(n) if v != s]
-        feasible, support = oracles.matching_arc_support(
-            left, right, lambda u, v: (u, v) in arcs)
-        gv = GraphVar(n, s, e, sorted(arcs))
-        sched = Scheduler(gv)
-        ad = AllDifferentPropagator(gv)
-        if not feasible:
-            sched.register(ad)
-            sched.schedule_all()
-            with pytest.raises(Contradiction):
-                sched.run_fixpoint()
-            continue
-        run(gv, sched, [ad])
-        assert set(gv.arcs()) == support
-
-
-def _alldiff_step(rng, gv):
-    """Remove one to three random arcs, or enforce one and drop the other
-    successors of its tail, so a mandatory arc lies in every perfect
-    matching and a fixpoint fails exactly when none is left."""
-    live = [a for a in gv.arcs() if not gv.has_mandatory(*a)]
-    if not live:
-        return False
-    if rng.random() < 0.3:
-        u, v = rng.choice(live)
-        gv.enforce_arc(u, v)
-        for w in sorted(gv.succ[u] - {v}):
-            gv.remove_arc(u, w)
-    else:
-        for a in rng.sample(live, min(len(live), rng.randint(1, 3))):
-            gv.remove_arc(*a)
-    return True
-
-
-def test_alldifferent_survives_backtracking():
-    """One alldiff propagator kept through random steps under push/pop,
-    sibling branches included: after every fixpoint its arcs are the
-    perfect-matching support, and it fails exactly when no perfect matching
-    is left.  Its matching outlives the worlds it was built in."""
-    rng = random.Random(8)
-    checked = failed = 0
-    for trial in range(150):
-        n = rng.randint(3, 7)
-        s, e = 0, n - 1
-        density = rng.choice((0.3, 0.5, 0.8))
-        arcs = {(u, v) for u in range(n) for v in range(n)
-                if u != v and v != s and u != e and rng.random() < density}
-        mid = list(range(1, n - 1))
-        rng.shuffle(mid)
-        spine = [s] + mid + [e]
-        arcs.update(zip(spine, spine[1:]))
-        left = [u for u in range(n) if u != e]
-        right = [v for v in range(n) if v != s]
-        gv, sched = make(sorted(arcs), n, s, e)
-        run(gv, sched, [AllDifferentPropagator(gv)])
-        depth = 0
-        for _ in range(rng.randint(1, 14)):
-            if depth and rng.random() < 0.35:
-                gv.pop_world()          # the next step opens a sibling
-                depth -= 1
-                continue
-            gv.push_world()
-            depth += 1
-            if not _alldiff_step(rng, gv):
-                break
-            feasible, support = oracles.matching_arc_support(
-                left, right, gv.has_arc)
-            sched.schedule_all()
-            try:
-                sched.run_fixpoint()
-            except Contradiction:
-                assert not feasible, trial
-                failed += 1
-                gv.pop_world()
-                depth -= 1
-                continue
-            assert feasible and set(gv.arcs()) == support, trial
-            checked += 1
-    assert checked > 400 and failed > 100
-
-
-def test_alldifferent_kept_matching_agrees_with_a_fresh_one():
-    """At benchmark size (clustered gen_random, n = 20-45): after each random
-    step under push/pop, the long-lived propagator's fixpoint has the same
-    arcs, or the same failure, as one call of a fresh propagator on a copy
-    of the current domain (GAC is reached in one call)."""
-    rng = random.Random(9)
-    checked = failed = removed = 0
-    for trial in range(12):
-        n = rng.randint(20, 45)
-        C, s, e = gen_random(n, seed=trial, density=rng.uniform(0.3, 0.5),
-                             clusters=3)
-        arcs = [(u, v) for u in range(n) for v in range(n)
-                if math.isfinite(C[u, v])]
-        gv, sched = make(arcs, n, s, e)
-        ad = AllDifferentPropagator(gv)
-        run(gv, sched, [ad])
-        depth = 0
-        for _ in range(60):
-            if depth and rng.random() < 0.3:
-                gv.pop_world()
-                depth -= 1
-                continue
-            gv.push_world()
-            depth += 1
-            if not _alldiff_step(rng, gv):
-                break
-            copy = GraphVar(n, s, e, gv.arcs())
-            try:
-                AllDifferentPropagator(copy).propagate()
-                want = copy.arcs()
-            except Contradiction:
-                want = None
-            sched.schedule_all()
-            try:
-                sched.run_fixpoint()
-                got = gv.arcs()
-            except Contradiction:
-                got = None
-            assert got == want, trial
-            checked += 1
-            if got is None:
-                failed += 1
-                gv.pop_world()
-                depth -= 1
-        removed += ad.stats["removed"]
-    assert checked > 450 and 30 < failed < checked - 300 and removed > 1500
 
 
 # -- the block order as reachability and position windows -------------------------
