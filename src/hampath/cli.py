@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the run finished with a definite answer (optimal,
 proven, or infeasible), 2 when a time limit cut the search short, 1 for
-bad arguments or unreadable input.
+bad arguments, unreadable input, or an output file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import sys
 import time
 
-from .bench import CSV_HEADER, format_row, result_row
 from .gen import gen_random
 from .search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
 from .tsplib import ParseError, circuit_to_path, parse_tsplib
@@ -20,6 +20,8 @@ from .tsplib import ParseError, circuit_to_path, parse_tsplib
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_LIMIT = 2
+
+CSV_HEADER = "instance,heuristic,model,status,cost,lb,nodes,time_s"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,13 +62,23 @@ def _load(args):
         try:
             n = int(spec.split(":", 1)[1])
         except ValueError:
-            raise ParseError(0, f"bad random instance spec {spec!r}")
+            raise ValueError(f"bad random instance spec {spec!r}")
         C, s, e = gen_random(n, seed=args.seed)
         return f"random{n}s{args.seed}", C, s, e
     inst = parse_tsplib(spec)
     C, s, e = circuit_to_path(inst.matrix, args.home)
     name = inst.name or spec
     return name, C, s, e
+
+
+def _csv(name, args, res):
+    """The header line and the one row line of a run, each newline-ended."""
+    def opt(x):
+        return "" if x is None else "%d" % x
+    row = "%s,%s,%s,%s,%s,%s,%d,%.6f" % (
+        name, args.heuristic, args.model, res.status,
+        opt(res.best_cost), opt(res.lb), res.nodes, res.time_s)
+    return CSV_HEADER + "\n" + row + "\n"
 
 
 def _render(fmt, name, args, res):
@@ -86,8 +98,7 @@ def _render(fmt, name, args, res):
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     if fmt == "csv":
-        row = result_row(name, args.heuristic, args.model, res)
-        return CSV_HEADER + "\n" + format_row(row) + "\n"
+        return _csv(name, args, res)
     lines = [
         f"instance   {name}",
         f"config     model={args.model} relax={args.relax} heuristic={args.heuristic}",
@@ -116,8 +127,12 @@ def main(argv=None, clock=time.monotonic):
 
     text = _render(args.format, name, args, res)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"hampath: error: {exc}\n")
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return EXIT_LIMIT if res.status == "limit" else EXIT_OK

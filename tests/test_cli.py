@@ -1,13 +1,12 @@
-"""Front-end tests: exit codes, output formats, and the benchmark grid."""
+"""Command line tests: exit codes, output formats, and error messages."""
 
 import io
 import itertools
 import json
 
-import numpy as np
 import pytest
 
-from hampath import bench, cli
+from hampath import cli
 from hampath.gen import gen_random
 from hampath.oracle import dp_oracle
 
@@ -76,7 +75,7 @@ def test_csv_output_is_reproducible(capsys):
     second = capsys.readouterr().out
     assert first == second
     head, row = first.strip().split("\n")
-    assert head == bench.CSV_HEADER
+    assert head == cli.CSV_HEADER
     assert row.startswith("random7s5,enforceSparse,ALL,optimal,")
     assert row.endswith(",0.000000")
 
@@ -89,6 +88,16 @@ def test_out_file_written(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["status"] == "optimal"
+
+
+def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code = run_cli(["--instance", "random:5", "--out", str(target)])
+    assert code == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hampath: error: ") and str(target) in err
+    assert not target.exists()
 
 
 def test_stdin_instance(capsys, monkeypatch):
@@ -109,7 +118,10 @@ def test_tsplib_file_via_cli(capsys):
 
 def test_error_exits(capsys):
     assert run_cli(["--instance", "no/such/file.tsp"]) == cli.EXIT_ERROR
+    capsys.readouterr()
     assert run_cli(["--instance", "random:notanumber"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "hampath: error: bad random instance spec 'random:notanumber'\n"
     assert run_cli(["--instance", "instances/br17.atsp",
                     "--home", "99"]) == cli.EXIT_ERROR
     capsys.readouterr()
@@ -151,82 +163,9 @@ def test_time_limit_exit_code(capsys):
 
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
-def test_bad_time_limit_exits_one(limit, capsys, tmp_path):
+def test_bad_time_limit_exits_one(limit, capsys):
     assert run_cli(["--instance", "random:12", "--time-limit", limit]) \
         == cli.EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hampath: error: time limit must be a non-negative")
-    code = bench.main(["--random", "6", "--heuristics", "enforceSparse",
-                       "--models", "BASIC", "--time-limit", limit,
-                       "--out", str(tmp_path / "grid.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(
-        "hampath-bench: error: time limit must be a non-negative")
-
-
-# -- benchmark harness ---------------------------------------------------------------
-
-
-def test_grid_order_and_row_shape():
-    insts = []
-    for k in (4, 5):
-        C, s, e = gen_random(k, seed=k)
-        insts.append((f"g{k}", C, s, e))
-    rows = list(bench.bench_grid(insts, ["sparse", "enforceSparse"],
-                                 ["BASIC", "ALL"], clock=lambda: 0.0))
-    assert len(rows) == 8
-    assert [r["instance"] for r in rows] == ["g4"] * 4 + ["g5"] * 4
-    assert [r["heuristic"] for r in rows[:4]] == \
-        ["sparse", "sparse", "enforceSparse", "enforceSparse"]
-    for r in rows:
-        assert r["status"] == "optimal"
-        assert r["cost"] is not None and r["lb"] is not None
-        assert r["nodes"] >= 1 and r["time_s"] == 0.0
-
-
-def test_csv_bytes_stable_under_fixed_clock():
-    C, s, e = gen_random(7, seed=30, density=0.8)
-    insts = [("x", C, s, e)]
-
-    def render():
-        buf = io.StringIO()
-        rows = bench.bench_grid(insts, ["enforceMaxRC"], ["BASIC", "ALL"],
-                                clock=lambda: 0.0)
-        bench.write_csv(rows, buf)
-        return buf.getvalue()
-
-    a, b = render(), render()
-    assert a == b
-    lines = a.strip().split("\n")
-    assert lines[0] == bench.CSV_HEADER and len(lines) == 3
-
-
-def test_load_instance_names_and_shapes():
-    name, C, s, e = bench.load_instance("instances/br17.atsp")
-    assert name == "br17"
-    assert C.shape == (18, 18) and (s, e) == (0, 17)
-
-
-def test_bench_main_writes_csv(tmp_path):
-    out = tmp_path / "grid.csv"
-    code = bench.main(["--random", "6", "--random", "7", "--seed", "40",
-                       "--heuristics", "enforceSparse",
-                       "--models", "BASIC,ALL", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == bench.CSV_HEADER
-    assert len(lines) == 5
-    assert lines[1].startswith("random6s40,enforceSparse,BASIC,optimal,")
-
-
-def test_bench_main_validates_names(tmp_path):
-    with pytest.raises(SystemExit):
-        bench.main(["--random", "5", "--models", "SHINY"])
-    with pytest.raises(SystemExit):
-        bench.main([])     # no instances
-    for argv in (["--random", "1"], ["--instance", str(tmp_path / "missing")]):
-        with pytest.raises(SystemExit) as exc:
-            bench.main(argv)
-        assert exc.value.code == 2

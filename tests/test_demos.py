@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hampath import bench, cli
+from hampath import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
@@ -72,15 +72,14 @@ def test_kernel_microbenchmarks_run():
 
 
 def readme_commands():
-    """The `hampath` and `python3 -m hampath.bench` lines of README's
-    fenced blocks, with backslash continuations joined."""
+    """The `hampath` lines of README's fenced blocks, with backslash
+    continuations joined."""
     text = (ROOT / "README.md").read_text()
     cmds = []
     for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
             line = " ".join(line.split())
-            if re.match(r"(cat \S+ \| )?hampath |python3 -m hampath\.bench ",
-                        line):
+            if re.match(r"(cat \S+ \| )?hampath ", line):
                 cmds.append(line)
     return cmds
 
@@ -88,24 +87,20 @@ def readme_commands():
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     cmds = readme_commands()
-    assert len(cmds) >= 5, cmds
+    assert len(cmds) >= 4, cmds
     ran = set()
     for line in cmds:
         stdin = None
         if line.startswith("cat "):
             source, line = (part.strip() for part in line.split("|", 1))
             stdin = Path(shlex.split(source)[1]).read_text()
-        argv = shlex.split(line)
-        if argv[0] == "hampath":
-            main, argv = cli.main, argv[1:]
-        else:
-            main, argv = bench.main, argv[3:]    # python3 -m hampath.bench
+        argv = shlex.split(line)[1:]
         if "--out" in argv:
             k = argv.index("--out") + 1
             argv[k] = str(tmp_path / Path(argv[k]).name)
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        assert main(argv) == 0, line
+        assert cli.main(argv) == 0, line
         assert capsys.readouterr().out or "--out" in argv, line
-        ran.add(main)
-    assert ran == {cli.main, bench.main}
+        ran.add(cli.main)
+    assert ran == {cli.main}
