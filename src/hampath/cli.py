@@ -9,6 +9,9 @@ written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import sys
 import time
@@ -72,13 +75,15 @@ def _load(args):
 
 
 def _csv(name, args, res):
-    """The header line and the one row line of a run, each newline-ended."""
+    """The header line and the one row line of a run, each newline-ended;
+    a field holding a comma or a quote, as an instance name may, is quoted."""
     def opt(x):
         return "" if x is None else "%d" % x
-    row = "%s,%s,%s,%s,%s,%s,%d,%.6f" % (
+    row = io.StringIO()
+    csv.writer(row, lineterminator="\n").writerow([
         name, args.heuristic, args.model, res.status,
-        opt(res.best_cost), opt(res.lb), res.nodes, res.time_s)
-    return CSV_HEADER + "\n" + row + "\n"
+        opt(res.best_cost), opt(res.lb), res.nodes, "%.6f" % res.time_s])
+    return CSV_HEADER + "\n" + row.getvalue()
 
 
 def _render(fmt, name, args, res):
@@ -119,22 +124,15 @@ def main(argv=None, clock=time.monotonic):
     try:
         name, C, s, e = _load(args)
         m = Model(len(C), s, e, C, model=args.model, relax=args.relax)
-        res = solve(m, heuristic=args.heuristic, prove_ub=args.prove,
-                    time_limit=args.time_limit, clock=clock)
+        # --out opens before the search, so an unwritable path costs none
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            res = solve(m, heuristic=args.heuristic, prove_ub=args.prove,
+                        time_limit=args.time_limit, clock=clock)
+            out.write(_render(args.format, name, args, res))
     except (OSError, ParseError, ValueError) as exc:
         sys.stderr.write(f"hampath: error: {exc}\n")
         return EXIT_ERROR
-
-    text = _render(args.format, name, args, res)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"hampath: error: {exc}\n")
-            return EXIT_ERROR
-    else:
-        sys.stdout.write(text)
     return EXIT_LIMIT if res.status == "limit" else EXIT_OK
 
 

@@ -238,14 +238,13 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
     present, and so is the last arc left in a cut.  The propagator p
     makes both changes.
 
-    Returns (marginals, swaps): marginals maps each present arc off the
-    tree to the bound with that arc swapped in, swaps maps each
-    non-mandatory realized tree arc to the extra cost of its cheapest
+    The marginal of a present arc off the tree, the bound with that arc
+    swapped in, is the value compared with ub.  Returns swaps, which maps
+    each non-mandatory realized tree arc to the extra cost of its cheapest
     replacement.  Pass ub = inf to analyse without pruning.
     """
     gv = p.gv
     B, trees, connectors = tree
-    marginals = {}
     swaps = {}
     for cut, (su, sv) in zip(cuts, connectors):
         if len(cut) == 1:
@@ -255,9 +254,7 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
         best = INF
         for (u, v) in cut:
             if (u, v) != (su, sv):
-                marginal = B - csel + E[u][v] - offset
-                marginals[(u, v)] = marginal
-                if marginal > ub + PRUNE_EPS:
+                if B - csel + E[u][v] - offset > ub + PRUNE_EPS:
                     p.remove(u, v)
                     continue
                 best = min(best, E[u][v])
@@ -322,9 +319,7 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
                     mx = weight[c]
                 else:
                     mx = maxpath[(u, v) if u < v else (v, u)]
-                marginal = B - mx + E[u][v] - offset
-                marginals[(u, v)] = marginal
-                if marginal > ub + PRUNE_EPS:
+                if B - mx + E[u][v] - offset > ub + PRUNE_EPS:
                     p.remove(u, v)
         for _, c in pairs:
             w = weight[c]
@@ -335,7 +330,7 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
             if B - w + repl[c] - offset > ub + PRUNE_EPS \
                     and not gv.has_arc(rb, ra):
                 p.enforce(ra, rb)
-    return marginals, swaps
+    return swaps
 
 
 # -- Lagrangian propagator ------------------------------------------------------
@@ -352,6 +347,8 @@ class HeldKarpPropagator(Propagator):
     `span_blocks`.  Node multipliers price the out-degree of every node
     but e and the in-degree of every node but s.  They persist across
     calls and across backtracking; each run restarts the step control.
+    Each filtering pass leaves its swap costs in `last_swaps`, which the
+    enforceMaxRC branching reads.
     """
 
     ITERS = 30
@@ -365,7 +362,6 @@ class HeldKarpPropagator(Propagator):
         self.reduced = reduced
         self.pi_out = np.zeros(gv.n)
         self.pi_in = np.zeros(gv.n)
-        self.last_marginals = None
         self.last_swaps = None
         self._full_key = None
 
@@ -438,21 +434,15 @@ class HeldKarpPropagator(Propagator):
                 self._run(ub_target, oracle)
             self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
-        # records the marginals and swap costs the branching reads
+        # records the swap costs enforceMaxRC reads
         E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
         offset = float(self.pi_out.sum() + self.pi_in.sum())
         tree = span_blocks(E, S, *oracle)
         self.obj.tighten_lb(int(math.ceil(tree[0] - offset - CEIL_EPS)))
         blocks, cuts, _ = oracle
-        marginals, self.last_swaps = wst_filter(
+        self.last_swaps = wst_filter(
             self, E, S, tree, blocks, cuts, INF if ub is None else float(ub),
             offset)
-        # the sparse heuristics read marginals only under a cap.  With a root
-        # path that leaves only the root decision to arc costs (ALL/both:
-        # ftv33 119 nodes, bays29 111; 63 and 151 when the uncapped
-        # marginals steer it); without one, the whole dive to the first
-        # path (ftv33 213 nodes, 1,619 when steered by the marginals)
-        self.last_marginals = marginals if ub is not None else None
 
 
 # -- assignment propagator -------------------------------------------------------

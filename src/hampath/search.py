@@ -130,20 +130,6 @@ def _enforce(gv, u, v):
 
 def _sparse_pick(m, always_enforce):
     gv = m.gv
-    hk = m.hk
-    marg = hk.last_marginals if hk is not None else None
-    lb = m.obj.lb
-
-    def scores(u):
-        # smaller is better: estimated extra cost of each arc out of u;
-        # realized tree arcs carry no marginal and count as free
-        row = gv.succ[u]
-        if marg is not None:
-            return {v: marg.get((u, v), lb) - lb for v in row}
-        cost = m.C[u]
-        cheapest = min(cost[w] for w in row)
-        return {v: cost[v] - cheapest for v in row}
-
     cands = [u for u in range(gv.n)
              if u != gv.e and not gv.msucc[u]]
     if not cands:
@@ -151,18 +137,19 @@ def _sparse_pick(m, always_enforce):
     k_min = min(len(gv.succ[u]) for u in cands)
     best_u = None
     best_sum = None
-    best_sc = None
     for u in cands:
-        if len(gv.succ[u]) != k_min:
+        row = gv.succ[u]
+        if len(row) != k_min:
             continue
-        sc = scores(u)
-        s = sum(sc.values())
+        # the extra cost of each arc out of u over its cheapest one
+        cost = m.C[u]
+        cheapest = min(cost[w] for w in row)
+        s = sum(cost[v] - cheapest for v in row)
         if best_sum is None or s > best_sum:
             best_sum = s
             best_u = u
-            best_sc = sc
     u = best_u
-    succs = sorted(gv.succ[u], key=lambda v: (best_sc[v], v))
+    succs = sorted(gv.succ[u], key=lambda v: (m.C[u][v], v))
     if always_enforce or len(succs) <= 2:
         return _enforce(gv, u, succs[0])
     half = math.ceil(len(succs) / 2)

@@ -34,14 +34,13 @@ def record_runs(hk):
 def filter_diff(gv, E, S, oracle, ub, offset=0.0):
     """Span the oracle's tree at E, run the swap filter on it at cap ub.
 
-    Returns (tree, removed, enforced, marginals, swaps): the span_blocks
-    evaluation, then the arcs the filter removed and enforced, read as a
-    diff of the domain, and the filter's own two maps.
+    Returns (tree, removed, enforced, swaps): the span_blocks evaluation,
+    then the arcs the filter removed and enforced, read as a diff of the
+    domain, and the filter's swap costs.
     """
     arcs, mandatory = set(gv.arcs()), set(gv.mandatory_arcs())
     blocks, cuts, _ = oracle
     tree = span_blocks(E, S, *oracle)
-    marginals, swaps = wst_filter(Propagator(gv), E, S, tree, blocks, cuts,
-                                  ub, offset)
+    swaps = wst_filter(Propagator(gv), E, S, tree, blocks, cuts, ub, offset)
     return (tree, arcs - set(gv.arcs()),
-            set(gv.mandatory_arcs()) - mandatory, marginals, swaps)
+            set(gv.mandatory_arcs()) - mandatory, swaps)

@@ -73,11 +73,11 @@ def test_criterion_1_block_tree_bounds_regression():
 
     # the sharper bound prunes the two costly arcs at ub = optimum while
     # the plain tree bound prunes neither of them
-    _, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv, rp), 28)
+    _, removed, enforced, _ = filter_diff(gv, E, S, tree_oracle(gv, rp), 28)
     assert removed == {(1, 4), (4, 6)}
     gv2, _ = _ordered(fig.arc_set(fig.BASE7))
     E2, S2 = _costs(gv2, C)
-    _, wrem, wenf, _, _ = filter_diff(gv2, E2, S2, tree_oracle(gv2), 28)
+    _, wrem, wenf, _ = filter_diff(gv2, E2, S2, tree_oracle(gv2), 28)
     assert (1, 4) not in wrem and (4, 6) not in wrem
     assert wrem == set()
 

@@ -1,5 +1,6 @@
 """Command line tests: exit codes, output formats, and error messages."""
 
+import csv
 import io
 import itertools
 import json
@@ -80,6 +81,15 @@ def test_csv_output_is_reproducible(capsys):
     assert row.endswith(",0.000000")
 
 
+def test_csv_quotes_an_instance_name_with_a_comma(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        STDIN_ATSP.replace("NAME : tiny", "NAME : a,b")))
+    assert run_cli(["--instance", "-", "--format", "csv"]) == cli.EXIT_OK
+    head, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(row) == len(head) == 8
+    assert row[:4] == ["a,b", "enforceSparse", "ALL", "optimal"]
+
+
 def test_out_file_written(tmp_path, capsys):
     target = tmp_path / "res.json"
     code = run_cli(["--instance", "random:6", "--seed", "1",
@@ -90,7 +100,13 @@ def test_out_file_written(tmp_path, capsys):
     assert doc["status"] == "optimal"
 
 
-def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys):
+def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys,
+                                                    monkeypatch):
+    # the output opens before the search, which never starts
+    def no_search(*args, **kw):
+        raise AssertionError("searched although --out cannot be written")
+
+    monkeypatch.setattr(cli, "solve", no_search)
     target = tmp_path / "missing" / "out.txt"
     code = run_cli(["--instance", "random:5", "--out", str(target)])
     assert code == cli.EXIT_ERROR

@@ -105,38 +105,44 @@ def test_block_tree_reproduces_stated_numbers():
     assert fig.BASE7_MST <= fig.BASE7_BST
 
 
+def _base7_removed(ub):
+    gv, rp = with_order(fig.BASE7)
+    E, S = plain_costs(gv, fig.cost_matrix(fig.BASE7))
+    return filter_diff(gv, E, S, tree_oracle(gv, rp), ub)[1]
+
+
 def test_block_tree_filter_prunes_the_two_costly_arcs():
     gv, rp = with_order(fig.BASE7)
     C = fig.cost_matrix(fig.BASE7)
     E, S = plain_costs(gv, C)
-    _, removed, enforced, marg, swaps = filter_diff(
+    _, removed, enforced, swaps = filter_diff(
         gv, E, S, tree_oracle(gv, rp), fig.BASE7_OPT)
     assert removed == {(1, 4), (4, 6)}
     assert gv.has_arc(2, 4) and gv.has_arc(4, 3)
     # (5, 6) is the sole survivor of its cut once (4, 6) dies
     assert (5, 6) in enforced
-    # a cut arc swaps in for its connector only
-    assert marg[(1, 4)] == marg[(4, 6)] == 29.0 and marg[(2, 4)] == 27.0
     assert swaps[(2, 3)] == 0.0 and swaps[(5, 6)] == float("inf")
+    # a cut arc swaps in for its connector only, which puts the bound with
+    # (1, 4), (4, 6) or (2, 4) swapped in at 29, 29 and 27: each arc dies
+    # under a cap just below that marginal and survives a cap at it
+    for arc, marginal in (((1, 4), 29), ((4, 6), 29), ((2, 4), 27)):
+        assert arc in _base7_removed(marginal - 0.5)
+        assert arc not in _base7_removed(marginal)
 
 
 def test_block_tree_filter_boundary_at_one_below():
     # the marginal of the in-block arc (4, 3) is exactly 28: kept at ub 28,
     # gone at ub 27
-    gv, rp = with_order(fig.BASE7)
-    C = fig.cost_matrix(fig.BASE7)
-    E, S = plain_costs(gv, C)
-    _, removed, _, _, _ = filter_diff(gv, E, S, tree_oracle(gv, rp),
-                                      fig.BASE7_OPT - 1)
-    assert (4, 3) in removed
+    assert (4, 3) not in _base7_removed(fig.BASE7_OPT)
+    assert (4, 3) in _base7_removed(fig.BASE7_OPT - 1)
 
 
 def test_plain_tree_filter_prunes_nothing_here():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)
     E, S = plain_costs(gv, C)
-    tree, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv),
-                                                fig.BASE7_OPT)
+    tree, removed, enforced, _ = filter_diff(gv, E, S, tree_oracle(gv),
+                                             fig.BASE7_OPT)
     assert tree[0] == fig.BASE7_MST
     # the weaker bound removes nothing; it does notice that the cut around
     # the start node has a single crossing and pins it
@@ -254,8 +260,8 @@ def test_tree_filter_soundness_randomized():
         tried += 1
         gv = GraphVar(n, s, e, sorted(C))
         E, S = plain_costs(gv, M)
-        _, removed, enforced, _, _ = filter_diff(gv, E, S, tree_oracle(gv),
-                                                 float(opt))
+        _, removed, enforced, _ = filter_diff(gv, E, S, tree_oracle(gv),
+                                              float(opt))
         ok_sets = _paths_within(C, n, s, e, opt)
         assert ok_sets, "optimum path must survive its own bound"
         union = set.union(*ok_sets)
@@ -288,7 +294,7 @@ def test_block_tree_filter_soundness_randomized():
         tried += 1
         live = {(u, v): C[(u, v)] for (u, v) in gv.arcs()}
         E, S = plain_costs(gv, M)
-        tree, removed, enforced, _, _ = filter_diff(
+        tree, removed, enforced, _ = filter_diff(
             gv, E, S, tree_oracle(gv, rp), float(opt))
         assert tree[0] <= opt + 1e-9
         ok_sets = _paths_within(live, n, s, e, opt)
@@ -320,7 +326,9 @@ def _same(x, y):
 
 def test_swap_filter_matches_kruskal_exactly():
     # marginals and swaps at nonzero multipliers, under the plain tree and
-    # under an established block order, against Kruskal over each block
+    # under an established block order, against Kruskal over each block;
+    # an arc's marginal, the bound with it swapped in, shows in the caps
+    # under which the filter removes it
     rng = random.Random(61)
     checked = {False: 0, True: 0}
     for _ in range(40):
@@ -351,7 +359,7 @@ def test_swap_filter_matches_kruskal_exactly():
             oracle = tree_oracle(gv, rp)
             blocks, cuts, _ = oracle
             E, S = effective_costs(gv, M, pi_out, pi_in)
-            tree, removed, enforced, marg, swaps = filter_diff(
+            tree, removed, enforced, swaps = filter_diff(
                 gv, E, S, oracle, math.inf, offset)
             # without a cap only the reverse of a mandatory arc goes
             assert not enforced
@@ -369,17 +377,30 @@ def test_swap_filter_matches_kruskal_exactly():
             assert _same(bound, sum(best) + sum(E[u][v] for u, v in connectors)
                          - offset)
             where = {u: k for k, members in enumerate(blocks) for u in members}
-            for (u, v), got in marg.items():
+
+            def removed_at(ub):
+                gv.push_world()
+                gone = filter_diff(gv, E, S, oracle, ub, offset)[1]
+                gv.pop_world()
+                return gone
+
+            # every arc with a marginal dies under a cap of -inf
+            priced = removed_at(-math.inf)
+            for u, v in priced:
                 k = where[u]
                 if where[v] != k:
                     # a cut arc stands in for its connector
                     su, sv = connectors[k]
-                    assert _same(got, bound - E[su][sv] + E[u][v])
-                    continue
-                pair = (min(u, v), max(u, v))
-                forced_tree = _best_block_tree(S, blocks[k], forced[k] + [pair],
-                                               pair=pair, weight=E[u][v])
-                assert _same(got, bound - best[k] + forced_tree), (u, v)
+                    want = bound - E[su][sv] + E[u][v]
+                else:
+                    pair = (min(u, v), max(u, v))
+                    want = bound - best[k] + _best_block_tree(
+                        S, blocks[k], forced[k] + [pair], pair=pair,
+                        weight=E[u][v])
+                # removed just below the marginal, kept at it
+                below = min(want - 1e-6 * max(1.0, abs(want)), 1e300)
+                assert (u, v) in removed_at(below), (u, v, want)
+                assert (u, v) not in removed_at(want), (u, v, want)
             for (u, v), got in swaps.items():
                 k = where[u]
                 if where[v] != k:
@@ -395,7 +416,7 @@ def test_swap_filter_matches_kruskal_exactly():
             on_tree = {frozenset(a) for t in trees for a in t}
             on_tree |= {frozenset(a) for a in connectors}
             assert all(frozenset(a) in on_tree
-                       for a in gv.arcs() if a not in marg)
+                       for a in gv.arcs() if a not in priced)
     assert checked[False] == 40 and checked[True] >= 30
 
 
