@@ -17,14 +17,15 @@ import sys
 import time
 
 from .gen import gen_random
-from .search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
+from .search import (HEURISTICS, MODELS, RELAXATIONS, Model,
+                     check_time_limit, solve)
 from .tsplib import ParseError, circuit_to_path, parse_tsplib
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_LIMIT = 2
 
-CSV_HEADER = "instance,heuristic,model,status,cost,lb,nodes,time_s"
+CSV_HEADER = "instance,heuristic,model,relax,status,cost,lb,nodes,time_s"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +82,7 @@ def _csv(name, args, res):
         return "" if x is None else "%d" % x
     row = io.StringIO()
     csv.writer(row, lineterminator="\n").writerow([
-        name, args.heuristic, args.model, res.status,
+        name, args.heuristic, args.model, args.relax, res.status,
         opt(res.best_cost), opt(res.lb), res.nodes, "%.6f" % res.time_s])
     return CSV_HEADER + "\n" + row.getvalue()
 
@@ -124,7 +125,9 @@ def main(argv=None, clock=time.monotonic):
     try:
         name, C, s, e = _load(args)
         m = Model(len(C), s, e, C, model=args.model, relax=args.relax)
-        # --out opens before the search, so an unwritable path costs none
+        # --out opens before the search, so an unwritable path costs none,
+        # and after every argument check, so a rejected run leaves it alone
+        check_time_limit(args.time_limit)
         with (open(args.out, "w") if args.out
               else contextlib.nullcontext(sys.stdout)) as out:
             res = solve(m, heuristic=args.heuristic, prove_ub=args.prove,

@@ -9,7 +9,8 @@ node pair, and mandatory arcs are seeded into the tree.  Once the reduced
 graph is a known path of blocks, the oracle spans every block on its own
 and joins consecutive blocks with their cheapest cut arc; until then it
 spans all nodes at once.  One swap filter prunes against whichever tree it
-built.  The assignment propagator bounds through the successor matching.
+built; its floor starts at the sum of the row minima.  The assignment
+propagator bounds through the successor matching.
 
 The tree has one format from oracle to filter: the reduced-path
 propagator's block and cut lists as they are, per block the (parent,
@@ -62,22 +63,8 @@ def lb_trivial(gv, C):
         row = gv.succ[u]
         if not row:
             raise Contradiction("trivial bound: node lost all successors")
-        total += min(C[u][v] for v in row)
+        total += min(map(C[u].__getitem__, row))
     return total
-
-
-class TrivialObjectivePropagator(Propagator):
-    """Cheapest-successor sum as a lower bound."""
-
-    def __init__(self, gv, C, obj):
-        super().__init__(gv)
-        self.name = "trivial-lb"
-        self.priority = 1
-        self.C = C
-        self.obj = obj
-
-    def propagate(self):
-        self.obj.tighten_lb(int(math.ceil(lb_trivial(self.gv, self.C) - CEIL_EPS)))
 
 
 # -- the tree oracle -------------------------------------------------------------
@@ -349,6 +336,10 @@ class HeldKarpPropagator(Propagator):
     calls and across backtracking; each run restarts the step control.
     Each filtering pass leaves its swap costs in `last_swaps`, which the
     enforceMaxRC branching reads.
+
+    Every call first raises the floor to `lb_trivial`, the row-minimum
+    sum, which the Lagrangian passes at out-multipliers of minus each
+    node's cheapest arc, a point the ascent need not visit.
     """
 
     ITERS = 30
@@ -420,6 +411,10 @@ class HeldKarpPropagator(Propagator):
 
     def propagate(self):
         gv = self.gv
+        # the row-minimum floor comes first: a sum above the cap fails the
+        # call before the ascent moves the persistent multipliers
+        lt = lb_trivial(gv, self.C)
+        self.obj.tighten_lb(int(math.ceil(lt - CEIL_EPS)))
         oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
         # the multiplier search happens once per search node; later wakes in
@@ -428,8 +423,7 @@ class HeldKarpPropagator(Propagator):
         # relaxation of the shrunk domain
         key = (gv.pop_epoch, gv.depth)
         if key != self._full_key:
-            ub_target = float(ub) if ub is not None \
-                else 2.0 * lb_trivial(gv, self.C)
+            ub_target = float(ub) if ub is not None else 2.0 * lt
             for _ in range(2 if gv.depth == 0 else 1):
                 self._run(ub_target, oracle)
             self._full_key = key

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (HeldKarpPropagator, HungarianPropagator, Objective,
-                    TrivialObjectivePropagator)
+from .costs import HeldKarpPropagator, HungarianPropagator, Objective
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
 from .rootpath import or_opt, patch, root_path
@@ -43,7 +42,6 @@ class Model:
             raise ValueError(f"unknown model {model!r}")
         if relax not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {relax!r}")
-        self.relax = relax
         C = np.asarray(C, dtype=float)
         if C.shape != (n, n):
             raise ValueError(f"cost matrix must be {n}x{n}, not {C.shape}")
@@ -76,10 +74,6 @@ class Model:
 
         reg = self.scheduler.register
         reg(DegreePropagator(gv))
-        # under map and both the assignment bound, never below the sum of
-        # the row minima, dominates the trivial floor
-        if relax == "tree":
-            reg(TrivialObjectivePropagator(gv, self.C, self.obj))
         self.rp = None
         if model == "ALL":
             self.rp = ReducedPathPropagator(gv)
@@ -197,6 +191,13 @@ class SearchResult:
     stats: dict = field(default_factory=dict)
 
 
+def check_time_limit(time_limit):
+    """Reject a negative or NaN limit: a NaN deadline would never pass."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a non-negative number, "
+                         f"not {time_limit!r}")
+
+
 def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
           clock=time.monotonic):
     """Run the branch and bound on a prepared model.
@@ -227,10 +228,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    # a NaN deadline would never pass, so the run would ignore the limit
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time limit must be a non-negative number, "
-                         f"not {time_limit!r}")
+    check_time_limit(time_limit)
     if prove_ub is not None and not math.isfinite(prove_ub):
         raise ValueError(f"prove_ub must be finite, not {prove_ub!r}")
     if m.searched:

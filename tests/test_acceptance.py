@@ -224,8 +224,8 @@ def test_criterion_5_lower_bounds_never_cross_the_optimum():
         lt = lb_trivial(gv, C)
         assert lt <= opt + 1e-9, (i, lt, opt)
 
-        # staged objective floor: the row-minimum stage is dominated by the
-        # tree relaxation stage, and the solver floor never passes the optimum
+        # the tree floor starts at the row-minimum sum and never passes the
+        # optimum
         m1 = Model(n, s, e, C, model="BASIC", relax="tree")
         runs = record_runs(m1.hk)
         m1.root_propagate()

@@ -43,15 +43,17 @@ def test_json_output_matches_oracle(capsys):
 
 
 def test_json_output_reports_per_propagator_stats(capsys):
-    code = run_cli(["--instance", "random:7", "--seed", "11",
-                    "--model", "ALL", "--relax", "both", "--format", "json"])
-    assert code == cli.EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc["stats"]) == {
-        "degree", "reduced-path", "hk", "assignment"}
-    for st in doc["stats"].values():
-        assert set(st) == {"invocations", "removed", "enforced"}
-        assert st["invocations"] >= 1
+    # one cost propagator per relaxation
+    for relax, costs in (("both", {"hk", "assignment"}), ("tree", {"hk"})):
+        code = run_cli(["--instance", "random:7", "--seed", "11",
+                        "--model", "ALL", "--relax", relax,
+                        "--format", "json"])
+        assert code == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["stats"]) == {"degree", "reduced-path"} | costs
+        for st in doc["stats"].values():
+            assert set(st) == {"invocations", "removed", "enforced"}
+            assert st["invocations"] >= 1
 
 
 def test_prove_mode_exit_codes(capsys):
@@ -77,8 +79,20 @@ def test_csv_output_is_reproducible(capsys):
     assert first == second
     head, row = first.strip().split("\n")
     assert head == cli.CSV_HEADER
-    assert row.startswith("random7s5,enforceSparse,ALL,optimal,")
+    assert row.startswith("random7s5,enforceSparse,ALL,tree,optimal,")
     assert row.endswith(",0.000000")
+    assert len(head.split(",")) == len(row.split(",")) == 9
+
+
+def test_csv_row_names_the_relaxation(capsys):
+    rows = {}
+    for relax in ("tree", "map"):
+        assert run_cli(["--instance", "random:4", "--relax", relax,
+                        "--format", "csv"], clock=lambda: 0.0) == cli.EXIT_OK
+        head, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        rows[relax] = dict(zip(head, row))
+    assert rows["tree"]["relax"] == "tree"
+    assert rows["map"]["relax"] == "map"
 
 
 def test_csv_quotes_an_instance_name_with_a_comma(capsys, monkeypatch):
@@ -86,8 +100,8 @@ def test_csv_quotes_an_instance_name_with_a_comma(capsys, monkeypatch):
         STDIN_ATSP.replace("NAME : tiny", "NAME : a,b")))
     assert run_cli(["--instance", "-", "--format", "csv"]) == cli.EXIT_OK
     head, row = csv.reader(io.StringIO(capsys.readouterr().out))
-    assert len(row) == len(head) == 8
-    assert row[:4] == ["a,b", "enforceSparse", "ALL", "optimal"]
+    assert len(row) == len(head) == 9
+    assert row[:5] == ["a,b", "enforceSparse", "ALL", "tree", "optimal"]
 
 
 def test_out_file_written(tmp_path, capsys):
@@ -185,3 +199,13 @@ def test_bad_time_limit_exits_one(limit, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hampath: error: time limit must be a non-negative")
+
+
+def test_bad_time_limit_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "res.txt"
+    target.write_text("precious")
+    assert run_cli(["--instance", "instances/br17.atsp", "--time-limit",
+                    "nan", "--out", str(target)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "hampath: error: time limit must be a non-negative")
+    assert target.read_text() == "precious"

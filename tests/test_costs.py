@@ -530,7 +530,31 @@ def test_model_registers_one_tree_relaxation(relax):
     # one cost format: every cost propagator reads the model's nested list
     assert isinstance(m.C, list) and isinstance(m.C[0], list)
     readers = [p for p in m.scheduler.props if hasattr(p, "C")]
-    assert len(readers) == 2 and all(p.C is m.C for p in readers)
+    # one cost propagator per relaxation: hk under tree, hk and the
+    # assignment under both
+    assert len(readers) == {"tree": 1, "both": 2}[relax]
+    assert all(p.C is m.C for p in readers)
+
+
+# gen_random(14) at density 0.8 with negative and mixed-sign costs, where
+# the uncapped ascent stops at its first step, plus criterion 5's seeds
+# 20388 and 20101, where the tree ascent alone ends below the row minima
+ROOT_FLOOR_CASES = {
+    f"n14-{lo}_{hi}-s{seed}": ((14, seed), dict(cost_range=(lo, hi),
+                                                density=0.8))
+    for lo, hi in ((-100, -1), (-50, 50)) for seed in range(3)}
+ROOT_FLOOR_CASES["c5-20388"] = ((9, 20388), dict(density=0.7))
+ROOT_FLOOR_CASES["c5-20101"] = ((10, 20101), dict(density=1.0, clusters=2))
+
+
+@pytest.mark.parametrize("model", ["BASIC", "ALL"])
+@pytest.mark.parametrize("label", ROOT_FLOOR_CASES)
+def test_tree_root_floor_reaches_the_row_minimum_sum(label, model):
+    args, kw = ROOT_FLOOR_CASES[label]
+    C, s, e = gen_random(*args, **kw)
+    m = Model(len(C), s, e, C, model=model, relax="tree")
+    m.root_propagate()
+    assert m.obj.lb >= math.ceil(lb_trivial(m.gv, m.C) - 1e-9), label
 
 
 @pytest.mark.parametrize("model,want", [("ALL", fig.BASE7_BST),

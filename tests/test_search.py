@@ -455,7 +455,7 @@ def test_only_event_readers_read_the_log():
 
 
 MODEL_PROPS = {"BASIC": [], "ALL": ["reduced-path"]}
-RELAX_PROPS = {"tree": ["trivial-lb", "hk"], "map": ["assignment"],
+RELAX_PROPS = {"tree": ["hk"], "map": ["assignment"],
                "both": ["hk", "assignment"]}
 
 
