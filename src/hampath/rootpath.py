@@ -22,9 +22,13 @@ on ftv33, whose optimum 1,286 runs stretches of the dive's path
 backwards.  A cheap Or-opt then starts from the six nodes at the kick's
 junctions only, with a don't-look bit per node, and tries each segment
 only next to the cheapest successors and predecessors of its ends; the
-kicked path is kept when it is not dearer.  The search stops early once
-the path is good enough for the caller: at the root floor it is optimal,
-and in decision mode at the cap it proves the bound.  One exact Or-opt
+kicked path is kept when it is not dearer.  The search stops once n
+kicks in a row, n the path's node count, have found no cheaper path (the
+stagnation stop of H. R. Lourenço, O. Martin & T. Stützle, "Iterated
+local search", Handbook of Metaheuristics, 2003), and after
+KICKS_PER_NODE kicks per node at most.  It stops early once the path is
+good enough for the caller: at the root floor it is optimal, and in
+decision mode at the cap it proves the bound.  One exact Or-opt
 sweep closes it, so the root path is a full Or-opt local optimum like
 every other path the search keeps.  The kicks are drawn from a fixed
 seed, so every run finds the same path.
@@ -57,7 +61,7 @@ import random
 from .scc import ReducedState
 
 STEPS_PER_NODE = 20     # the dive's backtracking budget, per node
-KICKS_PER_NODE = 2      # the iterated local search's kicks, per node
+KICKS_PER_NODE = 2      # the iterated local search's ceiling, per node
 NEIGHBOURS = 5          # insertion candidates per segment end after a kick
 SEGMENT = 3             # the longest segment Or-opt moves
 
@@ -66,10 +70,11 @@ def root_path(gv, C, enough=-math.inf, clock=None, deadline=None):
     """A Hamiltonian s-e path as a node list, from a dive over gv's
     present arcs, or None when the dive finds none within its budget.
 
-    The iterated local search after the dive stops before its budget of
-    KICKS_PER_NODE kicks per node once the path costs at most enough, or
-    once clock() has passed deadline; without a deadline the clock is
-    never read."""
+    The iterated local search after the dive stops after n kicks in a
+    row without a cheaper path, n the node count, or after its ceiling
+    of KICKS_PER_NODE kicks per node; it stops before either once the
+    path costs at most enough, or once clock() has passed deadline.
+    Without a deadline the clock is never read."""
     path = _dive(gv, C)
     if path is None:
         return None
@@ -82,7 +87,11 @@ def root_path(gv, C, enough=-math.inf, clock=None, deadline=None):
 
 def _iterate(C, path, enough, clock, deadline):
     """The cheapest path the kicks reach from path, the first one found at
-    that cost; path itself when none is cheaper."""
+    that cost; path itself when none is cheaper.
+
+    It stops once n kicks in a row, n the path's node count, find no
+    cheaper path: a skipped kick counts toward them, and a kicked path
+    kept at equal cost does not restart them."""
     n = len(path)
     if n < 4:
         return path         # no two segments to swap
@@ -91,13 +100,17 @@ def _iterate(C, path, enough, clock, deadline):
     # per node its cheapest successors and predecessors, found on first use
     near = [None] * n, [None] * n
     best = cur = path
+    stall = 0           # kicks since the last cheaper path
     for _ in range(KICKS_PER_NODE * n):
-        if cost <= enough or deadline is not None and clock() > deadline:
+        if cost <= enough or stall == n or \
+                deadline is not None and clock() > deadline:
             break
         kicked = _kick(C, cur, cost, rng, near)
+        stall += 1
         if kicked is not None and kicked[1] <= cost:
             if kicked[1] < cost:
                 best = kicked[0]
+                stall = 0
             cur, cost = kicked
     return best
 

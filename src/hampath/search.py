@@ -212,9 +212,10 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     lies above the cap holds no better path, so its level is closed
     unopened.  Both modes first look for a path over the root domain with
     `root_path`, a dive polished by an iterated local search that stops
-    early once the path is optimal at the root floor or proves the bound,
-    and at the deadline: when optimizing it is the first path found, and
-    in decision mode it counts only if it proves the bound.
+    after n kicks in a row without a cheaper path, earlier once the path
+    is optimal at the root floor or proves the bound, and at the
+    deadline: when optimizing it is the first path found, and in decision
+    mode it counts only if it proves the bound.
 
     The result's lb is a proven bound on the optimum over the whole search
     space: the best cost when optimal, prove_ub + 1 when a decision run is

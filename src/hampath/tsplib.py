@@ -3,8 +3,9 @@
 Handles EXPLICIT weights in FULL_MATRIX, UPPER_ROW, LOWER_ROW,
 UPPER_DIAG_ROW and LOWER_DIAG_ROW layout, and coordinate instances with
 EUC_2D, CEIL_2D, ATT and GEO metrics, computed exactly as the format
-documentation prescribes.  The diagonal is always forbidden no matter what
-the file stores there.
+documentation prescribes.  Each coordinate line is placed by its node id,
+which must name each of the nodes 1..DIMENSION once.  The diagonal is
+always forbidden no matter what the file stores there.
 """
 
 from __future__ import annotations
@@ -119,12 +120,12 @@ def parse_tsplib(source):
         raise ParseError(0, f"dimension {dim} too small")
     ewt = header.get("EDGE_WEIGHT_TYPE", "EXPLICIT").upper()
 
+    coords = header.get("_COORDS")
+    if coords is not None:
+        coords = _place_coords(*coords, dim)
     if ewt in _COORD_TYPES:
-        coords = header.get("_COORDS")
         if coords is None:
             raise ParseError(0, "missing NODE_COORD_SECTION")
-        if len(coords) != dim:
-            raise ParseError(0, f"expected {dim} coordinates, got {len(coords)}")
         metric = _METRICS[ewt]
         M = np.empty((dim, dim))
         for a in range(dim):
@@ -149,14 +150,15 @@ def parse_tsplib(source):
         edge_weight_type=ewt,
         problem_type=header.get("TYPE", "").upper(),
         comment=header.get("COMMENT", ""),
-        coords=header.get("_COORDS", []) or [],
+        coords=coords or [],
     )
 
 
 def _read_section(section, lines, i, header):
     """Consume one section's body; returns the next line index."""
     if section == "NODE_COORD_SECTION" or section == "DISPLAY_DATA_SECTION":
-        coords = []
+        at = i          # the section's own line number
+        entries = []    # (line number, node id, (x, y)) per line
         while i < len(lines):
             raw = lines[i].strip()
             if not raw or raw.split(":", 1)[0].strip().upper() in (
@@ -166,12 +168,18 @@ def _read_section(section, lines, i, header):
             if len(parts) < 3:
                 raise ParseError(i + 1, f"bad coordinate line {raw!r}")
             try:
-                coords.append((float(parts[1]), float(parts[2])))
+                node = int(parts[0])
+            except ValueError:
+                raise ParseError(i + 1, f"node id {parts[0]!r} is not an "
+                                 "integer")
+            try:
+                entries.append((i + 1, node,
+                                (float(parts[1]), float(parts[2]))))
             except ValueError:
                 raise ParseError(i + 1, f"bad coordinate line {raw!r}")
             i += 1
         if section == "NODE_COORD_SECTION":
-            header["_COORDS"] = coords
+            header["_COORDS"] = at, entries
         return i
     if section == "EDGE_WEIGHT_SECTION":
         nums = []
@@ -197,6 +205,22 @@ def _read_section(section, lines, i, header):
             break
         i += 1
     return i
+
+
+def _place_coords(at, entries, dim):
+    """The coordinates in node order, each line placed by its node id;
+    at is the section's line number, for a node that has no line."""
+    coords = [None] * dim
+    for lineno, node, xy in entries:
+        if not 1 <= node <= dim:
+            raise ParseError(lineno, f"node id {node} outside 1..{dim}")
+        if coords[node - 1] is not None:
+            raise ParseError(lineno, f"node {node} listed twice")
+        coords[node - 1] = xy
+    if None in coords:
+        raise ParseError(at, f"node {coords.index(None) + 1} has no "
+                         "coordinates")
+    return coords
 
 
 def _looks_like_header(raw):

@@ -264,6 +264,22 @@ def test_root_path_att48(benchmark):
     assert all(v in m.gv.succ[u] for u, v in zip(path, path[1:]))
 
 
+def test_root_path_ftv33(benchmark):
+    """The root path on the ftv33 ALL/both root domain (n = 35), stopped at
+    the root floor as the search stops it: the dive and Or-opt give 1,388,
+    the kicks reach the optimum 1,286 at kick 13 and stop 35 kicks later;
+    it reads the domain and changes nothing, so every round sees the same
+    one."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.root_propagate()
+    path = benchmark(root_path, m.gv, m.C, m.obj.lb)
+    assert m.path_cost(path) == 1286
+    assert path[0] == s and path[-1] == e
+    assert sorted(path) == list(range(len(C)))
+
+
 def test_kick_ftv33(benchmark):
     """One kick of the root local search and the cheap Or-opt after it,
     on ftv33's root path on the ALL/both root domain (n = 35): the first

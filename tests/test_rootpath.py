@@ -270,6 +270,53 @@ def test_local_search_stops_once_the_path_is_good_enough():
     assert 1286 <= m.path_cost(path) <= 1300
 
 
+def kicks_to_root_path(monkeypatch, name):
+    """The root path on name's ALL/both root domain, stopped at the root
+    floor as `solve` stops it, and the number of kicks it made."""
+    C, m = tsplib_rooted(name)
+    calls = []
+    kick = rootpath._kick
+
+    def counted(*args):
+        calls.append(args)
+        return kick(*args)
+
+    monkeypatch.setattr(rootpath, "_kick", counted)
+    return m, root_path(m.gv, m.C, m.obj.lb), len(calls)
+
+
+@pytest.mark.parametrize("name, kicks, cost", [
+    # gr17's kicks never find a cheaper path, so n of them end the search
+    ("gr17.tsp", 18, 2085),
+    # ftv33's last cheaper path comes at kick 13, and n = 35 more follow
+    ("ftv33.atsp", 48, 1286),
+])
+def test_local_search_stops_after_n_kicks_without_a_cheaper_path(
+        monkeypatch, name, kicks, cost):
+    # both stop before their ceiling of KICKS_PER_NODE kicks per node
+    m, path, made = kicks_to_root_path(monkeypatch, name)
+    assert made == kicks < rootpath.KICKS_PER_NODE * m.gv.n
+    assert m.path_cost(path) == cost
+
+
+VENDORED_ROOT_PATHS = [
+    ("ulysses16.tsp", 6859), ("gr17.tsp", 2085), ("br17.atsp", 39),
+    ("bays29.tsp", 2020), ("ftv33.atsp", 1286), ("att48.tsp", 10738),
+    ("ry48p.atsp", 14556), ("berlin52.tsp", 7542), ("brazil58.tsp", 25395),
+]
+
+
+def test_vendored_root_paths_keep_their_costs():
+    # the root path on each vendored instance's ALL/both root domain, as
+    # `solve` stops it; att48 and ry48p stay above their optima (10,628
+    # and 14,422), the other seven reach them
+    got = []
+    for name, _ in VENDORED_ROOT_PATHS:
+        _, m = tsplib_rooted(name)
+        got.append((name, m.path_cost(root_path(m.gv, m.C, m.obj.lb))))
+    assert got == VENDORED_ROOT_PATHS
+
+
 def test_decision_mode_proves_ulysses16_at_the_root():
     # BASIC/map deciding cost <= 6859: on the capped root domain the dive
     # and Or-opt reach 7,007, the kicks 6,859, which answers at the first

@@ -104,7 +104,7 @@ def test_time_limit_reports_limit_status():
 
 def test_time_limit_stops_the_root_local_search():
     # the clock ticks once per read and the deadline passes during the
-    # root path's kicks: the search stops there, before its 70 kicks on
+    # root path's kicks: the search stops there, before its 48 kicks on
     # ftv33, and the limit holds from the first pass of the search on
     C, s, e = circuit_to_path(
         parse_tsplib("instances/ftv33.atsp").matrix, 0)

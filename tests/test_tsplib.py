@@ -93,6 +93,34 @@ def test_geographical_metric_truncates_degrees():
     assert np.array_equal(inst.matrix, inst.matrix.T)
 
 
+def coord_lines(ewt, dim, lines):
+    return (f"NAME : ids\nTYPE : TSP\nDIMENSION : {dim}\n"
+            f"EDGE_WEIGHT_TYPE : {ewt}\nNODE_COORD_SECTION\n{lines}\nEOF\n")
+
+
+def test_coordinates_are_placed_by_node_id():
+    # the same three points listed out of order give the same matrix
+    pts = [(0, 0), (3, 4), (1, 1)]
+    want = parse_text(coord_instance("EUC_2D", pts))
+    inst = parse_text(coord_lines("EUC_2D", 3, "2 3 4\n3 1 1\n1 0 0"))
+    assert inst.coords == [(0, 0), (3, 4), (1, 1)]
+    assert np.array_equal(inst.matrix, want.matrix)
+    assert inst.matrix[0, 1] == 5 and inst.matrix[1, 2] == 4
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    ("1 0 0\n1 1 1\n3 2 2", 7, "node 1 listed twice"),
+    ("1 0 0\n2 1 1\n4 2 2", 8, "node id 4 outside 1..3"),
+    ("0 0 0\n2 1 1\n3 2 2", 6, "node id 0 outside 1..3"),
+    ("1 0 0\n2.5 1 1\n3 2 2", 7, "node id '2.5' is not an integer"),
+    ("1 0 0\n3 2 2", 5, "node 2 has no coordinates"),
+])
+def test_bad_coordinate_ids_name_their_line(lines, lineno, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_text(coord_lines("EUC_2D", 3, lines))
+    assert err.value.lineno == lineno
+
+
 def test_header_spacing_and_file_object_inputs():
     text = ("NAME:tight\nTYPE:TSP\nDIMENSION:3\n"
             "EDGE_WEIGHT_TYPE:EXPLICIT\nEDGE_WEIGHT_FORMAT:FULL_MATRIX\n"
