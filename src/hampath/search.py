@@ -241,7 +241,6 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     best_cost = None
     best_path = None
     nodes = 1
-    status = None
     if prove_ub is not None:
         # costs are integers of either sign, so the cap rounds down
         m.obj.ub = math.floor(prove_ub)

@@ -1,11 +1,14 @@
 """TSPLIB95 instance reader and the circuit-to-path transformation.
 
-Handles EXPLICIT weights in FULL_MATRIX, UPPER_ROW, LOWER_ROW,
-UPPER_DIAG_ROW and LOWER_DIAG_ROW layout, and coordinate instances with
-EUC_2D, CEIL_2D, ATT and GEO metrics, computed exactly as the format
-documentation prescribes.  Each coordinate line is placed by its node id,
-which must name each of the nodes 1..DIMENSION once.  The diagonal is
-always forbidden no matter what the file stores there.
+Reads TYPE TSP and ATSP files, and files without a TYPE: EXPLICIT weights
+in FULL_MATRIX, UPPER_ROW, LOWER_ROW, UPPER_DIAG_ROW and LOWER_DIAG_ROW
+layout, and coordinate instances with EUC_2D, CEIL_2D, ATT and GEO metrics,
+computed exactly as the format documentation prescribes.  Each coordinate
+line is `id x y`, placed by its id, which must name each of the nodes
+1..DIMENSION once; DISPLAY_DATA_SECTION lines must hold three numbers too
+and are dropped.  Any other type, key or section is an error, and so is a key
+or section given twice; only COMMENT may repeat.  Blank lines are skipped.
+The diagonal is always forbidden no matter what the file stores there.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import numpy as np
 
 INF = float("inf")
 
-_COORD_TYPES = ("EUC_2D", "CEIL_2D", "ATT", "GEO")
-_EXPLICIT_FORMATS = ("FULL_MATRIX", "UPPER_ROW", "LOWER_ROW",
-                     "UPPER_DIAG_ROW", "LOWER_DIAG_ROW")
+# the specification keys of TSPLIB95; those not used here are ignored
+_KEYS = ("NAME", "TYPE", "COMMENT", "DIMENSION", "CAPACITY",
+         "EDGE_WEIGHT_TYPE", "EDGE_WEIGHT_FORMAT", "EDGE_DATA_FORMAT",
+         "NODE_COORD_TYPE", "DISPLAY_DATA_TYPE")
+_SECTIONS = ("NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION",
+             "DISPLAY_DATA_SECTION")
 
 
 class ParseError(ValueError):
@@ -78,6 +84,16 @@ def _geo(a, b):
 
 _METRICS = {"EUC_2D": _euc_2d, "CEIL_2D": _ceil_2d, "ATT": _att, "GEO": _geo}
 
+# the cells each triangular layout's weights fill, in file order, each
+# weight mirrored across the diagonal; a full matrix is only reshaped
+_CELLS = {
+    "FULL_MATRIX": None,
+    "UPPER_ROW": lambda n: np.triu_indices(n, 1),
+    "LOWER_ROW": lambda n: np.tril_indices(n, -1),
+    "UPPER_DIAG_ROW": np.triu_indices,
+    "LOWER_DIAG_ROW": np.tril_indices,
+}
+
 
 def parse_tsplib(source):
     """Parse a TSPLIB file from a path, an open file, or '-' for stdin."""
@@ -88,27 +104,40 @@ def parse_tsplib(source):
     else:
         with open(source) as fh:
             text = fh.read()
-    lines = text.splitlines()
 
-    header = {}
-    i = 0
-    section = None
-    while i < len(lines):
-        raw = lines[i].strip()
-        i += 1
+    header = {}     # KEY -> value
+    sections = {}   # NAME_SECTION -> (line number, [(line number, tokens)])
+    body = None     # the body of the section being read, if any
+    for lineno, line in enumerate(text.splitlines(), 1):
+        raw = line.strip()
         if not raw:
             continue
         if raw == "EOF":
             break
-        key = raw.split(":", 1)[0].strip().upper() if ":" in raw else raw.upper()
+        key, colon, value = raw.partition(":")
+        key, value = key.strip().upper(), value.strip()
         if key.endswith("_SECTION"):
-            section = key
-            i = _read_section(section, lines, i, header)
-            continue
-        if ":" not in raw:
-            raise ParseError(i, f"expected 'KEY : value', got {raw!r}")
-        k, v = raw.split(":", 1)
-        header[k.strip().upper()] = v.strip()
+            if key not in _SECTIONS:
+                raise ParseError(lineno, f"unsupported section {key!r}")
+            if key in sections:
+                raise ParseError(lineno, f"{key} given twice")
+            body = []
+            sections[key] = lineno, body
+        elif colon:
+            if key not in _KEYS:
+                raise ParseError(lineno, f"unknown key {key!r}")
+            if key == "TYPE" and value.upper() not in ("TSP", "ATSP"):
+                raise ParseError(lineno, f"unsupported TYPE {value!r}")
+            if key == "COMMENT" and key in header:
+                value = header[key] + "\n" + value   # a file may repeat it
+            elif key in header:
+                raise ParseError(lineno, f"{key} given twice")
+            header[key] = value
+            body = None
+        elif body is not None:
+            body.append((lineno, raw.split()))
+        else:
+            raise ParseError(lineno, f"expected 'KEY : value', got {raw!r}")
 
     try:
         dim = int(header["DIMENSION"])
@@ -118,29 +147,42 @@ def parse_tsplib(source):
         raise ParseError(0, f"bad DIMENSION {header['DIMENSION']!r}")
     if dim < 2:
         raise ParseError(0, f"dimension {dim} too small")
+    # the type first: an EUC_3D file would fail the coordinate width
     ewt = header.get("EDGE_WEIGHT_TYPE", "EXPLICIT").upper()
+    if ewt != "EXPLICIT" and ewt not in _METRICS:
+        raise ParseError(0, f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
+    if "DISPLAY_DATA_SECTION" in sections:
+        _numbers(sections["DISPLAY_DATA_SECTION"][1], 3)
+    coords = (_place_coords(*sections["NODE_COORD_SECTION"], dim)
+              if "NODE_COORD_SECTION" in sections else [])
 
-    coords = header.get("_COORDS")
-    if coords is not None:
-        coords = _place_coords(*coords, dim)
-    if ewt in _COORD_TYPES:
-        if coords is None:
-            raise ParseError(0, "missing NODE_COORD_SECTION")
+    if ewt == "EXPLICIT":
+        fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
+        if fmt not in _CELLS:
+            raise ParseError(0, f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
+        if "EDGE_WEIGHT_SECTION" not in sections:
+            raise ParseError(0, "missing EDGE_WEIGHT_SECTION")
+        at, body = sections["EDGE_WEIGHT_SECTION"]
+        nums = np.array(_numbers(body))
+        # count before building the cells, which take dim² memory
+        need = (dim * dim if fmt == "FULL_MATRIX" else
+                dim * (dim + 1) // 2 if "DIAG" in fmt else dim * (dim - 1) // 2)
+        if len(nums) != need:
+            raise ParseError(at, f"{fmt} needs {need} weights, got {len(nums)}")
+        if _CELLS[fmt] is None:
+            M = nums.reshape(dim, dim)
+        else:
+            rows, cols = _CELLS[fmt](dim)
+            M = np.zeros((dim, dim))
+            M[rows, cols] = M[cols, rows] = nums
+    elif not coords:
+        raise ParseError(0, "missing NODE_COORD_SECTION")
+    else:
         metric = _METRICS[ewt]
         M = np.empty((dim, dim))
         for a in range(dim):
             for b in range(dim):
                 M[a, b] = metric(coords[a], coords[b]) if a != b else INF
-    elif ewt == "EXPLICIT":
-        fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
-        if fmt not in _EXPLICIT_FORMATS:
-            raise ParseError(0, f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
-        nums = header.get("_WEIGHTS")
-        if nums is None:
-            raise ParseError(0, "missing EDGE_WEIGHT_SECTION")
-        M = _fill_matrix(dim, fmt, nums)
-    else:
-        raise ParseError(0, f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
 
     np.fill_diagonal(M, INF)
     return Instance(
@@ -150,68 +192,36 @@ def parse_tsplib(source):
         edge_weight_type=ewt,
         problem_type=header.get("TYPE", "").upper(),
         comment=header.get("COMMENT", ""),
-        coords=coords or [],
+        coords=coords,
     )
 
 
-def _read_section(section, lines, i, header):
-    """Consume one section's body; returns the next line index."""
-    if section == "NODE_COORD_SECTION" or section == "DISPLAY_DATA_SECTION":
-        at = i          # the section's own line number
-        entries = []    # (line number, node id, (x, y)) per line
-        while i < len(lines):
-            raw = lines[i].strip()
-            if not raw or raw.split(":", 1)[0].strip().upper() in (
-                    "EOF",) or _looks_like_header(raw):
-                break
-            parts = raw.split()
-            if len(parts) < 3:
-                raise ParseError(i + 1, f"bad coordinate line {raw!r}")
-            try:
-                node = int(parts[0])
-            except ValueError:
-                raise ParseError(i + 1, f"node id {parts[0]!r} is not an "
-                                 "integer")
-            try:
-                entries.append((i + 1, node,
-                                (float(parts[1]), float(parts[2]))))
-            except ValueError:
-                raise ParseError(i + 1, f"bad coordinate line {raw!r}")
-            i += 1
-        if section == "NODE_COORD_SECTION":
-            header["_COORDS"] = at, entries
-        return i
-    if section == "EDGE_WEIGHT_SECTION":
-        nums = []
-        while i < len(lines):
-            raw = lines[i].strip()
-            if not raw:
-                i += 1
-                continue
-            if raw == "EOF" or _looks_like_header(raw):
-                break
-            parts = raw.split()
-            try:
-                nums.extend(float(p) for p in parts)
-            except ValueError:
-                break
-            i += 1
-        header["_WEIGHTS"] = nums
-        return i
-    # an unknown section: skip numeric content
-    while i < len(lines):
-        raw = lines[i].strip()
-        if raw == "EOF" or _looks_like_header(raw):
-            break
-        i += 1
-    return i
+def _numbers(body, width=0):
+    """The numbers of a section body of (line number, tokens) lines, in
+    order; with a width, each line must hold exactly that many."""
+    nums = []
+    for lineno, tokens in body:
+        if width and len(tokens) != width:
+            raise ParseError(lineno, f"expected {width} numbers, got "
+                             f"{' '.join(tokens)!r}")
+        try:
+            nums.extend(map(float, tokens))
+        except ValueError:
+            raise ParseError(lineno, f"bad number in {' '.join(tokens)!r}")
+    return nums
 
 
-def _place_coords(at, entries, dim):
+def _place_coords(at, body, dim):
     """The coordinates in node order, each line placed by its node id;
     at is the section's line number, for a node that has no line."""
     coords = [None] * dim
-    for lineno, node, xy in entries:
+    nums = _numbers(body, 3)
+    for (lineno, tokens), xy in zip(body, zip(nums[1::3], nums[2::3])):
+        try:
+            node = int(tokens[0])
+        except ValueError:
+            raise ParseError(lineno, f"node id {tokens[0]!r} is not an "
+                             "integer")
         if not 1 <= node <= dim:
             raise ParseError(lineno, f"node id {node} outside 1..{dim}")
         if coords[node - 1] is not None:
@@ -221,46 +231,6 @@ def _place_coords(at, entries, dim):
         raise ParseError(at, f"node {coords.index(None) + 1} has no "
                          "coordinates")
     return coords
-
-
-def _looks_like_header(raw):
-    head = raw.split(":", 1)[0].strip().upper()
-    if head.endswith("_SECTION"):
-        return True
-    return ":" in raw and head.replace("_", "").isalpha()
-
-
-def _fill_matrix(dim, fmt, nums):
-    def need(k):
-        if len(nums) != k:
-            raise ParseError(0, f"{fmt} needs {k} weights, got {len(nums)}")
-
-    M = np.zeros((dim, dim))
-    it = iter(nums)
-    if fmt == "FULL_MATRIX":
-        need(dim * dim)
-        M = np.array(nums, dtype=float).reshape(dim, dim)
-    elif fmt == "UPPER_ROW":
-        need(dim * (dim - 1) // 2)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                M[a, b] = M[b, a] = next(it)
-    elif fmt == "LOWER_ROW":
-        need(dim * (dim - 1) // 2)
-        for a in range(dim):
-            for b in range(a):
-                M[a, b] = M[b, a] = next(it)
-    elif fmt == "UPPER_DIAG_ROW":
-        need(dim * (dim + 1) // 2)
-        for a in range(dim):
-            for b in range(a, dim):
-                M[a, b] = M[b, a] = next(it)
-    elif fmt == "LOWER_DIAG_ROW":
-        need(dim * (dim + 1) // 2)
-        for a in range(dim):
-            for b in range(a + 1):
-                M[a, b] = M[b, a] = next(it)
-    return M
 
 
 def circuit_to_path(C, home=0):

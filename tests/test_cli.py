@@ -11,6 +11,8 @@ from hampath import cli
 from hampath.gen import gen_random
 from hampath.oracle import dp_oracle
 
+from test_tsplib import MALFORMED
+
 STDIN_ATSP = (
     "NAME : tiny\nTYPE : ATSP\nDIMENSION : 3\n"
     "EDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FULL_MATRIX\n"
@@ -163,6 +165,17 @@ def test_fractional_weights_exit_one_without_traceback(tmp_path, capsys):
     assert run_cli(["--instance", str(path)]) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err == "hampath: error: finite arc costs must be integers\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", MALFORMED)
+def test_malformed_file_exits_one_without_traceback(text, lineno, message,
+                                                    tmp_path, capsys):
+    path = tmp_path / "bad.tsp"
+    path.write_text(text + "EOF\n")
+    assert run_cli(["--instance", str(path)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"hampath: error: line {lineno}: {message}")
+    assert err.count("\n") == 1
 
 
 def test_usage_errors_exit_one():

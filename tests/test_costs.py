@@ -137,6 +137,18 @@ def test_block_tree_filter_boundary_at_one_below():
     assert (4, 3) in _base7_removed(fig.BASE7_OPT - 1)
 
 
+def test_block_order_is_dropped_after_a_backtrack():
+    # a pop revives arcs that may join blocks, so until reduced-path runs
+    # again the tree oracle spans the plain tree
+    gv, rp = with_order(fig.BASE7)
+    assert len(tree_oracle(gv, rp)[0]) == 4
+    gv.push_world()
+    gv.remove_arc(*next(a for a in gv.arcs() if not gv.has_mandatory(*a)))
+    gv.pop_world()
+    blocks, cuts, _ = tree_oracle(gv, rp)
+    assert blocks == [list(range(gv.n))] and cuts == []
+
+
 def test_plain_tree_filter_prunes_nothing_here():
     gv = gv_of(fig.arc_set(fig.BASE7))
     C = fig.cost_matrix(fig.BASE7)

@@ -121,6 +121,51 @@ def test_bad_coordinate_ids_name_their_line(lines, lineno, message):
     assert err.value.lineno == lineno
 
 
+def test_blank_line_inside_coordinates_is_skipped():
+    want = parse_text(coord_lines("EUC_2D", 3, "1 0 0\n2 3 4\n3 1 1"))
+    inst = parse_text(coord_lines("EUC_2D", 3, "1 0 0\n\n2 3 4\n3 1 1"))
+    assert np.array_equal(inst.matrix, want.matrix)
+
+
+def test_repeated_comment_lines_are_joined():
+    inst = parse_text(explicit("UPPER_ROW", LAYOUTS["UPPER_ROW"],
+                               extra="COMMENT : first\nCOMMENT : second\n"))
+    assert inst.comment == "first\nsecond"
+
+
+# a two-node ATSP, lines 1-7, and malformed variants of it
+TWO = ("NAME : two\nTYPE : ATSP\nDIMENSION : 2\n"
+       "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1\n1 0\n")
+MALFORMED = [pytest.param(*case, id=name) for name, *case in (
+    ("coords-key",
+     TWO.replace("EDGE_WEIGHT_SECTION", "_COORDS : 7\nEDGE_WEIGHT_SECTION"),
+     5, "unknown key '_COORDS'"),
+    ("weights-key", TWO + "_WEIGHTS : 1234\n", 8, "unknown key '_WEIGHTS'"),
+    ("key-twice", TWO.replace("DIMENSION : 2", "DIMENSION : 3\nDIMENSION : 2"),
+     4, "DIMENSION given twice"),
+    ("section-twice", TWO + "EDGE_WEIGHT_SECTION\n0 5\n5 0\n", 8,
+     "EDGE_WEIGHT_SECTION given twice"),
+    ("bad-weight", TWO.replace("1 0\n", "2 x\n"), 7, "bad number in '2 x'"),
+    ("coord-4-tokens", coord_lines("EUC_2D", 3, "1 0 0\n2 3 4 5\n3 1 1"), 7,
+     "expected 3 numbers, got '2 3 4 5'"),
+    ("display-4-tokens", TWO + "DISPLAY_DATA_SECTION\n1 0 0\n2 5 5 5\n", 10,
+     "expected 3 numbers, got '2 5 5 5'"),
+    ("fixed-edges", TWO + "FIXED_EDGES_SECTION\n1 2\n-1\n", 8,
+     "unsupported section 'FIXED_EDGES_SECTION'"),
+    ("cvrp", TWO.replace("ATSP", "CVRP") + "DEMAND_SECTION\n1 0\n2 1\n", 2,
+     "unsupported TYPE 'CVRP'"),
+    ("hcp", TWO.replace("ATSP", "HCP"), 2, "unsupported TYPE 'HCP'"),
+    ("tour", TWO.replace("ATSP", "TOUR"), 2, "unsupported TYPE 'TOUR'"),
+)]
+
+
+@pytest.mark.parametrize("text, lineno, message", MALFORMED)
+def test_malformed_input_names_its_line(text, lineno, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_text(text + "EOF\n")
+    assert err.value.lineno == lineno
+
+
 def test_header_spacing_and_file_object_inputs():
     text = ("NAME:tight\nTYPE:TSP\nDIMENSION:3\n"
             "EDGE_WEIGHT_TYPE:EXPLICIT\nEDGE_WEIGHT_FORMAT:FULL_MATRIX\n"
@@ -148,6 +193,9 @@ def test_parse_errors():
     short = coord_instance("EUC_2D", [(0, 0), (1, 1)])
     with pytest.raises(ParseError):
         parse_text(short.replace("DIMENSION : 2", "DIMENSION : 9"))
+    # the weight type is checked before the coordinates are read
+    with pytest.raises(ParseError, match="unsupported EDGE_WEIGHT_TYPE"):
+        parse_text(coord_lines("EUC_3D", 2, "1 0 0 0\n2 1 1 1"))
     assert issubclass(ParseError, ValueError)
 
 
