@@ -8,9 +8,10 @@ arc costs are symmetrized by keeping the cheaper present direction of each
 node pair, and mandatory arcs are seeded into the tree.  Once the reduced
 graph is a known path of blocks, the oracle spans every block on its own
 and joins consecutive blocks with their cheapest cut arc; until then it
-spans all nodes at once.  One swap filter prunes against whichever tree it
-built; its floor starts at the sum of the row minima.  The assignment
-propagator bounds through the successor matching.
+spans all nodes at once.  Every evaluation of the relaxation is a step of
+the subgradient ascent, and one swap filter prunes against the best
+iterate's tree; its floor starts at the sum of the row minima.  The
+assignment propagator bounds through the successor matching.
 
 The tree has one format from oracle to filter: the reduced-path
 propagator's block and cut lists as they are, per block the (parent,
@@ -78,16 +79,15 @@ def effective_costs(gv, C, pi_out, pi_in):
     """
     pin = pi_in.tolist()
     E = [[INF] * gv.n for _ in pin]
+    S = [[INF] * gv.n for _ in pin]
+    # one pass: each present arc lowers both entries of its node pair,
+    # which therefore stay equal
     for u, po in enumerate(pi_out.tolist()):
-        Eu, Cu = E[u], C[u]
+        Eu, Su, Cu = E[u], S[u], C[u]
         for v in gv.succ[u]:
-            Eu[v] = Cu[v] + po + pin[v]
-    S = [row[:] for row in E]
-    for u, heads in enumerate(gv.succ):
-        Eu = E[u]
-        for v in heads:
-            if Eu[v] < S[v][u]:
-                S[v][u] = Eu[v]
+            w = Eu[v] = Cu[v] + po + pin[v]
+            if w < Su[v]:
+                Su[v] = S[v][u] = w
     return E, S
 
 
@@ -328,14 +328,15 @@ class HeldKarpPropagator(Propagator):
 
     The tree comes from `tree_oracle`: the block tree while the
     reduced-path propagator `reduced` knows the block order, the plain
-    spanning tree otherwise.  Each call reads the oracle once; every
-    ascent step and the filtering pass price the present arcs through
-    `effective_costs` and span that same (blocks, cuts, pins) through
-    `span_blocks`.  Node multipliers price the out-degree of every node
-    but e and the in-degree of every node but s.  They persist across
-    calls and across backtracking; each run restarts the step control.
-    Each filtering pass leaves its swap costs in `last_swaps`, which the
-    enforceMaxRC branching reads.
+    spanning tree otherwise.  Each call reads the oracle once, and `_run`
+    is the only place that evaluates it: each ascent step prices the
+    present arcs through `effective_costs` and spans that same (blocks,
+    cuts, pins) through `span_blocks`, and the filter reads the best
+    iterate's evaluation.  Node multipliers price the out-degree of every
+    node but e and the in-degree of every node but s.  They persist
+    across calls and across backtracking; each run restarts the step
+    control.  Each filtering pass leaves its swap costs in `last_swaps`,
+    which the enforceMaxRC branching reads.
 
     Every call first raises the floor to `lb_trivial`, the row-minimum
     sum, which the Lagrangian passes at out-multipliers of minus each
@@ -356,28 +357,26 @@ class HeldKarpPropagator(Propagator):
         self.last_swaps = None
         self._full_key = None
 
-    # one relaxation evaluation at the current multipliers; returns the
-    # tree total plus the tails and the heads of the realized arcs
-    def _tree_at(self, blocks, cuts, pins):
-        E, S = effective_costs(self.gv, self.C, self.pi_out, self.pi_in)
-        total, trees, connectors = span_blocks(E, S, blocks, cuts, pins)
-        arcs = [realized_arc(E, a, c) for tree in trees for a, c in tree]
-        arcs += connectors
-        return total, [u for u, _ in arcs], [v for _, v in arcs]
-
-    def _run(self, ub_target, oracle):
+    def _run(self, ub_target, oracle, iters):
+        """At most `iters` ascent steps from the stored multipliers; leaves
+        them at the best iterate and returns its evaluation (lb, E, S, tree,
+        offset), where offset is the multiplier sum: lb = tree[0] - offset."""
         gv = self.gv
         n = gv.n
         lam = 2.0
         nonimp = 0
-        best = -INF
-        best_pi = (self.pi_out.copy(), self.pi_in.copy())
-        for _ in range(self.ITERS):
-            total, xs, ys = self._tree_at(*oracle)
-            lb = total - (self.pi_out.sum() + self.pi_in.sum())
-            if lb > best + 1e-12:
-                best = lb
-                best_pi = (self.pi_out.copy(), self.pi_in.copy())
+        best = None
+        # each step replaces the multiplier arrays and never writes into
+        # them, so the best ones are kept by reference
+        pi_out, pi_in = self.pi_out, self.pi_in
+        for _ in range(iters):
+            E, S = effective_costs(gv, self.C, pi_out, pi_in)
+            tree = span_blocks(E, S, *oracle)
+            offset = float(pi_out.sum() + pi_in.sum())
+            lb = tree[0] - offset
+            if best is None or lb > best[0] + 1e-12:
+                best = (lb, E, S, tree, offset)
+                best_pi = (pi_out, pi_in)
                 nonimp = 0
             else:
                 nonimp += 1
@@ -388,24 +387,25 @@ class HeldKarpPropagator(Propagator):
                 self.pi_out, self.pi_in = best_pi
                 self.fail("bound exceeds the cap")
             # ascent direction of L(pi) = min_T sum(c + pi) - sum(pi):
-            # raise the price of nodes the tree over-uses
-            g_out = np.bincount(xs, minlength=n) - 1.0
-            g_in = np.bincount(ys, minlength=n) - 1.0
+            # raise the price of nodes the tree over-uses; the zeroed
+            # entries keep pi_out[e] and pi_in[s] at 0
+            arcs = [realized_arc(E, a, c) for t in tree[1] for a, c in t]
+            arcs += tree[2]
+            g_out = np.bincount([u for u, _ in arcs], minlength=n) - 1.0
+            g_in = np.bincount([v for _, v in arcs], minlength=n) - 1.0
             g_out[gv.e] = 0.0
             g_in[gv.s] = 0.0
             denom = float(g_out @ g_out + g_in @ g_in)
             if denom == 0.0:
-                best = max(best, lb)
-                if lb > best - 1e-12:
-                    best_pi = (self.pi_out.copy(), self.pi_in.copy())
+                if lb > best[0] - 1e-12:
+                    best = (lb, E, S, tree, offset)
+                    best_pi = (pi_out, pi_in)
                 break
             step = lam * (ub_target - lb) / denom
             if step <= 0.0:
                 break
-            self.pi_out = self.pi_out + step * g_out
-            self.pi_in = self.pi_in + step * g_in
-            self.pi_out[gv.e] = 0.0
-            self.pi_in[gv.s] = 0.0
+            pi_out = pi_out + step * g_out
+            pi_in = pi_in + step * g_in
         self.pi_out, self.pi_in = best_pi
         return best
 
@@ -417,22 +417,19 @@ class HeldKarpPropagator(Propagator):
         self.obj.tighten_lb(int(math.ceil(lt - CEIL_EPS)))
         oracle = tree_oracle(gv, self.reduced)
         ub = self.obj.ub
+        ub_target = float(ub) if ub is not None else 2.0 * lt
         # the multiplier search happens once per search node; later wakes in
-        # the same node, by other propagators' changes, only redo the
-        # filtering below at the stored multipliers, which stays a valid
-        # relaxation of the shrunk domain
+        # the same node, by other propagators' changes, evaluate once at the
+        # stored multipliers, which stays a valid relaxation of the shrunk
+        # domain, and throw the step away
         key = (gv.pop_epoch, gv.depth)
-        if key != self._full_key:
-            ub_target = float(ub) if ub is not None else 2.0 * lt
-            for _ in range(2 if gv.depth == 0 else 1):
-                self._run(ub_target, oracle)
-            self._full_key = key
+        iters = self.ITERS if key != self._full_key else 1
+        for _ in range(2 if gv.depth == 0 and iters > 1 else 1):
+            lb, E, S, tree, offset = self._run(ub_target, oracle, iters)
+        self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the swap costs enforceMaxRC reads
-        E, S = effective_costs(gv, self.C, self.pi_out, self.pi_in)
-        offset = float(self.pi_out.sum() + self.pi_in.sum())
-        tree = span_blocks(E, S, *oracle)
-        self.obj.tighten_lb(int(math.ceil(tree[0] - offset - CEIL_EPS)))
+        self.obj.tighten_lb(int(math.ceil(lb - CEIL_EPS)))
         blocks, cuts, _ = oracle
         self.last_swaps = wst_filter(
             self, E, S, tree, blocks, cuts, INF if ub is None else float(ub),

@@ -6,9 +6,10 @@ layout, and coordinate instances with EUC_2D, CEIL_2D, ATT and GEO metrics,
 computed exactly as the format documentation prescribes.  Each coordinate
 line is `id x y`, placed by its id, which must name each of the nodes
 1..DIMENSION once; DISPLAY_DATA_SECTION lines must hold three numbers too
-and are dropped.  Any other type, key or section is an error, and so is a key
-or section given twice; only COMMENT may repeat.  Blank lines are skipped.
-The diagonal is always forbidden no matter what the file stores there.
+and are dropped.  Every number must be finite.  Any other type, key or
+section is an error, and so is a key or section given twice; only COMMENT
+may repeat.  Blank lines are skipped.  The diagonal is always forbidden no
+matter what the file stores there.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ def parse_tsplib(source):
 
 def _numbers(body, width=0):
     """The numbers of a section body of (line number, tokens) lines, in
-    order; with a width, each line must hold exactly that many."""
+    order; with a width, each line must hold exactly that many.  float()
+    also reads nan and inf, which no field of the format can mean."""
     nums = []
     for lineno, tokens in body:
         if width and len(tokens) != width:
@@ -208,13 +210,21 @@ def _numbers(body, width=0):
             nums.extend(map(float, tokens))
         except ValueError:
             raise ParseError(lineno, f"bad number in {' '.join(tokens)!r}")
+    # one check over the section; only a failure looks for its line
+    if not all(map(math.isfinite, nums)):
+        lineno, tokens = next(
+            (lineno, tokens) for lineno, tokens in body
+            if not all(map(math.isfinite, map(float, tokens))))
+        raise ParseError(lineno, f"non-finite number in {' '.join(tokens)!r}")
     return nums
 
 
 def _place_coords(at, body, dim):
     """The coordinates in node order, each line placed by its node id;
-    at is the section's line number, for a node that has no line."""
-    coords = [None] * dim
+    at is the section's line number, for a node that has no line.  Ids
+    are collected in a dict, so a DIMENSION far beyond the section's
+    length costs no memory before it is rejected."""
+    placed = {}
     nums = _numbers(body, 3)
     for (lineno, tokens), xy in zip(body, zip(nums[1::3], nums[2::3])):
         try:
@@ -224,13 +234,14 @@ def _place_coords(at, body, dim):
                              "integer")
         if not 1 <= node <= dim:
             raise ParseError(lineno, f"node id {node} outside 1..{dim}")
-        if coords[node - 1] is not None:
+        if node in placed:
             raise ParseError(lineno, f"node {node} listed twice")
-        coords[node - 1] = xy
-    if None in coords:
-        raise ParseError(at, f"node {coords.index(None) + 1} has no "
-                         "coordinates")
-    return coords
+        placed[node] = xy
+    if len(placed) < dim:
+        # the first missing id is at most one past the section's length
+        node = next(k for k in range(1, dim + 1) if k not in placed)
+        raise ParseError(at, f"node {node} has no coordinates")
+    return [placed[k] for k in range(1, dim + 1)]
 
 
 def circuit_to_path(C, home=0):

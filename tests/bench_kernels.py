@@ -61,11 +61,12 @@ def test_wst_filter_ftv33(benchmark):
     benchmark(once)
 
 
-def test_tree_at_ftv33(benchmark):
+def test_hk_evaluation_ftv33(benchmark):
     """One Lagrangian evaluation on the ftv33 ALL/both root state under the
-    cap 1286 (n = 34): effective costs on the present arcs at the warmed
-    multipliers, the block tree over the established block order, and its
-    realized arcs.  The evaluation only reads the domain."""
+    cap 1286 (n = 34): a one-step ascent run from the warmed multipliers,
+    which prices the present arcs, spans the block tree over the
+    established block order, reads its realized arcs for the subgradient
+    and keeps the multipliers.  The run only reads the domain."""
     C, s, e = circuit_to_path(
         parse_tsplib(str(INSTANCES / "ftv33.atsp")).matrix, 0)
     m = Model(len(C), s, e, C, model="ALL", relax="both")
@@ -74,9 +75,9 @@ def test_tree_at_ftv33(benchmark):
     hk = m.hk
     oracle = tree_oracle(m.gv, hk.reduced)
     assert len(oracle[0]) > 1 and hk.pi_out.any()
-    _, xs, ys = hk._tree_at(*oracle)
-    assert len(xs) == len(ys) == m.gv.n - 1
-    benchmark(hk._tree_at, *oracle)
+    _, _, _, (_, trees, connectors), _ = hk._run(1286.0, oracle, 1)
+    assert sum(map(len, trees)) + len(connectors) == m.gv.n - 1
+    benchmark(hk._run, 1286.0, oracle, 1)
 
 
 def test_assignment_cold_ftv33(benchmark):

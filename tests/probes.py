@@ -19,13 +19,15 @@ class WalkOnlyReducedPath(ReducedPathPropagator):
 
 
 def record_runs(hk):
-    """Wrap `hk._run`; returns the list its return values are appended to."""
+    """Wrap `hk._run`; returns the list each run's bound, the first field
+    of the evaluation it returns, is appended to."""
     runs = []
     run = hk._run
 
     def recording(*args):
-        runs.append(run(*args))
-        return runs[-1]
+        evaluation = run(*args)
+        runs.append(evaluation[0])
+        return evaluation
 
     hk._run = recording
     return runs

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from hampath import costs
 from hampath.costs import (
     HeldKarpPropagator,
     HungarianPropagator,
@@ -518,6 +519,41 @@ def test_subgradient_climbs_close_to_the_optimum():
     assert 0.99 * 2020 <= m.obj.lb <= 2020
 
 
+def test_each_multiplier_vector_is_evaluated_once_per_call(monkeypatch):
+    # the ascent is the one place that evaluates the relaxation and the
+    # filter reads its best iterate, so a full call prices each iterate
+    # once and a re-wake in the same node prices the stored multipliers
+    C, s, e = _tsplib_path("bays29.tsp")
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    m.obj.ub = 2020
+    m.root_propagate()
+    hk = m.hk
+    points = []     # per evaluation: the multipliers it priced
+    runs = []       # per ascent run: the evaluations it made
+    evaluate, run = costs.effective_costs, hk._run
+
+    def counting(gv, C, pi_out, pi_in):
+        points.append(pi_out.tobytes() + pi_in.tobytes())
+        return evaluate(gv, C, pi_out, pi_in)
+
+    def counting_run(*args):
+        start = len(points)
+        try:
+            return run(*args)
+        finally:
+            runs.append(len(points) - start)
+
+    monkeypatch.setattr(costs, "effective_costs", counting)
+    hk._run = counting_run
+    m.gv.push_world()       # a new node below the root: one full run
+    hk.propagate()
+    assert len(runs) == 1 and runs[0] == len(points) > 1
+    assert len(set(points)) == len(points) <= hk.ITERS
+    points.clear()
+    hk.propagate()          # woken again in the same node
+    assert len(points) == 1
+
+
 @pytest.mark.parametrize("model,relax", [("ALL", "both"), ("BASIC", "tree")])
 def test_br17_refutes_one_below_its_optimum(model, relax):
     C, s, e = _tsplib_path("br17.atsp")
@@ -581,9 +617,12 @@ def test_propagator_tree_follows_the_block_order(model, want):
         hk.reduced.propagate()      # establish the block order only
         assert len(hk.reduced.blocks) == len(fig.BASE7_BLOCKS)
     assert not hk.pi_out.any() and not hk.pi_in.any()
-    total, xs, ys = hk._tree_at(*tree_oracle(m.gv, hk.reduced))
-    assert total == want
-    assert len(xs) == len(ys) == fig.N - 1
+    # a one-step run evaluates the stored multipliers and keeps them
+    lb, _, _, (total, trees, connectors), offset = hk._run(
+        0.0, tree_oracle(m.gv, hk.reduced), 1)
+    assert not hk.pi_out.any() and not hk.pi_in.any()
+    assert total == lb == want and offset == 0.0
+    assert sum(map(len, trees)) + len(connectors) == fig.N - 1
 
 
 def test_tree_branching_scores_the_block_analysis():

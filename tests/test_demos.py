@@ -64,7 +64,7 @@ def test_kernel_microbenchmarks_run():
                       "no:cacheprovider", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for name in ("test_root_path_att48", "test_root_path_ftv33",
-                 "test_kick_ftv33",
+                 "test_kick_ftv33", "test_hk_evaluation_ftv33",
                  "test_or_opt_att48", "test_patch_gen45",
                  "test_assignment_repeat_bays29",
                  "test_assignment_after_backtrack_bays29"):

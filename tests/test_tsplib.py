@@ -2,6 +2,7 @@
 circuit-to-path transformation, and the vendored instance files."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ def test_bad_coordinate_ids_name_their_line(lines, lineno, message):
     assert err.value.lineno == lineno
 
 
+def test_dimension_beyond_the_coordinates_costs_no_memory():
+    # placing by id must not reserve DIMENSION slots before it finds the
+    # section too short
+    text = coord_lines("EUC_2D", 10_000_000, "1 0 0\n2 1 1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="node 3 has no coordinates") \
+                as err:
+            parse_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.lineno == 5
+    assert peak < 1 << 20, peak
+
+
 def test_blank_line_inside_coordinates_is_skipped():
     want = parse_text(coord_lines("EUC_2D", 3, "1 0 0\n2 3 4\n3 1 1"))
     inst = parse_text(coord_lines("EUC_2D", 3, "1 0 0\n\n2 3 4\n3 1 1"))
@@ -156,6 +173,13 @@ MALFORMED = [pytest.param(*case, id=name) for name, *case in (
      "unsupported TYPE 'CVRP'"),
     ("hcp", TWO.replace("ATSP", "HCP"), 2, "unsupported TYPE 'HCP'"),
     ("tour", TWO.replace("ATSP", "TOUR"), 2, "unsupported TYPE 'TOUR'"),
+    # float() reads these, but no weight or coordinate can mean them
+    ("inf-weight", TWO.replace("0 1\n", "0 inf\n"), 6,
+     "non-finite number in '0 inf'"),
+    ("nan-coord", coord_lines("EUC_2D", 3, "1 0 0\n2 nan 4\n3 1 1"), 7,
+     "non-finite number in '2 nan 4'"),
+    ("infinity-display", TWO + "DISPLAY_DATA_SECTION\n1 0 -Infinity\n", 9,
+     "non-finite number in '1 0 -Infinity'"),
 )]
 
 
