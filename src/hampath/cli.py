@@ -53,8 +53,9 @@ def build_parser():
     ap.add_argument("--time-limit", type=float, default=None, metavar="SEC")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for random:N instances")
-    ap.add_argument("--home", type=int, default=0,
-                    help="tour node that becomes the path start")
+    ap.add_argument("--home", type=int, default=None,
+                    help="tour node that becomes the path start (TSPLIB "
+                    "input only; default 0)")
     ap.add_argument("--format", default="table", choices=("table", "csv", "json"))
     ap.add_argument("--out", default=None, help="write output here instead of stdout")
     return ap
@@ -67,10 +68,15 @@ def _load(args):
             n = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad random instance spec {spec!r}")
+        if args.home is not None:
+            # a generated instance is a path from 0 to n - 1, not a tour
+            raise ValueError("--home applies to TSPLIB input only, "
+                             f"not {spec!r}")
         C, s, e = gen_random(n, seed=args.seed)
         return f"random{n}s{args.seed}", C, s, e
     inst = parse_tsplib(spec)
-    C, s, e = circuit_to_path(inst.matrix, args.home)
+    C, s, e = circuit_to_path(inst.matrix,
+                              0 if args.home is None else args.home)
     name = inst.name or spec
     return name, C, s, e
 

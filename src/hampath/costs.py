@@ -425,7 +425,10 @@ class HeldKarpPropagator(Propagator):
         key = (gv.pop_epoch, gv.depth)
         iters = self.ITERS if key != self._full_key else 1
         for _ in range(2 if gv.depth == 0 and iters > 1 else 1):
+            start = self.pi_out
             lb, E, S, tree, offset = self._run(ub_target, oracle, iters)
+            if self.pi_out is start:
+                break       # no step improved: a second run would replay it
         self._full_key = key
         # filter at the best multipliers seen; without a cap the pass only
         # records the swap costs enforceMaxRC reads

@@ -29,7 +29,9 @@ def gen_random(n, seed, cost_range=(1, 100), density=1.0, clusters=1):
     mid = list(range(1, n - 1))
     rng.shuffle(mid)
     spine = [s] + mid + [e]          # the guaranteed path
-    spine_arcs = set(zip(spine, spine[1:]))
+    after = [-1] * n                 # each node's successor on the spine
+    for u, v in zip(spine, spine[1:]):
+        after[u] = v
 
     # chunk the spine into consecutive clusters; arcs are allowed inside a
     # chunk and from a chunk to the next one only
@@ -39,17 +41,21 @@ def gen_random(n, seed, cost_range=(1, 100), density=1.0, clusters=1):
         for pos, v in enumerate(spine):
             group[v] = min(pos // size, clusters - 1)
 
-    C = np.full((n, n), INF)
+    rows = []
     for u in range(n):
+        row = [INF] * n
+        rows.append(row)
+        if u == e:
+            continue
         for v in range(n):
-            if u == v or v == s or u == e:
+            if u == v or v == s:
                 continue
             w = rng.randint(lo, hi)
-            if (u, v) in spine_arcs:
-                C[u, v] = w
+            if v == after[u]:
+                row[v] = w
                 continue
             if clusters > 1 and group[v] - group[u] not in (0, 1):
                 continue
             if rng.random() <= density:
-                C[u, v] = w
-    return C, s, e
+                row[v] = w
+    return np.array(rows, dtype=float), s, e

@@ -10,15 +10,18 @@ One list, the change log, records every change in order: an
 (ARC_REMOVED or ARC_ENFORCED, u, v) record per domain mutation and an
 (UNDO, fn, None) record per piece of propagator state to restore.  A world
 is a mark into the log; popping it undoes the records past the mark, last
-in first out.  The log is also the event stream: every mutation sets the
-`scheduled` flag of each propagator on the variable's `props` list, and
-the fixpoint loop clears a flag when its propagator returns, so a
-propagator's own changes never wake it and a call of `propagate` must end
-at its own fixpoint.  The one that reads the changes themselves (degree)
-keeps a cursor into the log; the others re-read the domain when woken.
-Only a pop revives arcs, and it bumps `pop_epoch`: while the epoch a
-propagator saw at its last call stands, arcs have only gone since.  The
-hk, reduced-path and assignment propagators rely on this to reuse work.
+in first out.  The log is also the event stream.  Every mutation bumps one
+counter, `stamp`; a propagator is due once the stamp passes the value it
+saw when it last returned, so its own changes never wake it and a call of
+`propagate` must end at its own fixpoint.  The one that reads the changes
+themselves (degree) keeps a cursor into the log; the others re-read the
+domain when woken.  Only a pop revives arcs, and it bumps `pop_epoch`:
+while the epoch a propagator saw at its last call stands, arcs have only
+gone since.  The hk, reduced-path and assignment propagators rely on this
+to reuse work.  A pop also voids every pending wake and moves every
+cursor to its mark, by noting the stamp and the mark the propagators
+compare with; the variable holds no reference to them, so a model that
+nothing references any more is freed at once.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ class PreconditionViolation(Exception):
 class GraphVar:
     """Potential/mandatory digraph pair with its change log.
 
-    `props` lists the propagators a mutation wakes; a Scheduler fills it.
-    The initial domain already encodes the path endpoints: no arc enters s,
-    no arc leaves e, and self loops are dropped.
+    `stamp` counts the mutations ever made; `pop_stamp` and `pop_mark` are
+    the stamp and the log length the last pop left, which void the wakes
+    and unread records of the abandoned world.  The initial domain already
+    encodes the path endpoints: no arc enters s, no arc leaves e, and self
+    loops are dropped; a repeated arc is added once.
     """
 
     def __init__(self, n, s, e, arcs):
@@ -65,20 +70,19 @@ class GraphVar:
         self.pred = [set() for _ in range(n)]
         self.msucc = [set() for _ in range(n)]
         self.mpred = [set() for _ in range(n)]
-        self.n_potential = 0
         self.n_mandatory = 0
         self.log = []
         self._marks = []            # log length at each open world's push
         self.pop_epoch = 0
-        self.props = []
+        self.stamp = 0
+        self.pop_stamp = 0
+        self.pop_mark = 0
+        succ, pred = self.succ, self.pred
         for (u, v) in arcs:
-            if u == v or v == s or u == e:
-                continue
-            if v in self.succ[u]:
-                continue
-            self.succ[u].add(v)
-            self.pred[v].add(u)
-            self.n_potential += 1
+            if u != v and v != s and u != e:
+                succ[u].add(v)
+                pred[v].add(u)
+        self.n_potential = sum(map(len, succ))
 
     # -- queries ---------------------------------------------------------
 
@@ -108,11 +112,6 @@ class GraphVar:
         """Call fn when the current world is popped, in log order."""
         self.log.append((UNDO, fn, None))
 
-    def _emit(self, kind, u, v):
-        self.log.append((kind, u, v))
-        for p in self.props:
-            p.scheduled = True
-
     def remove_arc(self, u, v):
         """Drop (u,v) from the potential graph.  False if already absent."""
         if v in self.msucc[u]:
@@ -122,7 +121,8 @@ class GraphVar:
         self.succ[u].discard(v)
         self.pred[v].discard(u)
         self.n_potential -= 1
-        self._emit(ARC_REMOVED, u, v)
+        self.log.append((ARC_REMOVED, u, v))
+        self.stamp += 1
         return True
 
     def enforce_arc(self, u, v):
@@ -134,7 +134,8 @@ class GraphVar:
         self.msucc[u].add(v)
         self.mpred[v].add(u)
         self.n_mandatory += 1
-        self._emit(ARC_ENFORCED, u, v)
+        self.log.append((ARC_ENFORCED, u, v))
+        self.stamp += 1
         return True
 
     # -- worlds ----------------------------------------------------------
@@ -145,9 +146,9 @@ class GraphVar:
     def pop_world(self):
         """Undo every change since the matching push, last first.
 
-        Every registered propagator's cursor moves to the mark, which
-        discards the events it had not read, and its flag clears; state
-        kept from the abandoned world is recognised by the epoch bump.
+        Every propagator's cursor moves to the mark, which discards the
+        events it had not read, and its pending wake clears; state kept
+        from the abandoned world is recognised by the epoch bump.
         """
         if not self._marks:
             raise PreconditionViolation("pop without matching push")
@@ -167,29 +168,58 @@ class GraphVar:
                 u()
         del log[mark:]
         self.pop_epoch += 1
-        for p in self.props:
-            p.scheduled = False
-            p.read = mark
+        self.pop_stamp = self.stamp
+        self.pop_mark = mark
 
 
 class Propagator:
     """Base class: a filtering routine woken by domain changes.
 
-    Every mutation but its own sets the `scheduled` flag that wakes it, so
-    `propagate` repeats its work until a second call would change nothing.
-    One that reads the changes themselves takes them from `unread()`, FIFO,
-    its own cascade included; the others ignore the cursor and re-read the
-    domain.
+    It is due, `scheduled`, once the variable's stamp passes both `_seen`,
+    the stamp when it last returned, and the stamp of the last pop, or
+    when it was woken by hand (`scheduled = True`, `_woken` = the pop
+    epoch of the wake) and no pop has come since.  So every mutation but
+    its own wakes it, and `propagate` repeats its work until a second call
+    would change nothing.  One that reads the changes themselves takes
+    them from `unread()`, FIFO, its own cascade included; the others
+    ignore the cursor and re-read the domain.  The cursor `read` stands
+    at the last pop's mark until the propagator reads in the new epoch.
     """
 
     name = "propagator"
     priority = 0
-    read = 0        # log position of the first record not yet read
 
     def __init__(self, gv):
         self.gv = gv
-        self.scheduled = False
+        self._seen = gv.stamp
+        self._woken = -1
+        self._read = 0          # log position of the first record not yet read
+        self._read_epoch = gv.pop_epoch     # the pop epoch _read belongs to
         self.stats = {"invocations": 0, "removed": 0, "enforced": 0}
+
+    @property
+    def scheduled(self):
+        gv = self.gv
+        return self._woken == gv.pop_epoch or \
+            gv.stamp > self._seen and gv.stamp > gv.pop_stamp
+
+    @scheduled.setter
+    def scheduled(self, due):
+        if due:
+            self._woken = self.gv.pop_epoch
+        else:
+            self._woken = -1
+            self._seen = self.gv.stamp
+
+    @property
+    def read(self):
+        gv = self.gv
+        return self._read if self._read_epoch == gv.pop_epoch else gv.pop_mark
+
+    @read.setter
+    def read(self, pos):
+        self._read = pos
+        self._read_epoch = self.gv.pop_epoch
 
     def propagate(self):
         raise NotImplementedError
@@ -221,18 +251,18 @@ class Propagator:
 
 class Scheduler:
     """The registered propagators, lowest priority first; the pending ones
-    are those flagged `scheduled`.  The list is the graph variable's
-    `props`, the one a mutation wakes.
+    are those due by the wake rule of `Propagator`.
 
-    The fixpoint loop runs the first flagged propagator, so registration
-    order breaks ties between equal priorities.  Cost relaxations carry the
+    The fixpoint loop runs the first due propagator, so registration order
+    breaks ties between equal priorities.  Cost relaxations carry the
     highest priority numbers, so they only run when nothing else is
-    pending.  A propagator's flag stays set while it runs and clears when
-    it returns, so only the changes made by others wake it again.
+    pending.  A propagator notes the stamp when it returns, so only the
+    changes made by others wake it again.
     """
 
     def __init__(self, gv):
-        self.props = gv.props
+        self.gv = gv
+        self.props = []
 
     def register(self, propagator):
         """Wake propagator on, and let it read, every later mutation."""
@@ -246,10 +276,15 @@ class Scheduler:
 
     def run_fixpoint(self):
         """Propagate to quiescence.  Raises Contradiction on failure."""
+        gv = self.gv
         props = self.props
         while True:
+            stamp = gv.stamp
+            epoch = gv.pop_epoch
+            # a mutation since the last pop wakes all who have not seen it
+            fresh = stamp > gv.pop_stamp
             for prop in props:
-                if prop.scheduled:
+                if fresh and prop._seen < stamp or prop._woken == epoch:
                     break
             else:
                 return
@@ -257,4 +292,5 @@ class Scheduler:
             try:
                 prop.propagate()
             finally:
-                prop.scheduled = False
+                prop._seen = gv.stamp
+                prop._woken = -1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import HeldKarpPropagator, HungarianPropagator, Objective
+from .costs import INF, HeldKarpPropagator, HungarianPropagator, Objective
 from .kernel import (Contradiction, GraphVar, PreconditionViolation,
                      Scheduler)
 from .rootpath import or_opt, patch, root_path
@@ -56,10 +56,19 @@ class Model:
         finite = C[np.isfinite(C)]
         if not np.array_equal(finite, np.round(finite)):
             raise ValueError("finite arc costs must be integers")
+        # path sums and Or-opt's six-term gains of mixed sign are float
+        # sums, exact only below 2**53; a rounded gain can pay for ever
+        terms = max(n, 6)
+        big = float(np.abs(finite).max()) if finite.size else 0.0
+        if terms * big >= 2.0 ** 53:
+            raise ValueError(
+                f"arc costs must stay below 2**53 / {terms} in magnitude "
+                f"so that sums of {terms} of them are exact, not {big:.0f}")
         self.C = C.tolist()     # the one cost format every reader shares
         # nothing here calls range(n), so a node count that is not an
-        # integer reaches GraphVar's check
-        arcs = np.argwhere(np.isfinite(C)).tolist()
+        # integer reaches GraphVar's check; the arcs come row by row
+        arcs = [(u, v) for u, row in enumerate(self.C)
+                for v, c in enumerate(row) if c != INF]
         try:
             self.gv = GraphVar(n, s, e, arcs)
         except PreconditionViolation as exc:

@@ -3,7 +3,9 @@
 Reads TYPE TSP and ATSP files, and files without a TYPE: EXPLICIT weights
 in FULL_MATRIX, UPPER_ROW, LOWER_ROW, UPPER_DIAG_ROW and LOWER_DIAG_ROW
 layout, and coordinate instances with EUC_2D, CEIL_2D, ATT and GEO metrics,
-computed exactly as the format documentation prescribes.  Each coordinate
+computed exactly as the format documentation prescribes; each metric is
+symmetric, so each unordered pair is computed once and mirrored, and GEO
+converts each node's coordinates to radians once.  Each coordinate
 line is `id x y`, placed by its id, which must name each of the nodes
 1..DIMENSION once; DISPLAY_DATA_SECTION lines must hold three numbers too
 and are dropped.  Every number must be finite.  Any other type, key or
@@ -74,9 +76,10 @@ def _geo_radians(x):
 
 
 def _geo(a, b):
+    # a and b are (latitude, longitude) already in radians
     rrr = 6378.388
-    lat1, lon1 = _geo_radians(a[0]), _geo_radians(a[1])
-    lat2, lon2 = _geo_radians(b[0]), _geo_radians(b[1])
+    lat1, lon1 = a
+    lat2, lon2 = b
     q1 = math.cos(lon1 - lon2)
     q2 = math.cos(lat1 - lat2)
     q3 = math.cos(lat1 + lat2)
@@ -84,6 +87,19 @@ def _geo(a, b):
 
 
 _METRICS = {"EUC_2D": _euc_2d, "CEIL_2D": _ceil_2d, "ATT": _att, "GEO": _geo}
+
+
+def _metric_matrix(metric, points):
+    """The distance matrix of points, each pair computed once and
+    mirrored, with an infinite diagonal."""
+    dim = len(points)
+    rows = [[INF] * dim for _ in range(dim)]
+    for a in range(dim):
+        pa, row = points[a], rows[a]
+        for b in range(a + 1, dim):
+            row[b] = rows[b][a] = metric(pa, points[b])
+    return np.array(rows, dtype=float)
+
 
 # the cells each triangular layout's weights fill, in file order, each
 # weight mirrored across the diagonal; a full matrix is only reshaped
@@ -179,11 +195,10 @@ def parse_tsplib(source):
     elif not coords:
         raise ParseError(0, "missing NODE_COORD_SECTION")
     else:
-        metric = _METRICS[ewt]
-        M = np.empty((dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                M[a, b] = metric(coords[a], coords[b]) if a != b else INF
+        points = coords
+        if ewt == "GEO":
+            points = [(_geo_radians(x), _geo_radians(y)) for x, y in coords]
+        M = _metric_matrix(_METRICS[ewt], points)
 
     np.fill_diagonal(M, INF)
     return Instance(

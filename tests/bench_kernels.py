@@ -23,6 +23,25 @@ from hampath.structural import DegreePropagator
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
+def test_parse_tsplib_ulysses16(benchmark):
+    """Reading a GEO coordinate file (n = 16): the text pass, then each
+    unordered pair once, on coordinates converted to radians per node."""
+    path = str(INSTANCES / "ulysses16.tsp")
+    assert parse_tsplib(path).matrix[0, 1] == 509
+    benchmark(parse_tsplib, path)
+
+
+def test_model_build_bays29(benchmark):
+    """Building the BASIC/map model of bays29 (n = 29) from its path
+    matrix: the cost checks, the domain taken row by row from the cost
+    lists, and the propagators' state; the built model is dropped."""
+    C, s, e = circuit_to_path(
+        parse_tsplib(str(INSTANCES / "bays29.tsp")).matrix, 0)
+    m = Model(len(C), s, e, C, model="BASIC", relax="map")
+    assert m.gv.n_potential == int(np.isfinite(C).sum())
+    benchmark(Model, len(C), s, e, C, model="BASIC", relax="map")
+
+
 @pytest.mark.parametrize("name", ["br17.atsp", "att48.tsp"])
 def test_prim_pairs(benchmark, name):
     """The spanning tree on the symmetrized root costs (n = 18 and 49)."""

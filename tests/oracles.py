@@ -3,7 +3,8 @@
 Everything here favours brute force and textbook algorithms that share no
 code with the library: Kosaraju instead of Tarjan, permutation enumeration
 instead of DP, combination scans instead of greedy tree builders,
-whole-matrix numpy arithmetic instead of per-arc effective costs.  The
+whole-matrix numpy arithmetic instead of per-arc effective costs, a
+TSPLIB reader that evaluates every ordered pair on its own.  The
 tests keep the enumerations tiny.  `mutual_reachability` defines the SCC
 partition by a reachability closure.  The last helpers read a library ReducedState
 (its `members` and `scc_of`, plus the graph's `succ`): snapshots of its
@@ -14,6 +15,7 @@ which only the tests need.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -212,6 +214,81 @@ def dense_effective_costs(n, arcs, C, pi_out, pi_in):
         mask[u, v] = True
     E = np.where(mask, C + pi_out[:, None] + pi_in[None, :], np.inf)
     return E, np.minimum(E, E.T)
+
+
+def _tsplib_distance(ewt, p, q):
+    """The TSPLIB95 distance from point p to point q, as its documentation
+    writes it; GEO converts both points on every call."""
+    xd, yd = p[0] - q[0], p[1] - q[1]
+    if ewt == "EUC_2D":
+        return int(math.sqrt(xd ** 2 + yd ** 2) + 0.5)
+    if ewt == "CEIL_2D":
+        return math.ceil(math.sqrt(xd ** 2 + yd ** 2))
+    if ewt == "ATT":
+        r = math.sqrt((xd ** 2 + yd ** 2) / 10.0)
+        t = int(r + 0.5)
+        return t + 1 if t < r else t
+
+    def radians(x):
+        deg = int(x)            # toward zero
+        return 3.141592 * (deg + 5.0 * (x - deg) / 3.0) / 180.0
+
+    lat_p, lon_p = radians(p[0]), radians(p[1])
+    lat_q, lon_q = radians(q[0]), radians(q[1])
+    q1 = math.cos(lon_p - lon_q)
+    q2 = math.cos(lat_p - lat_q)
+    q3 = math.cos(lat_p + lat_q)
+    return int(6378.388 * math.acos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3))
+               + 1.0)
+
+
+def tsplib_matrix(text):
+    """The cost matrix of a well-formed TSPLIB text, inf on the diagonal.
+
+    Coordinates give every ordered pair its own evaluation; explicit
+    weights fill the cells of their layout one by one."""
+    header, sections, body = {}, {}, None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line == "EOF":
+            continue
+        if line.upper().endswith("_SECTION"):
+            body = sections[line.upper()] = []
+        elif ":" in line:
+            key, value = line.split(":", 1)
+            header[key.strip().upper()] = value.strip().upper()
+            body = None
+        else:
+            body.extend(float(t) for t in line.split())
+    n = int(header["DIMENSION"])
+    M = np.full((n, n), np.inf)
+    ewt = header.get("EDGE_WEIGHT_TYPE", "EXPLICIT")
+    if ewt != "EXPLICIT":
+        nums = sections["NODE_COORD_SECTION"]
+        pts = {int(nums[k]): (nums[k + 1], nums[k + 2])
+               for k in range(0, len(nums), 3)}
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    M[a, b] = _tsplib_distance(ewt, pts[a + 1], pts[b + 1])
+        return M
+    weights = iter(sections["EDGE_WEIGHT_SECTION"])
+    fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX")
+    cells = {
+        "FULL_MATRIX": lambda i: range(n),
+        "UPPER_ROW": lambda i: range(i + 1, n),
+        "UPPER_DIAG_ROW": lambda i: range(i, n),
+        "LOWER_ROW": lambda i: range(i),
+        "LOWER_DIAG_ROW": lambda i: range(i + 1),
+    }[fmt]
+    for i in range(n):
+        for j in cells(i):
+            w = next(weights)
+            if i != j:
+                M[i, j] = w
+                if fmt != "FULL_MATRIX":
+                    M[j, i] = w
+    return M
 
 
 def min_assignment_brute(left, right, cost):

@@ -157,6 +157,15 @@ def test_error_exits(capsys):
     assert run_cli(["--instance", "instances/br17.atsp",
                     "--home", "99"]) == cli.EXIT_ERROR
     capsys.readouterr()
+    # a generated instance is already a path, so any explicit home is
+    # rejected, 0 included
+    for home in ("99", "0"):
+        assert run_cli(["--instance", "random:6", "--home", home]) \
+            == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "hampath: error: --home applies to TSPLIB input " \
+            "only, not 'random:6'\n"
 
 
 def test_fractional_weights_exit_one_without_traceback(tmp_path, capsys):

@@ -554,6 +554,28 @@ def test_each_multiplier_vector_is_evaluated_once_per_call(monkeypatch):
     assert len(points) == 1
 
 
+@pytest.mark.parametrize("name, evaluations, distinct, floor", [
+    ("att48.tsp", 30, 30, 8998), ("bays29.tsp", 60, 59, 1764)])
+def test_root_ascent_is_not_replayed(name, evaluations, distinct, floor,
+                                     monkeypatch):
+    # at depth 0 the ascent runs twice; att48's first run never leaves
+    # its start, and a second from the same multipliers would retrace it
+    # step for step, so it is skipped; bays29 climbs and runs twice
+    C, s, e = _tsplib_path(name)
+    m = Model(len(C), s, e, C, model="ALL", relax="both")
+    points = []
+    evaluate = costs.effective_costs
+
+    def counting(gv, C, pi_out, pi_in):
+        points.append(pi_out.tobytes() + pi_in.tobytes())
+        return evaluate(gv, C, pi_out, pi_in)
+
+    monkeypatch.setattr(costs, "effective_costs", counting)
+    m.root_propagate()
+    assert (len(points), len(set(points))) == (evaluations, distinct)
+    assert m.obj.lb == floor
+
+
 @pytest.mark.parametrize("model,relax", [("ALL", "both"), ("BASIC", "tree")])
 def test_br17_refutes_one_below_its_optimum(model, relax):
     C, s, e = _tsplib_path("br17.atsp")

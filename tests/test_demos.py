@@ -63,7 +63,8 @@ def test_kernel_microbenchmarks_run():
                       "--benchmark-disable", "-q", "-rA", "-p",
                       "no:cacheprovider", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for name in ("test_root_path_att48", "test_root_path_ftv33",
+    for name in ("test_parse_tsplib_ulysses16", "test_model_build_bays29",
+                 "test_root_path_att48", "test_root_path_ftv33",
                  "test_kick_ftv33", "test_hk_evaluation_ftv33",
                  "test_or_opt_att48", "test_patch_gen45",
                  "test_assignment_repeat_bays29",

@@ -1,5 +1,6 @@
 """Exact-solver and instance-generator tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -68,6 +69,35 @@ def test_generator_is_deterministic_per_seed():
     c, _, _ = gen_random(9, seed=6, density=0.6, clusters=2)
     assert np.array_equal(a, b) and (sa, ea) == (sb, eb)
     assert not np.array_equal(a, c)
+
+
+# (n, seed, density, clusters, cost_range) and the sha256 of C.tobytes():
+# the draws and their order are part of every seeded benchmark and test
+GENERATED = [
+    (2, 0, 1.0, 1, (1, 100),
+     "40227d5b1a0e8eb3fe8f737607db2ab0c87e1acb023af61afe7e9cde746edd89"),
+    (8, 3, 1.0, 1, (1, 100),
+     "1dc4129afd8b9daac944a2f4c8ef5b784280123a67c37d56b50be2caee076efa"),
+    (12, 5, 0.6, 2, (1, 100),
+     "3b77badf14c5118a999622937c31a02755d4b0ffa3c83796a8072f538338a250"),
+    (17, 11, 0.3, 1, (-40, 60),
+     "0899d47bb5fe6aa583a15d65247570a239fd3b42804ebffca4378621b9c7ea10"),
+    (30, 7, 0.5, 4, (0, 1000000),
+     "e0b88013875146f040782ddadb6154db2aa274d3a70245533f7a1d36873d5710"),
+    (45, 1, 0.5, 3, (1, 100),
+     "5fa725cc7ccc753a98f6a8c67b5b0537b4260c9c5b9aa111b50bf7439f5a5643"),
+]
+
+
+@pytest.mark.parametrize("n, seed, density, clusters, cost_range, digest",
+                         GENERATED)
+def test_generator_output_is_pinned(n, seed, density, clusters, cost_range,
+                                    digest):
+    C, s, e = gen_random(n, seed, cost_range=cost_range, density=density,
+                         clusters=clusters)
+    assert C.dtype == np.float64 and C.shape == (n, n)
+    assert (s, e) == (0, n - 1)
+    assert hashlib.sha256(C.tobytes()).hexdigest() == digest
 
 
 def test_generator_always_leaves_a_path():

@@ -1,21 +1,26 @@
 """Branch-and-bound driver tests: correctness against the DP oracle,
 prove-mode semantics, determinism, and limit handling."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hampath import search
 from hampath.gen import gen_random
-from hampath.kernel import UNDO, Contradiction
+from hampath.kernel import UNDO, Contradiction, GraphVar
 from hampath.oracle import dp_oracle
 from hampath.search import HEURISTICS, MODELS, RELAXATIONS, Model, solve
 from hampath.tsplib import circuit_to_path, parse_tsplib
 
 import figures as fig
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def fresh(C, s, e, **kw):
@@ -442,6 +447,70 @@ def _with_neg_inf():
 def test_model_rejects_malformed_cost_matrix(n, C, relax):
     with pytest.raises(ValueError):
         Model(n, 0, n - 1, C, relax=relax)
+
+
+def _alternating(big):
+    """5 nodes, s = 0 and e = 4: arc (u, v) costs big when u + v is odd
+    and 1 otherwise; nothing enters 0 and nothing leaves 4."""
+    C = np.array([[big if (u + v) % 2 else 1 for v in range(5)]
+                  for u in range(5)], dtype=float)
+    C[:, 0] = np.inf
+    C[4, :] = np.inf
+    return C
+
+
+@pytest.mark.parametrize("big", [2 ** 53, -2 ** 53, 1_501_199_875_790_166])
+def test_model_rejects_costs_too_large_to_add_exactly(big):
+    # float path sums round from 2**53 on, and the root local search then
+    # finds Or-opt moves that only seem to pay, without end; a sum of six
+    # costs must stay exact, so 2**53 / 6 rounded up is already too large
+    with pytest.raises(ValueError, match=r"below 2\*\*53 / 6"):
+        Model(5, 0, 4, _alternating(big))
+
+
+def test_costs_inside_the_exact_range_solve_to_the_optimum():
+    for big in (2 ** 40, 1_501_199_875_790_165):
+        C = _alternating(big)
+        want, _ = dp_oracle(C, 0, 4)
+        for relax in RELAXATIONS:
+            res = solve(Model(5, 0, 4, C, relax=relax))
+            assert (res.status, res.best_cost) == ("optimal", want), relax
+
+
+def test_model_domain_keeps_the_sorted_arc_order():
+    # the sets get their elements in the order of the sorted arc list, so
+    # their iteration order, which searches depend on, stays the same
+    mats = [circuit_to_path(parse_tsplib(str(p)).matrix, 0)
+            for p in sorted(INSTANCES.iterdir())]
+    mats += [gen_random(n, seed, density=0.6, clusters=1 + seed % 3)
+             for n in (7, 19, 45) for seed in range(3)]
+    for C, s, e in mats:
+        n = len(C)
+        m = Model(n, s, e, C, model="BASIC", relax="map")
+        ref = GraphVar(n, s, e, sorted((u, v) for u in range(n)
+                                       for v in range(n) if C[u, v] < np.inf))
+        assert [list(x) for x in m.gv.succ] == [list(x) for x in ref.succ]
+        assert [list(x) for x in m.gv.pred] == [list(x) for x in ref.pred]
+        assert m.gv.n_potential == ref.n_potential == \
+            sum(map(len, ref.succ))
+
+
+@pytest.mark.parametrize("relax", RELAXATIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_a_dropped_model_is_freed_at_once(model, relax):
+    # the graph variable holds no reference to its propagators, so a
+    # model that was never searched is freed by reference counting alone
+    C, s, e = gen_random(10, seed=3, density=0.6, clusters=2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = Model(10, s, e, C, model=model, relax=relax)
+        gv = weakref.ref(m.gv)
+        del m
+        assert gv() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_only_event_readers_read_the_log():

@@ -2,7 +2,9 @@
 circuit-to-path transformation, and the vendored instance files."""
 
 import io
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hampath.tsplib import ParseError, circuit_to_path, parse_tsplib
 import oracles
 
 INF = float("inf")
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def parse_text(text):
@@ -92,6 +95,32 @@ def test_geographical_metric_truncates_degrees():
     # degree part would give 2406 here
     assert inst.matrix[2, 3] == 2508
     assert np.array_equal(inst.matrix, inst.matrix.T)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.iterdir()))
+def test_vendored_matrix_matches_the_pairwise_reference(name):
+    path = INSTANCES / name
+    M = parse_tsplib(str(path)).matrix
+    assert M.dtype == np.float64
+    assert np.array_equal(M, oracles.tsplib_matrix(path.read_text()))
+
+
+@pytest.mark.parametrize("ewt", ["EUC_2D", "CEIL_2D", "ATT", "GEO"])
+def test_coordinate_matrix_matches_the_pairwise_reference(ewt):
+    # each unordered pair is computed once and mirrored, which must give
+    # what evaluating both orders gives; GEO reads degrees.minutes of
+    # either sign, and the others get negative fractional coordinates
+    rng = random.Random(ewt)
+    for n in (2, 3, 11, 26):
+        if ewt == "GEO":
+            pts = [(round(rng.uniform(-89.5, 89.5), 2),
+                    round(rng.uniform(-179.5, 179.5), 2)) for _ in range(n)]
+        else:
+            pts = [(round(rng.uniform(-3000, 3000), 3),
+                    round(rng.uniform(-3000, 3000), 3)) for _ in range(n)]
+        text = coord_instance(ewt, pts)
+        M = parse_text(text).matrix
+        assert np.array_equal(M, oracles.tsplib_matrix(text)), n
 
 
 def coord_lines(ewt, dim, lines):
