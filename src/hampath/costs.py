@@ -293,11 +293,9 @@ def wst_filter(p, E, S, tree, blocks, cuts, ub, offset):
                 c = v if parent[v] == u else u if parent[u] == v else -1
                 if c >= 0:
                     if weight[c] is None:
-                        # pair pinned by a directed arc; the reverse
-                        # direction can never ride along it, the pinned
-                        # one must never be touched
-                        if gv.has_mandatory(v, u):
-                            p.remove(u, v)
+                        # pair pinned by a mandatory arc, whose reverse
+                        # degree has already removed; the pinned one must
+                        # never be touched
                         continue
                     if arc[c] == (u, v):
                         continue

@@ -20,8 +20,10 @@ while the epoch a propagator saw at its last call stands, arcs have only
 gone since.  The hk, reduced-path and assignment propagators rely on this
 to reuse work.  A pop also voids every pending wake and moves every
 cursor to its mark, by noting the stamp and the mark the propagators
-compare with; the variable holds no reference to them, so a model that
-nothing references any more is freed at once.
+compare with.  The variable holds no reference to them, and no pop
+reaches the root world, so it keeps no undo record there: a model that
+nothing references any more is freed at once unless a world is still
+open, whose records refer back to the propagators.
 """
 
 from __future__ import annotations
@@ -109,8 +111,11 @@ class GraphVar:
     # -- mutation --------------------------------------------------------
 
     def record(self, fn):
-        """Call fn when the current world is popped, in log order."""
-        self.log.append((UNDO, fn, None))
+        """Call fn when the current world is popped, in log order.
+
+        No pop reaches the root world, so a record there is dropped."""
+        if self._marks:
+            self.log.append((UNDO, fn, None))
 
     def remove_arc(self, u, v):
         """Drop (u,v) from the potential graph.  False if already absent."""

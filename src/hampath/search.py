@@ -2,16 +2,13 @@
 
 A model wires the propagators for one of the named configurations over a
 cost matrix; solve() drives binary decisions from one of three branching
-heuristics, either proving a bound or optimizing by tightening the cap
-after every improving path, the first of which may be found before the
-search (rootpath.py).  When optimizing under `map` or `both`, every
-inner node also patches the assignment's successor matching into a path,
-and each path that beats the cap, patched or found at a leaf, is first
-polished by Or-opt; an alternative whose stored floor a later cap has
-passed is never opened.  A decision (u, keep, drop) splits the
-successors of one node u: the branch removes drop, its alternative removes
-keep.  Keeping one successor is how an arc is enforced, since degree then
-takes the lone arc.
+heuristics, either proving a bound or optimizing by tightening the cap.
+One rule keeps the paths found before the search (rootpath.py), at the
+leaves, and, when optimizing under `map` or `both`, by patching each
+inner node's assignment matching.  A decision (u, keep, drop) splits the
+successors of one node u: the branch removes drop, its alternative
+removes keep.  Keeping one successor is how an arc is enforced, since
+degree then takes the lone arc.
 """
 
 from __future__ import annotations
@@ -211,26 +208,25 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
           clock=time.monotonic):
     """Run the branch and bound on a prepared model.
 
-    prove_ub switches to decision mode: stop at the first path of cost at
-    most prove_ub ("proven"), or exhaust the tree ("infeasible").  Without
-    it the search optimizes: each path found at a leaf is improved by
-    `or_opt`, caps the objective at its cost - 1, and the last one is
-    optimal; under `map` and `both` every inner node also patches the
-    assignment matching into a path, which is polished and kept the same
-    way when it beats the cap.  A pending alternative whose node's floor
-    lies above the cap holds no better path, so its level is closed
-    unopened.  Both modes first look for a path over the root domain with
-    `root_path`, a dive polished by an iterated local search that stops
-    after n kicks in a row without a cheaper path, earlier once the path
-    is optimal at the root floor or proves the bound, and at the
-    deadline: when optimizing it is the first path found, and in decision
-    mode it counts only if it proves the bound.
+    Without prove_ub the search optimizes.  With it the cap is fixed at
+    prove_ub: the run ends "proven" at the first path within it, or
+    "infeasible" once the tree is exhausted.  Paths come from `root_path`
+    before the first branch (a dive and an iterated local search that
+    stops after n kicks in a row without a cheaper path, earlier once the
+    path meets the root floor when optimizing or the cap in decision
+    mode, and at the deadline), from the leaves, and, when optimizing
+    under `map` or `both`, from every inner node's assignment matching,
+    patched.  One rule keeps them: a path above the cap is dropped, any
+    other becomes the incumbent; when optimizing it is first polished by
+    `or_opt` (the root path already is polished) and the cap moves to its
+    cost - 1.  A node or a pending alternative whose floor lies above the
+    cap holds no better path and is closed.
 
-    The result's lb is a proven bound on the optimum over the whole search
-    space: the best cost when optimal, prove_ub + 1 when a decision run is
-    infeasible, None when an optimizing run finds no path at all, and
-    otherwise the least floor over the subtrees still open, capped at the
-    best cost found (or at prove_ub + 1 before any path is found).
+    The result's lb is a proven bound on the optimum over the whole
+    search space: the cap + 1 (the best cost when optimizing, prove_ub +
+    1 in decision mode) when the run is optimal or infeasible, None when
+    an optimizing run finds no path, and otherwise the least floor over
+    the subtrees still open, never above the cap + 1.
 
     time_limit is in clock units; NaN and negative limits are rejected,
     as is a prove_ub that is not finite.  A model serves one search: a
@@ -263,9 +259,7 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
     patched = None
 
     def global_lb(st):
-        cap = best_cost
-        if cap is None and prove_ub is not None:
-            cap = math.floor(prove_ub) + 1
+        cap = None if m.obj.ub is None else m.obj.ub + 1
         if st in ("optimal", "infeasible"):
             return cap          # nothing is left open
         # the current node is open unless it failed or is a spent leaf
@@ -280,62 +274,59 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
         return SearchResult(st, best_cost, best_path, nodes,
                             clock() - t0, lb=global_lb(st), stats=per_prop)
 
+    def keep(path, polish=True):
+        # the incumbent rule; returns "proven" when the path ends the run,
+        # "optimal" when the node's floor lies above the new cap, and None
+        # when the node goes on
+        nonlocal best_cost, best_path
+        cost = m.path_cost(path)
+        if m.obj.ub is not None and cost > m.obj.ub:
+            return None
+        if prove_ub is None:
+            if polish:
+                or_opt(m.C, path)   # a cheaper path is a tighter cap
+                cost = m.path_cost(path)
+            m.obj.ub = cost - 1
+        best_cost, best_path = cost, path
+        if cost <= m.obj.ub:
+            return "proven"         # only a decision run's cap holds it
+        return "optimal" if m.obj.lb > m.obj.ub else None
+
     try:
         m.root_propagate()
     except Contradiction:
         return finish("infeasible")
-    # in decision mode the root path only answers at once, so a refutation
-    # searches node for node as without it; when optimizing it is the first
-    # incumbent.  Its local search stops once the path ends the run: at the
-    # root floor when optimizing, at the cap in decision mode.  The root
-    # fixpoint is not rerun under the path's cap (under ALL/both, att48
-    # takes 187 nodes that way, 148 without, and bays29 29 against 33;
-    # ftv33 takes 5 either way), so the cap prunes from the first branch on
+    # the root fixpoint is not rerun under the root path's cap (under
+    # ALL/both, att48 takes 187 nodes that way, 148 without, and bays29 29
+    # against 33; ftv33 takes 5 either way), so the cap prunes from the
+    # first branch on
     enough = m.obj.lb if prove_ub is None else m.obj.ub
     path = root_path(gv, m.C, enough, clock, deadline)
-    if path is not None:
-        cost = m.path_cost(path)
-        if prove_ub is None:
-            best_cost, best_path = cost, path
-            m.obj.ub = cost - 1
-            if m.obj.lb > m.obj.ub:
-                return finish("optimal")
-        elif cost <= m.obj.ub:
-            best_cost, best_path = cost, path
-            return finish("proven")
+    if path is not None and (end := keep(path, polish=False)):
+        return finish(end)
 
     while True:
         if deadline is not None and clock() > deadline:
             return finish("limit")
         if advance:
-            if gv.is_instantiated():
+            path = None
+            if leaf := gv.is_instantiated():
                 path = m.extract_path()
-                if prove_ub is None:
-                    or_opt(m.C, path)   # a cheaper path is a tighter cap
-                best_cost, best_path = m.path_cost(path), path
-                if prove_ub is not None:
-                    return finish("proven")
-                # cap future paths below this one; the current leaf is a
-                # dead end either way, so skip the consistency check
-                m.obj.ub = best_cost - 1
-                advance = False
-                continue
             # at a fixpoint the assignment ran after every other change,
             # so its matching is one s-e path plus cycles in the domain;
             # the patched path may use arcs this subtree removed, but it
             # is a path of the instance and the cap is global
-            if prove_ub is None and m.ap is not None \
+            elif prove_ub is None and m.ap is not None \
                     and m.ap.row_match != patched:
                 patched = list(m.ap.row_match)
                 path = patch(m.C, patched, gv.s, gv.e)
-                if path is not None and (best_cost is None or
-                                         m.path_cost(path) < best_cost):
-                    or_opt(m.C, path)
-                    best_cost, best_path = m.path_cost(path), path
-                    m.obj.ub = best_cost - 1
-                    if m.obj.lb > m.obj.ub:
-                        advance = False
-                        continue
+            end = keep(path) if path is not None else None
+            if end == "proven":
+                return finish(end)
+            # a leaf is a dead end whatever its path did to the cap
+            if end or leaf:
+                advance = False
+                continue
             dec = choose_decision(m, heuristic)
             stack.append((dec, m.obj.lb))
             u, _, row = dec
@@ -344,9 +335,8 @@ def solve(m, heuristic="enforceSparse", prove_ub=None, time_limit=None,
                 stack.pop()
                 gv.pop_world()
             if not stack:
-                if best_cost is not None:
-                    return finish("optimal")
-                return finish("infeasible")
+                return finish("infeasible" if best_cost is None
+                              else "optimal")
             (u, row, _), floor = stack.pop()
             gv.pop_world()
             # a later path may have capped below the floor of the node

@@ -301,6 +301,102 @@ def test_patching_supplies_optimal_incumbents(monkeypatch):
     assert from_patch > 0
 
 
+def _cheaper_or_opt_move(C, path):
+    """A path one Or-opt move makes cheaper than path, or None: a segment
+    of one to three interior nodes, its orientation kept, moved into any
+    other gap of the path; s and e stay at the ends."""
+    def cost(p):
+        return sum(C[u, v] for u, v in zip(p, p[1:]))
+    here = cost(path)
+    n = len(path)
+    for size in (1, 2, 3):
+        for i in range(1, n - size):
+            seg = path[i:i + size]
+            rest = path[:i] + path[i + size:]
+            for k in range(1, len(rest)):
+                moved = rest[:k] + seg + rest[k:]
+                if cost(moved) < here:
+                    return moved
+    return None
+
+
+def test_every_incumbent_admits_no_cheaper_or_opt_move(monkeypatch):
+    # one rule keeps every path: the root path leaves root_path polished,
+    # and a leaf or patched path is polished before it becomes the
+    # incumbent, so whatever its source the incumbent is an Or-opt
+    # optimum.  Runs stopped after a few backtracks report incumbents
+    # that are not optimal, where the polish shows
+    found = []
+    for name in ("root_path", "patch"):
+        def recording(*args, original=getattr(search, name), source=name):
+            path = original(*args)
+            found.append((source, path))
+            return path
+        monkeypatch.setattr(search, name, recording)
+    extract = Model.extract_path
+
+    def leaf(m):
+        path = extract(m)
+        found.append(("leaf", path))
+        return path
+    monkeypatch.setattr(Model, "extract_path", leaf)
+    sources = set()
+    above = 0           # incumbents checked that are not optimal
+    for seed in range(12):
+        n = 10 + seed % 5
+        C, s, e = gen_random(n, seed=5000 + seed, density=0.7,
+                             clusters=1 + seed % 3)
+        for model, relax, heuristic in itertools.product(
+                MODELS, RELAXATIONS, HEURISTICS):
+            opt = None
+            for budget in (None, 0, 1, 3, 10):
+                found.clear()
+                m = fresh(C, s, e, model=model, relax=relax)
+                r = solve(m, heuristic=heuristic, time_limit=budget,
+                          clock=lambda: m.gv.pop_epoch)
+                if budget is None:
+                    assert r.status == "optimal"
+                    opt = r.best_cost
+                if r.best_path is None:
+                    continue
+                assert _cheaper_or_opt_move(C, r.best_path) is None, \
+                    (seed, model, relax, heuristic, budget, r.best_path)
+                above += r.best_cost > opt
+                sources.update(src for src, p in found if p is r.best_path)
+    assert above >= 20
+    # the incumbents checked came from all three sources
+    assert sources == {"root_path", "leaf", "patch"}
+
+
+def test_a_decision_run_neither_patches_nor_polishes(monkeypatch):
+    # a decision run's cap is fixed, so it keeps the first path within it
+    # as found; root_path's own polish is not counted
+    calls = {"patch": 0, "or_opt": 0}
+    for name in calls:
+        def counting(*args, original=getattr(search, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(search, name, counting)
+    statuses = set()
+    for seed in range(6):
+        C, s, e = gen_random(11, seed=6000 + seed, density=0.7,
+                             clusters=1 + seed % 3)
+        for model, relax in itertools.product(MODELS, ("map", "both")):
+            r = solve(fresh(C, s, e, model=model, relax=relax))
+            assert r.status == "optimal"
+            for ub in (r.best_cost - 1, r.best_cost, r.best_cost + 50):
+                before = dict(calls)
+                d = solve(fresh(C, s, e, model=model, relax=relax),
+                          prove_ub=ub)
+                assert calls == before, (seed, model, relax, ub)
+                statuses.add((d.status, d.nodes == 1))
+    # the optimizing runs did call both, so the counters were live
+    assert calls["patch"] > 0 and calls["or_opt"] > 0
+    # refuted, proven at the root and proven below it
+    assert {("infeasible", False), ("proven", True),
+            ("proven", False)} <= statuses
+
+
 @pytest.mark.parametrize("name, prove_ub, status, nodes", [
     ("ulysses16.tsp", 6858, "infeasible", 28717),
     ("ulysses16.tsp", 6859, "proven", 1),     # the root path costs 6859
@@ -498,16 +594,39 @@ def test_model_domain_keeps_the_sorted_arc_order():
 @pytest.mark.parametrize("relax", RELAXATIONS)
 @pytest.mark.parametrize("model", MODELS)
 def test_a_dropped_model_is_freed_at_once(model, relax):
-    # the graph variable holds no reference to its propagators, so a
-    # model that was never searched is freed by reference counting alone
+    # the graph variable holds no reference to its propagators, and the
+    # root world keeps no undo records, which refer back to them; so a
+    # model is freed by reference counting alone once it was built,
+    # propagated, or searched to an end that leaves no world open
     C, s, e = gen_random(10, seed=3, density=0.6, clusters=2)
+    opt, _ = dp_oracle(C, s, e)
+    m = fresh(C, s, e, model=model, relax=relax)
+    m.root_propagate()
+    root_floor = m.obj.lb
+
+    def freed(prepare):
+        m = fresh(C, s, e, model=model, relax=relax)
+        prepare(m)
+        gv = weakref.ref(m.gv)
+        del m
+        return gv() is None
+
+    def solved(prove_ub, status, nodes=None):
+        def run(m):
+            res = solve(m, prove_ub=prove_ub)
+            assert res.status == status
+            assert nodes is None or res.nodes == nodes
+        return run
+
     enabled = gc.isenabled()
     gc.disable()
     try:
-        m = Model(10, s, e, C, model=model, relax=relax)
-        gv = weakref.ref(m.gv)
-        del m
-        assert gv() is None
+        assert freed(lambda m: None)
+        assert freed(Model.root_propagate)
+        assert freed(solved(None, "optimal"))
+        assert freed(solved(opt - 1, "infeasible"))
+        assert freed(solved(root_floor - 1, "infeasible", nodes=1))
+        assert freed(solved(opt + 10 ** 6, "proven", nodes=1))
     finally:
         if enabled:
             gc.enable()
